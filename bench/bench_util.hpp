@@ -31,28 +31,18 @@ struct WalkTimes {
 
 /// Visitor driving a maintenance algorithm and optionally issuing
 /// `queries_per_leaf` precedes() calls against random prior threads.
-class DrivingVisitor final : public tree::WalkVisitor {
+class DrivingVisitor final : public tree::MaintenanceDriver<> {
  public:
   DrivingVisitor(tree::SpMaintenance& algo, std::uint32_t queries_per_leaf,
                  std::uint64_t seed)
-      : algo_(algo), qpl_(queries_per_leaf), rng_(seed) {}
+      : MaintenanceDriver(algo), qpl_(queries_per_leaf), rng_(seed) {}
 
-  void enter_internal(const tree::Node& n) override {
-    algo_.enter_internal(n);
-  }
-  void between_children(const tree::Node& n) override {
-    algo_.between_children(n);
-  }
-  void leave_internal(const tree::Node& n) override {
-    algo_.leave_internal(n);
-  }
-  void leave_leaf(const tree::Node& n) override { algo_.leave_leaf(n); }
   void visit_leaf(const tree::Node& n) override {
-    algo_.visit_leaf(n);
+    MaintenanceDriver::visit_leaf(n);
     const tree::ThreadId cur = n.thread;
     for (std::uint32_t q = 0; q < qpl_ && cur > 0; ++q) {
       const auto u = static_cast<tree::ThreadId>(rng_.next_below(cur));
-      checksum += algo_.precedes(u, cur) ? 1 : 0;
+      checksum += sp_.precedes(u, cur) ? 1 : 0;
       ++queries;
     }
   }
@@ -61,7 +51,6 @@ class DrivingVisitor final : public tree::WalkVisitor {
   std::uint64_t checksum = 0;
 
  private:
-  tree::SpMaintenance& algo_;
   std::uint32_t qpl_;
   util::Xoshiro256 rng_;
 };

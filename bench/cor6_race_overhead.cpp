@@ -72,8 +72,6 @@ void bench(const std::string& name, std::uint32_t base) {
     const double plain = time_plain(t);
     const double sporder = time_detect<spr::order::SpOrder>(t);
     const double spbags = time_detect<spr::bags::SpBags>(t);
-    spr::race::ShadowMemory probe;  // just for the header name's sake
-    (void)probe;
     const double apt =
         static_cast<double>(n) / static_cast<double>(t.leaf_count());
     table.add_row({std::to_string(n), std::to_string(t.leaf_count()),

@@ -80,7 +80,7 @@ int main() {
       spr::fj::lower_to_parse_tree(spr::fj::make_dnc_fill(65536, 4));
   const std::vector<Event> events = spr::fj::record_events(t);
 
-  // Reference verdict from the in-process thin client over the same tree.
+  // Reference verdict from the in-process serial detector over the tree.
   spr::order::SpOrder ref_algo(t);
   const auto ref = spr::race::detect_races(t, ref_algo);
   std::cout << "trace: " << t.leaf_count() << " threads, " << events.size()

@@ -27,7 +27,6 @@
 #include "labeling/english_hebrew.hpp"
 #include "labeling/offset_span.hpp"
 #include "spbags/sp_bags.hpp"
-#include "spbags/sp_bags_proc.hpp"
 #include "sporder/sp_order.hpp"
 #include "sporder/sp_order_compact.hpp"
 #include "sptree/metrics.hpp"
@@ -53,8 +52,6 @@ std::unique_ptr<SpMaintenance> make_algo(int which, const ParseTree& t) {
     case 2:
       return std::make_unique<spr::bags::SpBags>(t);
     case 3:
-      return std::make_unique<spr::bags::SpBagsProc>(t);
-    case 4:
       return std::make_unique<spr::order::SpOrder>(t);
     default:
       return std::make_unique<spr::order::SpOrderCompact>(t);
@@ -88,14 +85,13 @@ void bench_workload(const std::string& wl_name, const ParseTree& t) {
       {"english-hebrew", "Th(f) / Th(1) / Th(f)"},
       {"offset-span", "Th(d) / Th(1) / Th(d)"},
       {"sp-bags", "Th(1) / Th(a) / Th(a)"},
-      {"sp-bags-proc (FL97)", "Th(1) / Th(a) / Th(a)"},
       {"sp-order", "Th(1) / Th(1) / Th(1)"},
       {"sp-order-compact (fn.2)", "Th(1) / Th(1) / Th(1)"},
   };
   spr::util::Table table({"algorithm", "paper (space/create/query)",
                           "create ns/thread", "query ns", "space B/thread",
                           "max label"});
-  for (int which = 0; which < 6; ++which) {
+  for (int which = 0; which < 5; ++which) {
     auto a1 = make_algo(which, t);
     const double walk_s = spr::benchutil::time_walk(t, *a1);
     auto a2 = make_algo(which, t);

@@ -18,29 +18,30 @@ namespace spr::label {
 
 class EnglishHebrew final : public tree::SpMaintenance {
  public:
-  explicit EnglishHebrew(const tree::ParseTree& t) : tree_(t) {
-    eng_.resize(t.leaf_count());
-    heb_.resize(t.leaf_count());
-  }
+  explicit EnglishHebrew(const tree::ParseTree& t)
+      : eng_(t.leaf_count()), heb_(t.leaf_count()) {}
 
-  void enter_internal(const tree::Node& n) override {
+  // The open forks' path bits double as the stack of per-fork series
+  // flags: a series fork starts its Hebrew bit at 0, a parallel one at 1,
+  // and the switch to the right branch flips it either way.
+  void on_fork(bool series) override {
     path_eng_.push_back(0);
-    path_heb_.push_back(n.kind == tree::NodeKind::kParallel ? 1 : 0);
+    path_heb_.push_back(series ? 0 : 1);
   }
 
-  void between_children(const tree::Node& n) override {
+  void on_switch() override {
     path_eng_.back() = 1;
-    path_heb_.back() = n.kind == tree::NodeKind::kParallel ? 0 : 1;
+    path_heb_.back() ^= 1;
   }
 
-  void leave_internal(const tree::Node&) override {
+  void on_join() override {
     path_eng_.pop_back();
     path_heb_.pop_back();
   }
 
-  void visit_leaf(const tree::Node& n) override {
-    eng_[n.thread] = path_eng_;
-    heb_[n.thread] = path_heb_;
+  void on_thread_begin(tree::ThreadId t) override {
+    eng_[t] = path_eng_;
+    heb_[t] = path_heb_;
   }
 
   bool precedes(tree::ThreadId u, tree::ThreadId v) override {
@@ -71,7 +72,6 @@ class EnglishHebrew final : public tree::SpMaintenance {
     return a.size() < b.size();
   }
 
-  const tree::ParseTree& tree_;
   Label path_eng_;
   Label path_heb_;
   std::vector<Label> eng_;

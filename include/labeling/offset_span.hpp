@@ -23,20 +23,20 @@ namespace spr::label {
 
 class OffsetSpan final : public tree::SpMaintenance {
  public:
-  explicit OffsetSpan(const tree::ParseTree& t) : tree_(t) {
-    labels_.resize(t.leaf_count());
+  explicit OffsetSpan(const tree::ParseTree& t) : labels_(t.leaf_count()) {
     cur_.push_back({0, 1});
   }
 
-  void enter_internal(const tree::Node& n) override {
-    if (n.kind == tree::NodeKind::kParallel) {
+  void on_fork(bool series) override {
+    series_.push_back(series);
+    if (!series) {
       saved_.push_back(cur_);
       cur_.push_back({0, 2});
     }
   }
 
-  void between_children(const tree::Node& n) override {
-    if (n.kind == tree::NodeKind::kParallel) {
+  void on_switch() override {
+    if (!series_.back()) {
       // Sibling branch of the fork: offset 1 in the same span-2 context.
       cur_ = saved_.back();
       cur_.push_back({1, 2});
@@ -46,17 +46,18 @@ class OffsetSpan final : public tree::SpMaintenance {
     }
   }
 
-  void leave_internal(const tree::Node& n) override {
-    if (n.kind == tree::NodeKind::kParallel) {
+  void on_join() override {
+    if (!series_.back()) {
       // Join: the continuation resumes from the pre-fork label, advanced
       // one sync round.
       cur_ = saved_.back();
       cur_.back().offset += cur_.back().span;
       saved_.pop_back();
     }
+    series_.pop_back();
   }
 
-  void visit_leaf(const tree::Node& n) override { labels_[n.thread] = cur_; }
+  void on_thread_begin(tree::ThreadId t) override { labels_[t] = cur_; }
 
   bool precedes(tree::ThreadId u, tree::ThreadId v) override {
     if (u == v) return false;
@@ -89,10 +90,10 @@ class OffsetSpan final : public tree::SpMaintenance {
   };
   using Label = std::vector<Pair>;
 
-  const tree::ParseTree& tree_;
-  Label cur_;
-  std::vector<Label> saved_;  ///< pre-fork labels of open P-nodes
   std::vector<Label> labels_;
+  Label cur_;
+  std::vector<bool> series_;  ///< kinds of the open forks
+  std::vector<Label> saved_;  ///< pre-fork labels of open P-nodes
 };
 
 }  // namespace spr::label

@@ -3,8 +3,7 @@
 // SP-maintenance structures — the "more sophisticated detector" whose
 // bounds the paper's abstract says improve correspondingly with SP-order.
 //
-// Since the streaming refactor this is a one-line client: the walker and
-// session plumbing are shared with the determinacy detector
+// A one-line client: the walker is shared with the determinacy detector
 // (race/detector.hpp), and the protocol — per (stream, location) a
 // pruned history of (lockset, writer?) entries, each remembering the
 // most recent thread and a sticky parallel one — lives in the sharded
@@ -23,7 +22,7 @@ namespace spr::race {
 /// SP-maintenance backend `algo`.
 template <typename SpAlgo>
 inline RaceReport detect_lock_races(const tree::ParseTree& t, SpAlgo& algo) {
-  return detail::detect_via_stream<stream::AllSetsShadow>(t, algo);
+  return detail::detect<stream::AllSetsShadow>(t, algo);
 }
 
 }  // namespace spr::race

@@ -1,13 +1,13 @@
 #pragma once
-// Serial on-the-fly determinacy-race detection (Corollary 6) as a thin
-// client of the streaming ingestion core (race/stream/service.hpp): the
-// walker executes the program serially, drives its SP-maintenance
-// backend through the tree callbacks (so strictly on-the-fly backends
-// like SP-bags stay correct), serializes the same walk into stream
-// events, and flushes a batch to the service at every leaf boundary.
-// Validation, sharded shadow memory, query accounting, and the verdict
-// all live in the service — the in-process path and a remote event
-// stream run the same code.
+// Serial on-the-fly determinacy-race detection (Corollary 6): the walker
+// executes the program serially, drives its SP-maintenance backend
+// through walk.hpp's MaintenanceDriver, and applies each thread's
+// accesses to a one-shard shadow memory while that thread is current (the
+// contract strictly on-the-fly backends like SP-bags depend on). The
+// input is a trusted in-process tree, so nothing is validated; the
+// untrusted boundary is the streaming service (race/stream/service.hpp),
+// which runs the same shadow tables and query accounting on event
+// streams and must report the same verdicts and query counts.
 //
 // The shadow protocol itself (last writer + recent reader + sticky
 // parallel reader) lives in race/shadow_protocol.hpp; its soundness and
@@ -15,11 +15,9 @@
 // tests/race_completeness_test.cpp.
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
 #include "race/shadow_protocol.hpp"
-#include "race/stream/service.hpp"
+#include "race/stream/shadow_shards.hpp"
 #include "sptree/sp_maintenance.hpp"
 #include "sptree/walk.hpp"
 #include "util/timing.hpp"
@@ -29,90 +27,42 @@ namespace spr::race {
 namespace detail {
 
 /// Templated on the SP algorithm so detection can run over any backend
-/// (tree::SpMaintenance subclasses, a concrete SpOrder, or a templated
-/// hybrid facade) with statically bound — devirtualized — queries, and
-/// on the shadow protocol (DeterminacyShadow or AllSetsShadow).
-/// SpAlgo needs enter_internal / between_children / leave_internal /
-/// leave_leaf / visit_leaf / precedes.
+/// (tree::SpMaintenance subclasses or a concrete SP-order) with
+/// statically bound calls, and on the shadow protocol
+/// (DeterminacyShadow or AllSetsShadow). Every query goes through
+/// `sp.precedes`.
 template <typename SpAlgo, typename Shadow>
-class StreamClientVisitor final : public tree::WalkVisitor {
+class DetectVisitor final : public tree::MaintenanceDriver<SpAlgo> {
  public:
-  using Svc = stream::Service<stream::ExternalSp<SpAlgo>, Shadow>;
-
-  StreamClientVisitor(const tree::ParseTree& t, SpAlgo& algo, Svc& svc,
-                      stream::StreamId sid)
-      : tree_(t), algo_(algo), svc_(&svc) {
-    batch_.stream = sid;
-  }
-
-  void enter_internal(const tree::Node& n) override {
-    algo_.enter_internal(n);
-    batch_.events.push_back(
-        stream::fork_event(n.kind == tree::NodeKind::kSeries));
-  }
-  void between_children(const tree::Node& n) override {
-    algo_.between_children(n);
-    batch_.events.push_back(stream::switch_event());
-  }
-  void leave_internal(const tree::Node& n) override {
-    algo_.leave_internal(n);
-    batch_.events.push_back(stream::join_event());
-  }
+  DetectVisitor(const tree::ParseTree& t, SpAlgo& sp)
+      : tree::MaintenanceDriver<SpAlgo>(sp), tree_(t) {}
 
   void visit_leaf(const tree::Node& n) override {
-    algo_.visit_leaf(n);
+    tree::MaintenanceDriver<SpAlgo>::visit_leaf(n);
     checksum ^= util::spin_work(n.work);
-    batch_.events.push_back(stream::thread_begin_event(n.thread));
+    SpAlgo& sp = this->sp_;
+    const auto serial = counted_serial(
+        [&sp](tree::ThreadId u, tree::ThreadId v) { return sp.precedes(u, v); },
+        report.queries);
     for (const tree::Access& a : tree_.accesses(n.thread))
-      batch_.events.push_back(stream::access_event(a.loc, a.write, a.locks));
+      shadow_.apply(/*stream=*/0, a, n.thread, serial, report.race_count);
   }
 
-  void leave_leaf(const tree::Node& n) override {
-    algo_.leave_leaf(n);
-    batch_.events.push_back(stream::thread_end_event());
-    // Flush at every leaf boundary: SP queries for these accesses must be
-    // issued while the leaf is the currently executing thread, which is
-    // the contract strictly on-the-fly backends depend on.
-    flush();
-  }
-
-  /// Submits the pending batch; the walk emits well-formed traces by
-  /// construction, so a reject here is a programming error, not input.
-  void flush() {
-    if (batch_.events.empty()) return;
-    const stream::IngestResult r = svc_->submit(batch_);
-    if (!r.ok())
-      throw std::logic_error(std::string("stream self-reject: ") +
-                             stream::to_string(r.error));
-    ++batch_.epoch;
-    batch_.events.clear();
-  }
-
+  RaceReport report;
   std::uint64_t checksum = 0;
 
  private:
   const tree::ParseTree& tree_;
-  SpAlgo& algo_;
-  Svc* svc_;
-  stream::Batch batch_;
+  Shadow shadow_{1};
 };
 
 /// Shared driver for the determinacy and ALL-SETS entry points.
 template <typename Shadow, typename SpAlgo>
-inline RaceReport detect_via_stream(const tree::ParseTree& t, SpAlgo& algo) {
-  RaceReport out;
-  if (t.root() == tree::kNoNode) return out;
-  stream::Service<stream::ExternalSp<SpAlgo>, Shadow> svc;
-  const stream::StreamId sid = svc.open_stream(algo);
-  StreamClientVisitor<SpAlgo, Shadow> v(t, algo, svc, sid);
+inline RaceReport detect(const tree::ParseTree& t, SpAlgo& algo) {
+  DetectVisitor<SpAlgo, Shadow> v(t, algo);
   serial_walk(t, v);
-  v.flush();
-  const stream::IngestResult fin = svc.finish(sid);
-  if (!fin.ok())
-    throw std::logic_error(std::string("stream self-reject at finish: ") +
-                           stream::to_string(fin.error));
   util::do_not_optimize(v.checksum);
-  return svc.report(sid).races;
+  return v.report;
 }
 
 }  // namespace detail
@@ -121,7 +71,7 @@ inline RaceReport detect_via_stream(const tree::ParseTree& t, SpAlgo& algo) {
 /// fresh `algo` (any SpMaintenance backend) for SP queries.
 template <typename SpAlgo>
 inline RaceReport detect_races(const tree::ParseTree& t, SpAlgo& algo) {
-  return detail::detect_via_stream<stream::DeterminacyShadow>(t, algo);
+  return detail::detect<stream::DeterminacyShadow>(t, algo);
 }
 
 }  // namespace spr::race

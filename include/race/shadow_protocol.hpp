@@ -1,11 +1,11 @@
 #pragma once
-// The determinacy-race shadow protocol (Corollary 6), shared verbatim by
-// every consumer: the serial thin-client detector (race/detector.hpp),
-// the SP-hybrid engine's parallel detection (sphybrid/worker.hpp), and
-// the streaming service's sharded SoA shadow memory
-// (race/stream/shadow_shards.hpp). One definition, so the rule the
-// completeness test certifies (tests/race_completeness_test.cpp) is the
-// rule every deployment runs.
+// The determinacy-race shadow protocol (Corollary 6) and its query
+// accounting, shared verbatim by every consumer: the serial detector
+// (race/detector.hpp), the SP-hybrid engine and its serial reference
+// (sphybrid/), and the streaming service (race/stream/service.hpp), all
+// through the SoA shadow memory of race/stream/shadow_shards.hpp. One
+// definition, so the rule the completeness test certifies
+// (tests/race_completeness_test.cpp) is the rule every deployment runs.
 //
 // Shadow state (per location): the last writer plus two readers — the
 // most recent reader and a sticky reader kept from an earlier parallel
@@ -16,7 +16,6 @@
 // a race-free program.
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "sptree/sp_maintenance.hpp"
 
@@ -34,21 +33,27 @@ struct ShadowCell {
   tree::ThreadId reader2 = tree::kNoThread;  ///< sticky parallel reader
 };
 
-class ShadowMemory {
- public:
-  ShadowCell& cell(std::uint64_t loc) { return cells_[loc]; }
-  std::size_t size() const { return cells_.size(); }
-
- private:
-  std::unordered_map<std::uint64_t, ShadowCell> cells_;
-};
+/// The one query-accounting rule every detector shares: "no thread" and
+/// the same thread are serial for free; any other pair counts one query
+/// in `queries` and asks `precedes(u, v)`. Returns the `serial(u, v)`
+/// predicate the shadow protocols below take, so every deployment reports
+/// the same RaceReport::queries for the same trace.
+template <typename PrecedesFn>
+inline auto counted_serial(PrecedesFn precedes, std::uint64_t& queries) {
+  return [precedes, &queries](tree::ThreadId u, tree::ThreadId v) -> bool {
+    if (u == tree::kNoThread || u == v) return true;
+    ++queries;
+    return precedes(u, v);
+  };
+}
 
 /// Applies one access by thread `v` to a shadow cell, bumping
 /// `race_count` per conflicting parallel accessor. `serial(u, v)` must
 /// return whether u is serial with v (treating "no thread" and u == v as
-/// serial). `Cell` is anything with writer/reader1/reader2 thread-id
-/// members — the AoS ShadowCell above or the streaming service's SoA
-/// column reference — so the protocol cannot diverge between layouts.
+/// serial; see counted_serial). `Cell` is anything with writer/reader1/
+/// reader2 thread-id members — the AoS ShadowCell above or the streaming
+/// service's SoA column reference — so the protocol cannot diverge
+/// between layouts.
 template <typename Cell, typename SerialFn>
 inline void shadow_apply(Cell& c, const tree::Access& a, tree::ThreadId v,
                          SerialFn&& serial, std::uint64_t& race_count) {

@@ -2,8 +2,9 @@
 // Event vocabulary of the streaming race-detection service: a fork-join
 // execution trace serialized as fork/switch/join/thread/access records,
 // shipped in per-stream batches tagged with an epoch (the batch sequence
-// number). The grammar is exactly the serial-walk callback protocol of
-// sptree/walk.hpp —
+// number). The grammar is exactly the event protocol of
+// tree::SpMaintenance (sptree/sp_maintenance.hpp), plus thread ends and
+// accesses —
 //
 //   trace  := subtree
 //   subtree := kFork subtree kSwitch subtree kJoin
@@ -79,6 +80,21 @@ inline Event access_event(std::uint64_t loc, bool write,
   e.write = write;
   e.locks = locks;
   return e;
+}
+
+/// Feeds `e` to an SP-maintenance engine (tree::SpMaintenance or a type
+/// with the same on_* methods) if it is one of the four structural
+/// events; thread-end and access events are not SP maintenance's concern.
+template <typename Sp>
+inline void feed_sp(Sp& sp, const Event& e) {
+  switch (e.kind) {
+    case EventKind::kFork: sp.on_fork(e.series); break;
+    case EventKind::kSwitch: sp.on_switch(); break;
+    case EventKind::kJoin: sp.on_join(); break;
+    case EventKind::kThreadBegin: sp.on_thread_begin(e.thread); break;
+    case EventKind::kThreadEnd:
+    case EventKind::kAccess: break;
+  }
 }
 
 struct Batch {

@@ -32,10 +32,13 @@
 #include "race/shadow_protocol.hpp"
 #include "race/stream/event.hpp"
 #include "race/stream/shadow_shards.hpp"
-#include "race/stream/sp_stream.hpp"
+#include "sporder/sp_order.hpp"
 #include "util/atomics.hpp"
 
 namespace spr::race::stream {
+
+/// The native per-stream SP engine: SP-order driven by the stream's events.
+using StreamingSpOrder = order::StreamingSpOrder;
 
 /// Trace-grammar validator (see event.hpp for the grammar). Copyable so
 /// submit() can trial-run a batch and commit only on success; state is
@@ -194,35 +197,17 @@ class Service {
   }
 
   void apply(const Batch& b, StreamState& st) {
-    const auto serial = [&st](tree::ThreadId u, tree::ThreadId v) {
-      if (u == tree::kNoThread || u == v) return true;
-      ++st.rep.races.queries;
-      return st.sp.precedes(u, v);
-    };
+    const auto serial = counted_serial(
+        [&st](tree::ThreadId u, tree::ThreadId v) {
+          return st.sp.precedes(u, v);
+        },
+        st.rep.races.queries);
     for (const Event& e : b.events) {
-      switch (e.kind) {
-        case EventKind::kFork:
-          st.sp.on_fork(e.series);
-          break;
-        case EventKind::kSwitch:
-          st.sp.on_switch();
-          break;
-        case EventKind::kJoin:
-          st.sp.on_join();
-          break;
-        case EventKind::kThreadBegin:
-          st.sp.on_thread_begin(e.thread);
-          st.current = e.thread;
-          break;
-        case EventKind::kThreadEnd:
-          break;
-        case EventKind::kAccess: {
-          const tree::Access a{e.loc, e.write, e.locks};
-          shadow_.apply(b.stream, a, st.current, serial,
-                        st.rep.races.race_count);
-          break;
-        }
-      }
+      feed_sp(st.sp, e);
+      if (e.kind == EventKind::kThreadBegin) st.current = e.thread;
+      if (e.kind != EventKind::kAccess) continue;
+      shadow_.apply(b.stream, tree::Access{e.loc, e.write, e.locks},
+                    st.current, serial, st.rep.races.race_count);
     }
     st.rep.events += b.events.size();
     ++st.rep.batches;

@@ -1,18 +1,19 @@
 #pragma once
-// SP-bags on the SP parse tree (Feng-Leiserson style; Figure 3 row 3):
-// Theta(1) space per thread, Theta(alpha) per thread creation and query,
-// via union-find.
+// SP-bags (Feng-Leiserson style; Figure 3 row 3): Theta(1) space per
+// thread, Theta(alpha) per thread creation and query, via union-find.
 //
-// Invariant maintained by the serial walk: at the moment thread v
-// executes, the completed threads partition into one disjoint set per
+// Invariant maintained by the English-order events: at the moment thread
+// v executes, the completed threads partition into one disjoint set per
 // completed subtree hanging off the root-to-v path. Such a subtree is the
-// left child of some ancestor A of v, and its set was classified at
-// between_children(A): S if A is an S-node (everything in it precedes v),
-// P if A is a P-node (everything in it is parallel to v). A query for a
-// completed thread u is therefore one find() plus a flag read — and the
-// flag at find(u)'s root was written exactly when the walk crossed
-// LCA(u, v).
+// left branch of some open fork A of v, and its set was classified at
+// A's on_switch: S if A is a series fork (everything in it precedes v),
+// P if A is a parallel fork (everything in it is parallel to v). A query
+// for a completed thread u is therefore one find() plus a flag read — and
+// the flag at find(u)'s root was written exactly when the execution
+// crossed LCA(u, v).
 //
+// The only per-fork state is a stack entry (the fork's kind and a thread
+// of its left branch), so any English-order event source drives it.
 // Queries are only meaningful for completed u against the currently
 // executing v — the on-the-fly discipline race detectors follow.
 
@@ -29,24 +30,26 @@ class SpBags : public tree::SpMaintenance {
  public:
   explicit SpBags(const tree::ParseTree& t, bool path_compression = true)
       : dsu_(t.leaf_count(), path_compression),
-        serial_flag_(t.leaf_count(), 0),
-        left_set_(t.node_count(), tree::kNoThread) {}
+        serial_flag_(t.leaf_count(), 0) {}
 
-  void leave_leaf(const tree::Node& n) override { completed_ = n.thread; }
+  void on_fork(bool series) override { forks_.push_back({series, 0}); }
 
-  void between_children(const tree::Node& n) override {
-    // completed_ is the set of n's just-finished left subtree.
-    const std::uint32_t root = dsu_.find(completed_);
-    serial_flag_[root] = n.kind == tree::NodeKind::kSeries ? 1 : 0;
-    left_set_[static_cast<std::size_t>(n.id)] = completed_;
+  void on_switch() override {
+    // last_ lies in the fork's just-completed left branch, whose threads
+    // already form one set.
+    Fork& f = forks_.back();
+    serial_flag_[dsu_.find(last_)] = f.series ? 1 : 0;
+    f.left_last = last_;
   }
 
-  void leave_internal(const tree::Node& n) override {
-    // Merge the left and right subtree sets; the union's classification
-    // is assigned later by the ancestor whose walk crosses it.
-    const std::uint32_t left = left_set_[static_cast<std::size_t>(n.id)];
-    completed_ = dsu_.unite(left, completed_);
+  void on_join() override {
+    // Merge the left and right branch sets; the union's classification
+    // is assigned later by the fork whose switch crosses it.
+    dsu_.unite(forks_.back().left_last, last_);
+    forks_.pop_back();
   }
+
+  void on_thread_begin(tree::ThreadId t) override { last_ = t; }
 
   bool precedes(tree::ThreadId u, tree::ThreadId v) override {
     if (u == v) return false;
@@ -57,16 +60,21 @@ class SpBags : public tree::SpMaintenance {
   std::size_t memory_bytes() const override {
     return sizeof(*this) + dsu_.memory_bytes() +
            serial_flag_.capacity() * sizeof(std::uint8_t) +
-           left_set_.capacity() * sizeof(std::uint32_t);
+           forks_.capacity() * sizeof(Fork);
   }
 
   const DisjointSets& dsu() const { return dsu_; }
 
  private:
+  struct Fork {
+    bool series;
+    tree::ThreadId left_last;  ///< a thread of the completed left branch
+  };
+
   DisjointSets dsu_;
   std::vector<std::uint8_t> serial_flag_;  ///< per DSU root: 1 = S-bag
-  std::vector<std::uint32_t> left_set_;    ///< per node: left subtree set
-  std::uint32_t completed_ = 0;  ///< set of the last completed subtree
+  std::vector<Fork> forks_;                ///< open forks, innermost last
+  tree::ThreadId last_ = 0;                ///< most recently begun thread
 };
 
 }  // namespace spr::bags

@@ -10,7 +10,8 @@
 // for same-trace queries with v currently executing:
 //  - every walk event between two threads of one trace is executed by
 //    that trace's worker, serially, so the flag at find(u)'s root was
-//    written at between_children(LCA(u, v)), exactly as in serial SP-bags;
+//    written when the walk switched branches at LCA(u, v), exactly as in
+//    serial SP-bags;
 //  - an event owned by ANOTHER trace can only touch u's set once the
 //    enclosing subtree (which contains v) has completed, i.e. after v
 //    stopped being current — so it can never be observed by a valid query.

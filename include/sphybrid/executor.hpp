@@ -19,12 +19,11 @@
 // paths still run on tiny CI hosts).
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <vector>
 
 #include "fjprog/record.hpp"
-#include "race/detector.hpp"
-#include "spbags/dsu.hpp"
+#include "race/shadow_protocol.hpp"
+#include "race/stream/shadow_shards.hpp"
 #include "sphybrid/worker.hpp"
 #include "sporder/sp_order.hpp"
 #include "sptree/sp_maintenance.hpp"
@@ -39,36 +38,15 @@ namespace detail {
 /// Serial oracle driver: executes leaf work in English order, maintains a
 /// full serial SP-order, issues the same per-leaf query streams as the
 /// parallel engine, and (optionally) runs the shadow-memory protocol.
-class SerialDriver final : public tree::WalkVisitor {
+class SerialDriver final
+    : public tree::MaintenanceDriver<order::StreamingSpOrder> {
  public:
-  SerialDriver(const tree::ParseTree& t, const ExecOptions& o, ExecResult& r)
-      : tree_(t), opts_(o), result_(r) {
-    if (o.mode != Mode::kPlain || o.detect_races)
-      algo_ = std::make_unique<order::SpOrder>(t);
-    if (o.record_events != nullptr)
-      recorder_ = std::make_unique<fj::EventRecorder>(t, *o.record_events);
-  }
-
-  void enter_internal(const tree::Node& n) override {
-    if (algo_ != nullptr) algo_->enter_internal(n);
-    if (recorder_ != nullptr) recorder_->enter_internal(n);
-  }
-  void between_children(const tree::Node& n) override {
-    if (algo_ != nullptr) algo_->between_children(n);
-    if (recorder_ != nullptr) recorder_->between_children(n);
-  }
-  void leave_internal(const tree::Node& n) override {
-    if (algo_ != nullptr) algo_->leave_internal(n);
-    if (recorder_ != nullptr) recorder_->leave_internal(n);
-  }
-  void leave_leaf(const tree::Node& n) override {
-    if (algo_ != nullptr) algo_->leave_leaf(n);
-    if (recorder_ != nullptr) recorder_->leave_leaf(n);
-  }
+  SerialDriver(const tree::ParseTree& t, const ExecOptions& o, ExecResult& r,
+               order::StreamingSpOrder& sp)
+      : MaintenanceDriver(sp), tree_(t), opts_(o), result_(r) {}
 
   void visit_leaf(const tree::Node& n) override {
-    if (algo_ != nullptr) algo_->visit_leaf(n);
-    if (recorder_ != nullptr) recorder_->visit_leaf(n);
+    MaintenanceDriver::visit_leaf(n);
     spin_xor_ ^= util::spin_work(n.work);
     const tree::ThreadId v = n.thread;
     if (opts_.queries_per_leaf > 0) {
@@ -77,30 +55,24 @@ class SerialDriver final : public tree::WalkVisitor {
       util::Xoshiro256 rng = leaf_query_rng(opts_.seed, v);
       for (std::uint32_t q = 0; q < opts_.queries_per_leaf && v > 0; ++q) {
         const auto u = static_cast<tree::ThreadId>(rng.next_below(v));
-        if (algo_ != nullptr)
-          digest_sum_ += query_digest(u, v, algo_->precedes(u, v));
+        digest_sum_ += query_digest(u, v, sp_.precedes(u, v));
         ++result_.queries;
       }
     }
-    if (opts_.detect_races && algo_ != nullptr) detect(v);
+    if (opts_.detect_races) detect(v);
   }
 
   void finish() { result_.checksum = spin_xor_ + digest_sum_; }
 
  private:
   void detect(tree::ThreadId v) {
-    for (const tree::Access& a : tree_.accesses(v)) {
-      race::shadow_apply(
-          shadow_.cell(a.loc), a, v,
-          [this](tree::ThreadId u, tree::ThreadId w) { return serial(u, w); },
-          result_.race_count);
-    }
-  }
-
-  bool serial(tree::ThreadId u, tree::ThreadId v) {
-    if (u == tree::kNoThread || u == v) return true;
-    ++result_.queries;
-    return algo_->precedes(u, v);
+    const auto serial = race::counted_serial(
+        [this](tree::ThreadId u, tree::ThreadId w) {
+          return sp_.precedes(u, w);
+        },
+        result_.queries);
+    for (const tree::Access& a : tree_.accesses(v))
+      shadow_.apply(/*stream=*/0, a, v, serial, result_.race_count);
   }
 
   const tree::ParseTree& tree_;
@@ -108,9 +80,7 @@ class SerialDriver final : public tree::WalkVisitor {
   ExecResult& result_;
   std::uint64_t spin_xor_ = 0;
   std::uint64_t digest_sum_ = 0;
-  std::unique_ptr<order::SpOrder> algo_;
-  std::unique_ptr<fj::EventRecorder> recorder_;
-  race::ShadowMemory shadow_;
+  race::stream::DeterminacyShadow shadow_{1};
 };
 
 }  // namespace detail
@@ -122,11 +92,16 @@ inline ExecResult run_parallel(const tree::ParseTree& t,
   const unsigned workers = resolve_workers(o.workers);  // validates, throws
   if (o.mode == Mode::kSerialReference) {
     ExecResult r;
-    detail::SerialDriver driver(t, o, r);
+    order::StreamingSpOrder sp(t.leaf_count());
+    detail::SerialDriver driver(t, o, r, sp);
     const util::Stopwatch sw;
     serial_walk(t, driver);
     r.elapsed_s = sw.elapsed_s();
     driver.finish();
+    if (o.record_events != nullptr) {
+      const std::vector<race::stream::Event> ev = fj::record_events(t);
+      o.record_events->insert(o.record_events->end(), ev.begin(), ev.end());
+    }
     r.workers_used = 1;  // the oracle always runs on the calling thread
     r.traces = 1;
     util::do_not_optimize(r.checksum);

@@ -31,10 +31,9 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "race/detector.hpp"
+#include "race/shadow_protocol.hpp"
 #include "race/stream/event.hpp"
 #include "race/stream/shadow_shards.hpp"
 #include "spbags/dsu.hpp"
@@ -116,32 +115,57 @@ inline std::uint64_t query_digest(tree::ThreadId u, tree::ThreadId v,
 
 namespace detail {
 
-/// Serial SP-order extended for parallel schedules: a random query target
-/// may not have executed yet, so it is resolved through its deepest
-/// slotted ancestor (whose whole subtree relates uniformly to any thread
-/// outside it — the same argument as TwoTierSp::resolve). The caller
-/// holds the engine's global naive-mode mutex for every method.
-class NaiveSpOrder final : public order::SpOrder {
+/// Serial SP-order extended for parallel schedules (Section 3's straw
+/// man). Nodes are entered out of English order, so the fork stack of
+/// sporder/sp_order.hpp does not apply: this is the one SP-order that
+/// keeps a slot per parse-tree node, filled by the same split rule. A
+/// random query target may not have executed yet, so it is resolved
+/// through its deepest slotted ancestor (whose whole subtree relates
+/// uniformly to any thread outside it — the same argument as
+/// TwoTierSp::resolve). The caller holds the engine's global naive-mode
+/// mutex for every method.
+class NaiveSpOrder {
  public:
-  explicit NaiveSpOrder(const tree::ParseTree& t) : SpOrder(t) {}
+  explicit NaiveSpOrder(const tree::ParseTree& t)
+      : tree_(t), node_slots_(t.node_count()) {
+    if (t.root() == tree::kNoNode) return;
+    order::Slot& root = node_slots_[static_cast<std::size_t>(t.root())];
+    root.eng = english_.insert_front();
+    root.heb = hebrew_.insert_front();
+  }
 
-  bool precedes_resolved(tree::ThreadId u, tree::ThreadId v) {
+  void enter(const tree::Node& n) {
+    const order::Branches b =
+        order::split(english_, hebrew_, node_slots_[slot_index(n.id)],
+                     n.kind == tree::NodeKind::kSeries);
+    node_slots_[slot_index(n.left)] = b.left;
+    node_slots_[slot_index(n.right)] = b.right;
+  }
+
+  bool precedes_resolved(tree::ThreadId u, tree::ThreadId v) const {
     if (u == v) return false;
-    const Slot a = resolve(u);
-    const Slot b = resolve(v);
+    const order::Slot& a = resolve(u);
+    const order::Slot& b = resolve(v);
     if (a.eng == b.eng) return false;  // both below one unentered ancestor
     return english_.precedes(a.eng, b.eng) && hebrew_.precedes(a.heb, b.heb);
   }
 
  private:
-  Slot resolve(tree::ThreadId t) {
-    tree::NodeId id = tree_.leaf(t).id;
-    for (;;) {
-      const Slot& s = node_slots_[static_cast<std::size_t>(id)];
-      if (s.eng != nullptr) return s;
-      id = tree_.node(id).parent;
-    }
+  static std::size_t slot_index(tree::NodeId id) {
+    return static_cast<std::size_t>(id);
   }
+
+  const order::Slot& resolve(tree::ThreadId t) const {
+    tree::NodeId id = tree_.leaf(t).id;
+    while (node_slots_[slot_index(id)].eng == nullptr)
+      id = tree_.node(id).parent;
+    return node_slots_[slot_index(id)];
+  }
+
+  const tree::ParseTree& tree_;
+  om::OrderList english_;
+  om::OrderList hebrew_;
+  std::vector<order::Slot> node_slots_;  ///< per parse-tree node
 };
 
 }  // namespace detail
@@ -262,17 +286,13 @@ class BasicWorkStealingEngine {
       std::lock_guard<std::mutex> lock(naive_mu_);
       w.lock_wait_ns += static_cast<std::uint64_t>(sw.elapsed_ns());
       w.om_inserts += 4;  // Section 3: every OM insertion is locked
-      naive_->enter_internal(n);
+      naive_->enter(n);
     }
   }
 
   void do_leaf(WorkerCtx& w, const tree::Node& n) {
     const tree::ThreadId v = n.thread;
     if (sp_ != nullptr) sp_->on_leaf(v, w.cur_trace);
-    if (naive_ != nullptr) {
-      std::lock_guard<std::mutex> lock(naive_mu_);
-      naive_->visit_leaf(n);
-    }
     w.spin_xor ^= util::spin_work(n.work);
     if (opts_.queries_per_leaf > 0) {
       util::Xoshiro256 rng = leaf_query_rng(opts_.seed, v);
@@ -296,11 +316,11 @@ class BasicWorkStealingEngine {
 
   void detect(WorkerCtx& w, tree::ThreadId v) {
     std::uint64_t local_races = 0;
-    const auto serial = [this, &w](tree::ThreadId u, tree::ThreadId cur) {
-      if (u == tree::kNoThread || u == cur) return true;
-      ++w.queries;
-      return answer(w, u, cur);
-    };
+    const auto serial = race::counted_serial(
+        [this, &w](tree::ThreadId u, tree::ThreadId cur) {
+          return answer(w, u, cur);
+        },
+        w.queries);
     // The engine is one program == one stream; sharding (hash-partitioned
     // locations, per-shard locks, SoA cells) is shared with the streaming
     // service so both deployments run the same shadow code.

@@ -7,67 +7,74 @@
 // is the same for the whole subtree). So once a subtree completes, its
 // whole region in both OM lists collapses to the subtree's base items.
 //
-// Implementation: a union-find over parse-tree nodes maps every node of a
-// completed subtree to its completed root; leave_internal(n) erases the
-// two items MINTED at enter_internal(n) (the right child's English item
-// and the new Hebrew item) from the OrderLists — real deletion, via
-// OrderList::erase — and unites both children into n. A query resolves a
-// thread through find(leaf), landing on the deepest still-live slot. Live
-// items are therefore O(spine + executing leaves) instead of O(n).
+// Implementation: the same split rule and fork stack as SP-order
+// (sporder/sp_order.hpp), where each stack entry also remembers the
+// fork's base slot and the two items the fork minted. A completed subtree
+// is a contiguous range of thread ids, so a union-find over threads
+// collapses it: on_join unites the two branches' sets, points the union
+// at the fork's base slot, and erases the two minted items from the
+// OrderLists — real deletion, via OrderList::erase. A query resolves a
+// thread through find(), landing on its outermost completed subtree.
+// Live items are therefore O(spine + executing leaves) instead of O(n).
 //
 // The trade-off: queries are only valid ON-THE-FLY (v currently
-// executing). Post-walk all-pairs queries would compare two collapsed
+// executing). Post-run all-pairs queries would compare two collapsed
 // subtrees against each other, which footnote 2 explicitly gives up; the
 // plain SpOrder keeps that ability.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "om/order_list.hpp"
+#include "spbags/dsu.hpp"
 #include "sporder/sp_order.hpp"
 
 namespace spr::order {
 
-class SpOrderCompact final : public SpOrder {
+class SpOrderCompact final : public tree::SpMaintenance {
  public:
-  explicit SpOrderCompact(const tree::ParseTree& t) : SpOrder(t) {
-    const std::size_t nn = t.node_count();
-    rep_.resize(nn);
-    for (std::size_t i = 0; i < nn; ++i)
-      rep_[i] = static_cast<tree::NodeId>(i);
-    minted_.resize(nn);
+  explicit SpOrderCompact(const tree::ParseTree& t)
+      : sets_(t.leaf_count()), slots_(t.leaf_count()) {
+    cur_.eng = english_.insert_front();
+    cur_.heb = hebrew_.insert_front();
   }
 
-  void enter_internal(const tree::Node& n) override {
-    SpOrder::enter_internal(n);
-    // Record the two items this enter minted so leave_internal can
-    // reclaim exactly them (the children's other items are the base pair,
-    // owned by an ancestor).
-    const Slot& right = node_slots_[static_cast<std::size_t>(n.right)];
-    const Slot& left = node_slots_[static_cast<std::size_t>(n.left)];
-    Minted& m = minted_[static_cast<std::size_t>(n.id)];
-    m.eng = right.eng;
-    m.heb = n.kind == tree::NodeKind::kSeries ? right.heb : left.heb;
+  void on_fork(bool series) override {
+    const Branches b = split(english_, hebrew_, cur_, series);
+    // The minted Hebrew item is whichever branch did not keep the base's.
+    forks_.push_back({cur_, b.right, series ? b.right.heb : b.left.heb,
+                      tree::kNoThread});
+    cur_ = b.left;
   }
 
-  void leave_internal(const tree::Node& n) override {
-    // Collapse the completed subtree: both children's regions fold into
-    // n's base items, and the items minted at enter_internal(n) die.
-    const std::size_t id = static_cast<std::size_t>(n.id);
-    rep_[static_cast<std::size_t>(find(n.left))] = n.id;
-    rep_[static_cast<std::size_t>(find(n.right))] = n.id;
-    Minted& m = minted_[id];
-    english_.erase(m.eng);
-    hebrew_.erase(m.heb);
-    m = Minted{};
+  void on_switch() override {
+    Fork& f = forks_.back();
+    f.left_last = last_;
+    cur_ = f.right;
+  }
+
+  void on_join() override {
+    // Collapse the completed subtree: both branches' threads resolve to
+    // the fork's base slot, and the items the fork minted die.
+    const Fork f = forks_.back();
+    forks_.pop_back();
+    slots_[sets_.unite(f.left_last, last_)] = f.base;
+    english_.erase(f.right.eng);
+    hebrew_.erase(f.fresh_heb);
+  }
+
+  void on_thread_begin(tree::ThreadId t) override {
+    slots_[t] = cur_;
+    last_ = t;
   }
 
   /// On-the-fly only: v must be executing (not yet inside any completed
   /// subtree). u may be finished; it resolves to its completed root.
   bool precedes(tree::ThreadId u, tree::ThreadId v) override {
     if (u == v) return false;
-    const Slot& a = node_slots_[static_cast<std::size_t>(find(leaf_id(u)))];
-    const Slot& b = node_slots_[static_cast<std::size_t>(find(leaf_id(v)))];
+    const Slot& a = slots_[sets_.find(u)];
+    const Slot& b = slots_[sets_.find(v)];
     if (a.eng == b.eng) return false;  // collapsed into one subtree
     return english_.precedes(a.eng, b.eng) && hebrew_.precedes(a.heb, b.heb);
   }
@@ -76,9 +83,8 @@ class SpOrderCompact final : public SpOrder {
     // Genuinely live footprint: the OrderLists shrink as subtrees
     // complete (erase() frees nodes and emptied buckets).
     return sizeof(*this) + english_.memory_bytes() + hebrew_.memory_bytes() +
-           node_slots_.capacity() * sizeof(Slot) +
-           rep_.capacity() * sizeof(tree::NodeId) +
-           minted_.capacity() * sizeof(Minted);
+           sets_.memory_bytes() + slots_.capacity() * sizeof(Slot) +
+           forks_.capacity() * sizeof(Fork);
   }
 
   /// Peak live OM items across both lists (for the reclamation tests).
@@ -86,27 +92,26 @@ class SpOrderCompact final : public SpOrder {
     return english_.size() + hebrew_.size();
   }
 
+  const om::OrderList::Stats& english_stats() const {
+    return english_.stats();
+  }
+  const om::OrderList::Stats& hebrew_stats() const { return hebrew_.stats(); }
+
  private:
-  struct Minted {
-    om::OrderList::Item* eng = nullptr;
-    om::OrderList::Item* heb = nullptr;
+  struct Fork {
+    Slot base;                       ///< the subtree's own items
+    Slot right;                      ///< the right branch's slot
+    om::OrderList::Item* fresh_heb;  ///< minted here (with right.eng)
+    tree::ThreadId left_last;        ///< a thread of the left branch
   };
 
-  tree::NodeId leaf_id(tree::ThreadId t) const { return tree_.leaf(t).id; }
-
-  /// Union-find with path halving; roots are not-yet-completed nodes.
-  tree::NodeId find(tree::NodeId id) {
-    while (rep_[static_cast<std::size_t>(id)] != id) {
-      const tree::NodeId parent = rep_[static_cast<std::size_t>(id)];
-      rep_[static_cast<std::size_t>(id)] =
-          rep_[static_cast<std::size_t>(parent)];
-      id = rep_[static_cast<std::size_t>(id)];
-    }
-    return id;
-  }
-
-  std::vector<tree::NodeId> rep_;
-  std::vector<Minted> minted_;
+  om::OrderList english_;
+  om::OrderList hebrew_;
+  bags::DisjointSets sets_;  ///< completed subtrees, over thread ids
+  std::vector<Slot> slots_;  ///< per set root: the slot it resolves to
+  std::vector<Fork> forks_;  ///< open forks, innermost last
+  Slot cur_;                 ///< slot of the subtree being entered
+  tree::ThreadId last_ = tree::kNoThread;  ///< most recently begun thread
 };
 
 }  // namespace spr::order

@@ -10,9 +10,10 @@
 //   u || v  iff  LCA(u, v) is a P-node,
 //   u <  v  iff  LCA(u, v) is an S-node.
 //
-// SP-maintenance algorithms consume the tree through the serial-walk
-// callbacks (see walk.hpp) and answer precedes() queries on-the-fly: at
-// the time thread v executes, any completed thread u may be queried.
+// SP-maintenance algorithms consume an execution as fork / switch / join /
+// thread-begin events (SpMaintenance below) and answer precedes() queries
+// on-the-fly: at the time thread v executes, any completed thread u may be
+// queried.
 
 #include <cstddef>
 #include <cstdint>
@@ -110,21 +111,25 @@ class ParseTree {
   NodeId root_ = kNoNode;
 };
 
-/// Interface of a serial on-the-fly SP-maintenance algorithm. The serial
-/// walk (walk.hpp) drives the five callbacks in English order; between any
-/// two callbacks, precedes(u, v) must answer correctly for any completed
-/// thread u and the currently executing thread v (algorithms whose
-/// structure survives the walk, like SP-order and the labeling schemes,
-/// also answer arbitrary completed-pair queries).
+/// Interface of a serial on-the-fly SP-maintenance algorithm: the four
+/// structural events of an English-order execution, the same kinds as
+/// race::stream::EventKind. Every subtree arrives as
+///   on_fork(series) <left subtree> on_switch() <right subtree> on_join()
+/// or, for a leaf, on_thread_begin(t) with thread ids in English order.
+/// Any event source works: a serial walk (walk.hpp's MaintenanceDriver), a
+/// recorded trace, or a client stream. Between any two events,
+/// precedes(u, v) must answer correctly for any completed thread u and the
+/// currently executing thread v (algorithms whose structure survives the
+/// run, like SP-order and the labeling schemes, also answer arbitrary
+/// completed-pair queries).
 class SpMaintenance {
  public:
   virtual ~SpMaintenance() = default;
 
-  virtual void enter_internal(const Node&) {}
-  virtual void between_children(const Node&) {}
-  virtual void leave_internal(const Node&) {}
-  virtual void visit_leaf(const Node&) {}
-  virtual void leave_leaf(const Node&) {}
+  virtual void on_fork(bool series) = 0;
+  virtual void on_switch() = 0;
+  virtual void on_join() = 0;
+  virtual void on_thread_begin(ThreadId t) = 0;
 
   /// Strict precedence: true iff u != v and u serially precedes v.
   virtual bool precedes(ThreadId u, ThreadId v) = 0;

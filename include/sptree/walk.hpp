@@ -2,8 +2,8 @@
 // Serial (English-order) walk of an SP parse tree: the execution model of
 // a single-processor fork-join run. The walk visits leaves exactly in
 // thread-id order and brackets every internal node with enter / between /
-// leave callbacks, which is all an on-the-fly SP-maintenance algorithm
-// gets to see.
+// leave callbacks; MaintenanceDriver below turns those into the fork /
+// switch / join / thread-begin events an SP-maintenance algorithm sees.
 
 #include <vector>
 
@@ -61,18 +61,24 @@ inline void serial_walk(const ParseTree& t, WalkVisitor& v) {
   }
 }
 
-/// Adapter: drives an SpMaintenance algorithm as a WalkVisitor.
-class MaintenanceDriver final : public WalkVisitor {
+/// The tree-to-event source: turns a serial walk into the structural
+/// events of an SP-maintenance algorithm. `Sp` is SpMaintenance or any
+/// concrete type with the same on_* methods (statically bound calls).
+/// Subclasses that act at each thread override visit_leaf and call this
+/// one first, so the thread is current before they query.
+template <typename Sp = SpMaintenance>
+class MaintenanceDriver : public WalkVisitor {
  public:
-  explicit MaintenanceDriver(SpMaintenance& algo) : algo_(algo) {}
-  void enter_internal(const Node& n) override { algo_.enter_internal(n); }
-  void between_children(const Node& n) override { algo_.between_children(n); }
-  void leave_internal(const Node& n) override { algo_.leave_internal(n); }
-  void visit_leaf(const Node& n) override { algo_.visit_leaf(n); }
-  void leave_leaf(const Node& n) override { algo_.leave_leaf(n); }
+  explicit MaintenanceDriver(Sp& sp) : sp_(sp) {}
+  void enter_internal(const Node& n) override {
+    sp_.on_fork(n.kind == NodeKind::kSeries);
+  }
+  void between_children(const Node&) override { sp_.on_switch(); }
+  void leave_internal(const Node&) override { sp_.on_join(); }
+  void visit_leaf(const Node& n) override { sp_.on_thread_begin(n.thread); }
 
- private:
-  SpMaintenance& algo_;
+ protected:
+  Sp& sp_;
 };
 
 }  // namespace spr::tree

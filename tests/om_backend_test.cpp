@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
@@ -110,21 +111,27 @@ void concurrent_stress(unsigned threads, int per_thread) {
     pivots.push_back(cur = om.insert_after(cur));
   std::vector<std::vector<typename B::Item*>> mine(threads);
   std::atomic<bool> stop{false};
+  std::atomic<bool> first_pass_done{false};
   std::atomic<std::uint64_t> reads{0};
   std::thread reader([&] {
     std::uint64_t n = 0;
-    while (!stop.load(std::memory_order_acquire)) {
+    do {
       for (std::size_t i = 0; i + 1 < pivots.size(); ++i) {
         if (!om.precedes(pivots[i], pivots[i + 1])) std::abort();
         if (!om.precedes(om.base(), pivots[i])) std::abort();
       }
       ++n;
-    }
+      first_pass_done.store(true, std::memory_order_release);
+    } while (!stop.load(std::memory_order_acquire));
     reads.fetch_add(n, std::memory_order_relaxed);
   });
   std::vector<std::thread> writers;
   for (unsigned t = 0; t < threads; ++t) {
     writers.emplace_back([&, t] {
+      // Start writing only once the reader has finished a pass, so reads
+      // overlap writes even when the writers are fast.
+      while (!first_pass_done.load(std::memory_order_acquire))
+        std::this_thread::yield();
       auto* at = pivots[t];
       for (int i = 0; i < per_thread; ++i)
         mine[t].push_back(at = om.insert_after(at));

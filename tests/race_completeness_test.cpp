@@ -14,7 +14,7 @@
 // product of single-location behaviors.
 //  - Phase A (L = 1..5): full streaming-service path (validator, batch,
 //    sharded SoA shadow, native per-stream SP-order) AND the in-process
-//    thin-client detector, with patterns over TWO locations — 4^L
+//    serial detector, with patterns over TWO locations — 4^L
 //    combinations of {read,write} x {loc0,loc1}, plus a no-access letter
 //    at L <= 3 to cover empty-trace leaves.
 //  - Phase B (L = 6..7): every shape, {read,write}^L on one location,
@@ -119,7 +119,8 @@ bool service_verdict(const ParseTree& t) {
   return svc.report(s).races.has_race();
 }
 
-/// Thin-client verdict: the in-process detector over a serial SP-order.
+/// In-process verdict: the serial detector over SP-order, an independent
+/// path from the service (no events, no validation).
 bool detector_verdict(const ParseTree& t) {
   spr::order::SpOrder algo(t);
   return spr::race::detect_races(t, algo).has_race();
@@ -136,7 +137,7 @@ TEST(Completeness, ShapeEnumerationMatchesCatalanCounts) {
 }
 
 // ---------------------------------------------------------------------
-// Phase A: L = 1..5, two locations, full service path + thin client.
+// Phase A: L = 1..5, two locations, full service path + serial detector.
 
 TEST(Completeness, PhaseATwoLocationsThroughFullService) {
   std::uint64_t cases = 0, racy = 0;
@@ -168,7 +169,7 @@ TEST(Completeness, PhaseATwoLocationsThroughFullService) {
         ASSERT_EQ(service_verdict(t), expect_race)
             << "service, L=" << leaves << " code=" << code;
         ASSERT_EQ(detector_verdict(t), expect_race)
-            << "thin client, L=" << leaves << " code=" << code;
+            << "detector, L=" << leaves << " code=" << code;
         ++cases;
         if (expect_race) ++racy;
       }
@@ -196,26 +197,17 @@ TEST(Completeness, PhaseBOneLocationAllShapesUpTo7Leaves) {
 
       // One SP build per shape: replay the structural events once.
       stream::StreamingSpOrder sp;
-      for (const auto& e : spr::fj::record_events(t)) {
-        switch (e.kind) {
-          case stream::EventKind::kFork: sp.on_fork(e.series); break;
-          case stream::EventKind::kSwitch: sp.on_switch(); break;
-          case stream::EventKind::kJoin: sp.on_join(); break;
-          case stream::EventKind::kThreadBegin:
-            sp.on_thread_begin(e.thread);
-            break;
-          default: break;
-        }
-      }
+      for (const auto& e : spr::fj::record_events(t)) stream::feed_sp(sp, e);
       // Sanity: the streaming SP engine agrees with the oracle pairwise.
       for (ThreadId u = 0; u < leaves; ++u)
         for (ThreadId v = u + 1; v < leaves; ++v)
           ASSERT_EQ(sp.precedes(u, v), !oracle.parallel(u, v))
               << "L=" << leaves << " pair (" << u << "," << v << ")";
 
-      const auto serial = [&sp](ThreadId u, ThreadId v) {
-        return u == spr::tree::kNoThread || u == v || sp.precedes(u, v);
-      };
+      std::uint64_t queries = 0;
+      const auto serial = spr::race::counted_serial(
+          [&sp](ThreadId u, ThreadId v) { return sp.precedes(u, v); },
+          queries);
       std::vector<Letter> pattern(leaves);
       for (std::uint64_t mask = 0; mask < (1ull << leaves); ++mask) {
         for (std::uint32_t i = 0; i < leaves; ++i)

@@ -1,7 +1,8 @@
 // Streaming race-detection service tests (race/stream/):
 //  - verdict parity: the native streaming service (StreamingSpOrder per
 //    stream) must report the same race and query counts as the in-process
-//    thin-client detector on the whole generator corpus, for both the
+//    serial detector — an independent path that walks the tree and never
+//    builds events — on the whole generator corpus, for both the
 //    determinacy and ALL-SETS shadow protocols;
 //  - batch-boundary invariance: replaying one trace at any batch size and
 //    shard count yields identical verdicts;

@@ -1,8 +1,8 @@
 #pragma once
 // Shared test scaffolding: a brute-force LCA oracle for SP relationships,
-// a corpus of small deterministic fork-join programs, and a helper that
-// walks an SP-maintenance algorithm over a tree and checks every thread
-// pair against the oracle.
+// a corpus of small deterministic fork-join programs, and helpers that
+// drive an SP-maintenance algorithm over a tree and check its answers
+// against the oracle, on the fly and after the walk.
 
 #include <gtest/gtest.h>
 
@@ -95,6 +95,42 @@ inline std::vector<NamedProgram> corpus() {
     add("random(seed=" + std::to_string(seed) + ")",
         fj::make_random_program(seed, 150));
   return out;
+}
+
+/// Checks every completed thread against the current thread `v` — the
+/// on-the-fly query pattern race detectors issue, valid for every
+/// backend.
+inline void expect_current_matches_oracle(tree::SpMaintenance& algo,
+                                          const Oracle& oracle,
+                                          tree::ThreadId v,
+                                          const std::string& name) {
+  for (tree::ThreadId u = 0; u < v; ++u) {
+    ASSERT_EQ(algo.precedes(u, v), oracle.precedes(u, v))
+        << name << ": on-the-fly precedes(" << u << ", " << v << ")";
+  }
+}
+
+/// Drives `algo` from a serial walk of `t`, checking the on-the-fly
+/// queries at every thread.
+inline void expect_matches_oracle_on_the_fly(const tree::ParseTree& t,
+                                             tree::SpMaintenance& algo,
+                                             const std::string& name) {
+  class V final : public tree::MaintenanceDriver<> {
+   public:
+    V(tree::SpMaintenance& a, const Oracle& o, const std::string& n)
+        : MaintenanceDriver(a), oracle_(o), name_(n) {}
+    void visit_leaf(const tree::Node& n) override {
+      MaintenanceDriver::visit_leaf(n);
+      expect_current_matches_oracle(sp_, oracle_, n.thread, name_);
+    }
+
+   private:
+    const Oracle& oracle_;
+    const std::string& name_;
+  };
+  const Oracle oracle(t);
+  V v(algo, oracle, name);
+  serial_walk(t, v);
 }
 
 /// Drives `algo` over the whole tree, then checks precedes() for every

@@ -47,7 +47,11 @@ TEST(Hybrid, ModesRunAndCountersHold) {
       EXPECT_GE(r.steals, r.splits);
     } else {
       EXPECT_EQ(r.om_inserts, 0u);
-      EXPECT_EQ(r.steals, 0u);
+      // kPlain runs on the work-stealing engine and may steal; only the
+      // serial reference never does.
+      if (mode == Mode::kSerialReference) {
+        EXPECT_EQ(r.steals, 0u);
+      }
     }
     if (mode != Mode::kPlain) {
       EXPECT_GT(r.queries, 0u);

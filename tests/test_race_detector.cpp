@@ -10,8 +10,10 @@
 #include "fjprog/lower.hpp"
 #include "race/allsets.hpp"
 #include "race/detector.hpp"
+#include "sp_test_util.hpp"
 #include "spbags/sp_bags.hpp"
 #include "sporder/sp_order.hpp"
+#include "sporder/sp_order_compact.hpp"
 
 namespace {
 
@@ -130,6 +132,22 @@ TEST(Detector, QueriesAreCounted) {
   const auto report = spr::race::detect_races(t, algo);
   EXPECT_FALSE(report.has_race());
   EXPECT_GT(report.queries, 0u);
+}
+
+TEST(Detector, BackendsAgreeOnVerdictAndQueriesOverCorpus) {
+  // The detector asks the same queries whatever the backend, so every
+  // backend must return the same race count and the same query count.
+  for (const auto& p : spr::testutil::corpus()) {
+    spr::order::SpOrder order(p.tree);
+    spr::order::SpOrderCompact compact(p.tree);
+    spr::bags::SpBags bags(p.tree);
+    const auto ref = spr::race::detect_races(p.tree, order);
+    for (const auto& got : {spr::race::detect_races(p.tree, compact),
+                            spr::race::detect_races(p.tree, bags)}) {
+      EXPECT_EQ(got.race_count, ref.race_count) << p.name;
+      EXPECT_EQ(got.queries, ref.queries) << p.name;
+    }
+  }
 }
 
 TEST(AllSets, LockedAccumulatorIsDeterminacyButNotDataRace) {

@@ -1,7 +1,7 @@
-// SP-bags tests: both bag formulations must agree with SP-order and the
-// LCA oracle on the on-the-fly query pattern (completed thread vs current
-// thread) across the whole corpus, and the union-find substrate must
-// uphold its structural invariants with and without path compression.
+// SP-bags tests: SP-bags must agree with SP-order and the LCA oracle on
+// the on-the-fly query pattern (completed thread vs current thread)
+// across the whole corpus, and the union-find substrate must uphold its
+// structural invariants with and without path compression.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "sp_test_util.hpp"
 #include "spbags/dsu.hpp"
 #include "spbags/sp_bags.hpp"
-#include "spbags/sp_bags_proc.hpp"
 #include "sporder/sp_order.hpp"
 #include "util/rng.hpp"
 
@@ -21,66 +20,16 @@ namespace {
 using spr::bags::AtomicDisjointSets;
 using spr::bags::DisjointSets;
 
-// Walks the tree driving SP-bags, SP-bags-proc and SP-order in lockstep;
-// at every leaf, queries every completed thread against the current one
-// and demands all three agree with the oracle.
+// At every leaf, queries every completed thread against the current one
+// and demands SP-bags and SP-order both agree with the oracle.
 void agreement_test(const spr::testutil::NamedProgram& p,
                     bool path_compression) {
   spr::bags::SpBags bags(p.tree, path_compression);
-  spr::bags::SpBagsProc proc(p.tree, path_compression);
+  spr::testutil::expect_matches_oracle_on_the_fly(p.tree, bags,
+                                                  p.name + " sp-bags");
   spr::order::SpOrder order(p.tree);
-  const spr::testutil::Oracle oracle(p.tree);
-
-  class V final : public spr::tree::WalkVisitor {
-   public:
-    V(spr::bags::SpBags& b, spr::bags::SpBagsProc& pr,
-      spr::order::SpOrder& o, const spr::testutil::Oracle& orc,
-      const std::string& name)
-        : b_(b), pr_(pr), o_(o), orc_(orc), name_(name) {}
-    void enter_internal(const spr::tree::Node& n) override {
-      b_.enter_internal(n);
-      pr_.enter_internal(n);
-      o_.enter_internal(n);
-    }
-    void between_children(const spr::tree::Node& n) override {
-      b_.between_children(n);
-      pr_.between_children(n);
-      o_.between_children(n);
-    }
-    void leave_internal(const spr::tree::Node& n) override {
-      b_.leave_internal(n);
-      pr_.leave_internal(n);
-      o_.leave_internal(n);
-    }
-    void leave_leaf(const spr::tree::Node& n) override {
-      b_.leave_leaf(n);
-      pr_.leave_leaf(n);
-      o_.leave_leaf(n);
-    }
-    void visit_leaf(const spr::tree::Node& n) override {
-      b_.visit_leaf(n);
-      pr_.visit_leaf(n);
-      o_.visit_leaf(n);
-      const spr::tree::ThreadId v = n.thread;
-      for (spr::tree::ThreadId u = 0; u < v; ++u) {
-        const bool expected = orc_.precedes(u, v);
-        ASSERT_EQ(b_.precedes(u, v), expected)
-            << name_ << ": sp-bags (" << u << ", " << v << ")";
-        ASSERT_EQ(pr_.precedes(u, v), expected)
-            << name_ << ": sp-bags-proc (" << u << ", " << v << ")";
-        ASSERT_EQ(o_.precedes(u, v), expected)
-            << name_ << ": sp-order (" << u << ", " << v << ")";
-      }
-    }
-
-   private:
-    spr::bags::SpBags& b_;
-    spr::bags::SpBagsProc& pr_;
-    spr::order::SpOrder& o_;
-    const spr::testutil::Oracle& orc_;
-    const std::string& name_;
-  } v(bags, proc, order, oracle, p.name);
-  serial_walk(p.tree, v);
+  spr::testutil::expect_matches_oracle_on_the_fly(p.tree, order,
+                                                  p.name + " sp-order");
 }
 
 TEST(SpBags, AgreesWithSpOrderAndOracleCompressed) {

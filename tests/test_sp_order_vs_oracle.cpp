@@ -1,20 +1,27 @@
 // Property test: SP-order (and its compact variant) must agree with a
 // brute-force LCA oracle on every thread pair of every corpus program —
 // random fork-join programs included, with seeded RNG so failures
-// reproduce. Also pins the English-order walk invariant the whole
-// library relies on.
+// reproduce — and every backend must answer the same when driven from a
+// recorded event trace instead of a walk. Also pins the English-order
+// walk invariant the whole library relies on.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "fjprog/record.hpp"
+#include "labeling/english_hebrew.hpp"
+#include "labeling/offset_span.hpp"
 #include "sp_test_util.hpp"
+#include "spbags/sp_bags.hpp"
 #include "sporder/sp_order.hpp"
 #include "sporder/sp_order_compact.hpp"
 
 namespace {
 
 using spr::testutil::corpus;
+using spr::testutil::expect_matches_oracle_on_the_fly;
 using spr::testutil::expect_matches_oracle_post_walk;
 
 TEST(SpOrder, MatchesOracleOnCorpus) {
@@ -31,37 +38,7 @@ TEST(SpOrderCompact, MatchesOracleOnTheFly) {
   // exactly the ability footnote 2 trades away.
   for (const auto& p : corpus()) {
     spr::order::SpOrderCompact algo(p.tree);
-    const spr::testutil::Oracle oracle(p.tree);
-
-    class V final : public spr::tree::WalkVisitor {
-     public:
-      V(spr::order::SpOrderCompact& a, const spr::testutil::Oracle& o)
-          : algo_(a), oracle_(o) {}
-      void enter_internal(const spr::tree::Node& n) override {
-        algo_.enter_internal(n);
-      }
-      void between_children(const spr::tree::Node& n) override {
-        algo_.between_children(n);
-      }
-      void leave_internal(const spr::tree::Node& n) override {
-        algo_.leave_internal(n);
-      }
-      void leave_leaf(const spr::tree::Node& n) override {
-        algo_.leave_leaf(n);
-      }
-      void visit_leaf(const spr::tree::Node& n) override {
-        algo_.visit_leaf(n);
-        for (spr::tree::ThreadId u = 0; u < n.thread; ++u) {
-          ASSERT_EQ(algo_.precedes(u, n.thread),
-                    oracle_.precedes(u, n.thread));
-        }
-      }
-
-     private:
-      spr::order::SpOrderCompact& algo_;
-      const spr::testutil::Oracle& oracle_;
-    } v(algo, oracle);
-    serial_walk(p.tree, v);
+    expect_matches_oracle_on_the_fly(p.tree, algo, p.name);
   }
 }
 
@@ -94,37 +71,39 @@ TEST(SpOrder, OnTheFlyQueriesDuringWalk) {
   // walk — the race-detector access pattern — not just post-hoc.
   for (const auto& p : corpus()) {
     spr::order::SpOrder algo(p.tree);
-    const spr::testutil::Oracle oracle(p.tree);
+    expect_matches_oracle_on_the_fly(p.tree, algo, p.name);
+  }
+}
 
-    class V final : public spr::tree::WalkVisitor {
-     public:
-      V(spr::order::SpOrder& a, const spr::testutil::Oracle& o)
-          : algo_(a), oracle_(o) {}
-      void enter_internal(const spr::tree::Node& n) override {
-        algo_.enter_internal(n);
-      }
-      void between_children(const spr::tree::Node& n) override {
-        algo_.between_children(n);
-      }
-      void leave_internal(const spr::tree::Node& n) override {
-        algo_.leave_internal(n);
-      }
-      void leave_leaf(const spr::tree::Node& n) override {
-        algo_.leave_leaf(n);
-      }
-      void visit_leaf(const spr::tree::Node& n) override {
-        algo_.visit_leaf(n);
-        for (spr::tree::ThreadId u = 0; u < n.thread; ++u) {
-          ASSERT_EQ(algo_.precedes(u, n.thread),
-                    oracle_.precedes(u, n.thread));
-        }
-      }
+/// Drives `algo` from the program's recorded event trace instead of a
+/// serial walk, checking the on-the-fly queries at every thread begin.
+void expect_matches_oracle_from_events(const spr::tree::ParseTree& t,
+                                       spr::tree::SpMaintenance& algo,
+                                       const std::string& name) {
+  const spr::testutil::Oracle oracle(t);
+  for (const spr::race::stream::Event& e : spr::fj::record_events(t)) {
+    spr::race::stream::feed_sp(algo, e);
+    if (e.kind == spr::race::stream::EventKind::kThreadBegin)
+      spr::testutil::expect_current_matches_oracle(algo, oracle, e.thread,
+                                                   name);
+  }
+}
 
-     private:
-      spr::order::SpOrder& algo_;
-      const spr::testutil::Oracle& oracle_;
-    } v(algo, oracle);
-    serial_walk(p.tree, v);
+TEST(EventSource, EveryBackendMatchesOracleFromRecordedEvents) {
+  // The event interface is the only SP-maintenance interface, so a
+  // recorded trace must drive every backend exactly as a walk does.
+  for (const auto& p : corpus()) {
+    spr::order::SpOrder order(p.tree);
+    expect_matches_oracle_from_events(p.tree, order, p.name + " sp-order");
+    spr::order::SpOrderCompact compact(p.tree);
+    expect_matches_oracle_from_events(p.tree, compact,
+                                      p.name + " sp-order-compact");
+    spr::bags::SpBags bags(p.tree);
+    expect_matches_oracle_from_events(p.tree, bags, p.name + " sp-bags");
+    spr::label::EnglishHebrew eh(p.tree);
+    expect_matches_oracle_from_events(p.tree, eh, p.name + " english-hebrew");
+    spr::label::OffsetSpan os(p.tree);
+    expect_matches_oracle_from_events(p.tree, os, p.name + " offset-span");
   }
 }
 
