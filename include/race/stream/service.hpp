@@ -17,7 +17,15 @@
 // (race/stream/shadow_shards.hpp) is the one cross-stream structure and
 // carries per-shard locks. Verdicts are deterministic: they depend only
 // on each stream's own event order, never on cross-stream interleaving —
-// the mc shard-contention scenario checks exactly this.
+// the mc shard-contention scenarios check exactly this.
+//
+// Applying a batch takes two passes: every structural event goes to the
+// stream's SP engine first while the accesses are collected as (access,
+// issuing thread) pairs, then the shadow applies them all at once
+// (Shadow::apply_batch). That takes each touched shard's lock once per
+// batch — never nested, in ascending shard order — instead of once per
+// access, and keeps every location's accesses in batch order, so
+// verdicts and query counts equal a per-access replay's.
 //
 // Validation: every batch is trial-run against the stream's trace
 // grammar BEFORE any of it is applied, so a rejected batch leaves the
@@ -109,6 +117,11 @@ struct StreamReport {
   bool finished = false;
 };
 
+/// `Sp` must answer precedes(u, v) for ANY two threads that have begun,
+/// not only for v the most recent one: a batch's SP queries run after all
+/// of its structural events. SP-order qualifies (the English/Hebrew order
+/// of begun threads never changes); SP-bags, which answer only for the
+/// currently executing thread, do not.
 template <typename Sp = StreamingSpOrder, typename Shadow = DeterminacyShadow>
 class Service {
  public:
@@ -152,6 +165,7 @@ class Service {
     if (!st->validator.complete()) return {IngestError::kTruncated, 0};
     st->finished = true;
     st->rep.finished = true;
+    st->accesses.release();
     return {IngestError::kOk, 0};
   }
 
@@ -172,8 +186,11 @@ class Service {
   std::size_t memory_bytes() const {
     spr::lock_guard<spr::mutex> lock(streams_mu_);
     std::size_t n = sizeof(*this) + shadow_.memory_bytes();
-    for (const auto& st : streams_)
-      n += sizeof(StreamState) + st->sp.memory_bytes();
+    for (const auto& st : streams_) {
+      spr::lock_guard<spr::mutex> stream_lock(st->mu);
+      n += sizeof(StreamState) + st->sp.memory_bytes() +
+           st->accesses.memory_bytes();
+    }
     return n;
   }
 
@@ -186,6 +203,7 @@ class Service {
     TraceValidator validator;
     std::uint64_t next_epoch = 0;
     tree::ThreadId current = tree::kNoThread;  ///< open leaf thread
+    AccessBatch accesses;  ///< the batch being applied; reused per submit
     bool finished = false;
     StreamReport rep;
   };
@@ -202,13 +220,15 @@ class Service {
           return st.sp.precedes(u, v);
         },
         st.rep.races.queries);
+    st.accesses.clear();
     for (const Event& e : b.events) {
       feed_sp(st.sp, e);
       if (e.kind == EventKind::kThreadBegin) st.current = e.thread;
-      if (e.kind != EventKind::kAccess) continue;
-      shadow_.apply(b.stream, tree::Access{e.loc, e.write, e.locks},
-                    st.current, serial, st.rep.races.race_count);
+      if (e.kind == EventKind::kAccess)
+        st.accesses.push(tree::Access{e.loc, e.write, e.locks}, st.current);
     }
+    shadow_.apply_batch(b.stream, st.accesses, serial,
+                        st.rep.races.race_count);
     st.rep.events += b.events.size();
     ++st.rep.batches;
   }

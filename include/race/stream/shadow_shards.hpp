@@ -3,9 +3,24 @@
 // Locations hash-partition across a power-of-two number of shards; each
 // shard is guarded by a spr::mutex (the atomics-policy type, so the
 // systematic concurrency checker can drive the locking — see
-// tests/mc_test.cpp's shard-contention scenario) and owns its cells
+// tests/mc_test.cpp's shard-contention scenarios) and owns its cells
 // outright, so concurrent client streams only contend when their
 // locations collide on a shard.
+//
+// Two entry points share one per-cell body (apply_locked):
+//   apply(s, access, v, ...)   one access under its shard's lock — the
+//                              serial detectors and SP-hybrid, whose
+//                              shadows are one-shard or uncontended;
+//   apply_batch(s, batch, ...) a whole batch of (access, thread) pairs —
+//                              the streaming service. A stable counting
+//                              sort groups the pairs by shard; touched
+//                              shards are then visited in ascending order,
+//                              each locked ONCE per batch and never nested
+//                              with another, and a shard's pairs run in
+//                              batch order. A location always maps to the
+//                              same shard, so every cell sees exactly the
+//                              access sequence (and SP queries) of the
+//                              per-access path.
 //
 // DeterminacyShadow keeps its cells in SoA columns (keys, writer,
 // reader1, reader2 as parallel arrays) in an open-addressed table whose
@@ -34,6 +49,32 @@
 #include "util/atomics.hpp"
 
 namespace spr::race::stream {
+
+/// One batch's accesses, each with the thread that issued it, in batch
+/// order — the input of apply_batch — plus the scratch its shard sort
+/// uses. Caller-owned so a stream reuses one allocation across batches
+/// (not thread_local: the model checker runs several logical threads on
+/// one OS thread).
+struct AccessBatch {
+  struct Item {
+    tree::Access access;
+    tree::ThreadId thread;
+  };
+  std::vector<Item> items;
+  std::vector<std::uint32_t> order;   ///< item indices, grouped by shard
+  std::vector<std::uint32_t> bounds;  ///< per-shard end offsets into order
+
+  void clear() { items.clear(); }
+  void push(const tree::Access& a, tree::ThreadId v) {
+    items.push_back({a, v});
+  }
+  /// Frees every buffer (a finished stream keeps none).
+  void release() { *this = AccessBatch{}; }
+  std::size_t memory_bytes() const {
+    return items.capacity() * sizeof(Item) +
+           (order.capacity() + bounds.capacity()) * sizeof(std::uint32_t);
+  }
+};
 
 namespace detail {
 
@@ -127,16 +168,81 @@ class SoaShadowTable {
   tree::ThreadId* reader2_ = nullptr;
 };
 
-}  // namespace detail
-
-class DeterminacyShadow {
+/// The shard array both shadows sit on: `Shard` is a shadow's per-shard
+/// state and must have a spr::mutex `mu`. Owns the location -> shard map
+/// and the two locking disciplines (per access, per batch).
+template <typename Shard>
+class ShardArray {
  public:
-  explicit DeterminacyShadow(std::uint32_t shards = 16)
-      : mask_(detail::round_up_pow2(shards == 0 ? 1 : shards) - 1) {
+  explicit ShardArray(std::uint32_t shards)
+      : mask_(round_up_pow2(shards == 0 ? 1 : shards) - 1) {
     shards_.reserve(mask_ + 1);
     for (std::uint32_t i = 0; i <= mask_; ++i)
       shards_.push_back(std::make_unique<Shard>());
   }
+
+  std::uint32_t shard_of(std::uint64_t loc) const {
+    return static_cast<std::uint32_t>(mix64(loc)) & mask_;
+  }
+  std::uint32_t size() const { return mask_ + 1; }
+
+  /// Runs `fn(shard)` under the lock of the shard that owns `loc`.
+  template <typename Fn>
+  void with_shard(std::uint64_t loc, Fn&& fn) {
+    Shard& sh = *shards_[shard_of(loc)];
+    spr::lock_guard<spr::mutex> lock(sh.mu);
+    fn(sh);
+  }
+
+  /// Runs `fn(shard, item)` for every item of `b`: a stable counting sort
+  /// by shard, then one lock per touched shard, in ascending shard order,
+  /// never nested; within a shard, items run in batch order.
+  template <typename Fn>
+  void for_each_by_shard(AccessBatch& b, Fn&& fn) {
+    const std::size_t n = b.items.size();
+    b.bounds.assign(size(), 0);
+    for (const AccessBatch::Item& it : b.items)
+      ++b.bounds[shard_of(it.access.loc)];
+    std::uint32_t start = 0;
+    for (std::uint32_t& x : b.bounds) {
+      const std::uint32_t count = x;
+      x = start;  // the shard's first slot; the scatter advances it
+      start += count;
+    }
+    b.order.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+      b.order[b.bounds[shard_of(b.items[i].access.loc)]++] =
+          static_cast<std::uint32_t>(i);
+    // Now bounds[k] is the end of shard k's run, and its start is the
+    // end of shard k - 1's.
+    std::uint32_t lo = 0;
+    for (std::uint32_t k = 0; k < size(); ++k) {
+      const std::uint32_t hi = b.bounds[k];
+      if (lo == hi) continue;
+      Shard& sh = *shards_[k];
+      spr::lock_guard<spr::mutex> lock(sh.mu);
+      for (std::uint32_t i = lo; i < hi; ++i) fn(sh, b.items[b.order[i]]);
+      lo = hi;
+    }
+  }
+
+  template <typename Fn>
+  std::size_t sum(Fn&& per_shard) const {
+    std::size_t n = 0;
+    for (const auto& sh : shards_) n += per_shard(*sh);
+    return n;
+  }
+
+ private:
+  std::uint32_t mask_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+};
+
+}  // namespace detail
+
+class DeterminacyShadow {
+ public:
+  explicit DeterminacyShadow(std::uint32_t shards = 16) : shards_(shards) {}
 
   /// Applies one access under the owning shard's lock. `serial` is
   /// called for SP queries while the lock is held, which is safe because
@@ -145,28 +251,34 @@ class DeterminacyShadow {
   template <typename SerialFn>
   void apply(StreamId s, const tree::Access& a, tree::ThreadId v,
              SerialFn&& serial, std::uint64_t& race_count) {
-    Shard& sh = *shards_[shard_of(a.loc)];
-    spr::lock_guard<spr::mutex> lock(sh.mu);
-    const std::size_t i = sh.table.find_or_insert(s, a.loc);
-    detail::SoaCellRef cell = sh.table.cell(i);
-    shadow_apply(cell, a, v, serial, race_count);
+    shards_.with_shard(a.loc, [&](Shard& sh) {
+      apply_locked(sh, s, a, v, serial, race_count);
+    });
+  }
+
+  /// Applies every access of `b` (see the header comment), with the same
+  /// per-cell effects and queries as calling apply() on each in order.
+  template <typename SerialFn>
+  void apply_batch(StreamId s, AccessBatch& b, SerialFn&& serial,
+                   std::uint64_t& race_count) {
+    shards_.for_each_by_shard(b, [&](Shard& sh, const AccessBatch::Item& it) {
+      apply_locked(sh, s, it.access, it.thread, serial, race_count);
+    });
   }
 
   std::uint32_t shard_of(std::uint64_t loc) const {
-    return static_cast<std::uint32_t>(detail::mix64(loc)) & mask_;
+    return shards_.shard_of(loc);
   }
-  std::uint32_t shard_count() const { return mask_ + 1; }
+  std::uint32_t shard_count() const { return shards_.size(); }
 
   std::size_t cell_count() const {
-    std::size_t n = 0;
-    for (const auto& sh : shards_) n += sh->table.size();
-    return n;
+    return shards_.sum([](const Shard& sh) { return sh.table.size(); });
   }
 
   std::size_t memory_bytes() const {
-    std::size_t n = sizeof(*this);
-    for (const auto& sh : shards_) n += sizeof(Shard) + sh->arena.memory_bytes();
-    return n;
+    return sizeof(*this) + shards_.sum([](const Shard& sh) {
+             return sizeof(Shard) + sh.arena.memory_bytes();
+           });
   }
 
  private:
@@ -177,67 +289,48 @@ class DeterminacyShadow {
     detail::SoaShadowTable table;
   };
 
-  std::uint32_t mask_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  template <typename SerialFn>
+  static void apply_locked(Shard& sh, StreamId s, const tree::Access& a,
+                           tree::ThreadId v, SerialFn&& serial,
+                           std::uint64_t& race_count) {
+    const std::size_t i = sh.table.find_or_insert(s, a.loc);
+    detail::SoaCellRef cell = sh.table.cell(i);
+    shadow_apply(cell, a, v, serial, race_count);
+  }
+
+  detail::ShardArray<Shard> shards_;
 };
 
 class AllSetsShadow {
  public:
-  explicit AllSetsShadow(std::uint32_t shards = 16)
-      : mask_(detail::round_up_pow2(shards == 0 ? 1 : shards) - 1) {
-    shards_.reserve(mask_ + 1);
-    for (std::uint32_t i = 0; i <= mask_; ++i)
-      shards_.push_back(std::make_unique<Shard>());
-  }
+  explicit AllSetsShadow(std::uint32_t shards = 16) : shards_(shards) {}
 
-  /// One ALL-SETS access: race-check against every entry whose lockset is
-  /// disjoint (with at least one writer side), then file the access under
-  /// its (lockset, write) key. Keying the history by (lockset, write)
-  /// bounds per-access work by the number of distinct locksets used at
-  /// the location.
   template <typename SerialFn>
   void apply(StreamId s, const tree::Access& a, tree::ThreadId v,
              SerialFn&& serial, std::uint64_t& race_count) {
-    Shard& sh = *shards_[shard_of(a.loc)];
-    spr::lock_guard<spr::mutex> lock(sh.mu);
-    Entry*& head = sh.histories[Key{s, a.loc}];
-    for (Entry* e = head; e != nullptr; e = e->next) {
-      const bool conflicting = a.write || e->write;
-      const bool unguarded = (e->locks & a.locks) == 0;
-      if (!conflicting || !unguarded) continue;
-      if (!serial(e->t1, v)) ++race_count;
-      if (!serial(e->t2, v)) ++race_count;
-    }
-    for (Entry* e = head; e != nullptr; e = e->next) {
-      if (e->locks != a.locks || e->write != a.write) continue;
-      if (e->t1 == tree::kNoThread || serial(e->t1, v)) {
-        e->t1 = v;
-      } else {
-        if (e->t2 == tree::kNoThread || serial(e->t2, v)) e->t2 = e->t1;
-        e->t1 = v;
-      }
-      return;
-    }
-    Entry* fresh = sh.pool.create();
-    fresh->locks = a.locks;
-    fresh->write = a.write;
-    fresh->t1 = v;
-    fresh->t2 = tree::kNoThread;
-    fresh->next = head;
-    head = fresh;
+    shards_.with_shard(a.loc, [&](Shard& sh) {
+      apply_locked(sh, s, a, v, serial, race_count);
+    });
+  }
+
+  template <typename SerialFn>
+  void apply_batch(StreamId s, AccessBatch& b, SerialFn&& serial,
+                   std::uint64_t& race_count) {
+    shards_.for_each_by_shard(b, [&](Shard& sh, const AccessBatch::Item& it) {
+      apply_locked(sh, s, it.access, it.thread, serial, race_count);
+    });
   }
 
   std::uint32_t shard_of(std::uint64_t loc) const {
-    return static_cast<std::uint32_t>(detail::mix64(loc)) & mask_;
+    return shards_.shard_of(loc);
   }
-  std::uint32_t shard_count() const { return mask_ + 1; }
+  std::uint32_t shard_count() const { return shards_.size(); }
 
   std::size_t memory_bytes() const {
-    std::size_t n = sizeof(*this);
-    for (const auto& sh : shards_)
-      n += sizeof(Shard) + sh->pool.memory_bytes() +
-           sh->histories.size() * (sizeof(Key) + sizeof(Entry*));
-    return n;
+    return sizeof(*this) + shards_.sum([](const Shard& sh) {
+             return sizeof(Shard) + sh.pool.memory_bytes() +
+                    sh.histories.size() * (sizeof(Key) + sizeof(Entry*));
+           });
   }
 
  private:
@@ -268,8 +361,43 @@ class AllSetsShadow {
     util::Pool<Entry> pool;
   };
 
-  std::uint32_t mask_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// One ALL-SETS access: race-check against every entry whose lockset is
+  /// disjoint (with at least one writer side), then file the access under
+  /// its (lockset, write) key. Keying the history by (lockset, write)
+  /// bounds per-access work by the number of distinct locksets used at
+  /// the location.
+  template <typename SerialFn>
+  static void apply_locked(Shard& sh, StreamId s, const tree::Access& a,
+                           tree::ThreadId v, SerialFn&& serial,
+                           std::uint64_t& race_count) {
+    Entry*& head = sh.histories[Key{s, a.loc}];
+    for (Entry* e = head; e != nullptr; e = e->next) {
+      const bool conflicting = a.write || e->write;
+      const bool unguarded = (e->locks & a.locks) == 0;
+      if (!conflicting || !unguarded) continue;
+      if (!serial(e->t1, v)) ++race_count;
+      if (!serial(e->t2, v)) ++race_count;
+    }
+    for (Entry* e = head; e != nullptr; e = e->next) {
+      if (e->locks != a.locks || e->write != a.write) continue;
+      if (e->t1 == tree::kNoThread || serial(e->t1, v)) {
+        e->t1 = v;
+      } else {
+        if (e->t2 == tree::kNoThread || serial(e->t2, v)) e->t2 = e->t1;
+        e->t1 = v;
+      }
+      return;
+    }
+    Entry* fresh = sh.pool.create();
+    fresh->locks = a.locks;
+    fresh->write = a.write;
+    fresh->t1 = v;
+    fresh->t2 = tree::kNoThread;
+    fresh->next = head;
+    head = fresh;
+  }
+
+  detail::ShardArray<Shard> shards_;
 };
 
 }  // namespace spr::race::stream

@@ -407,22 +407,28 @@ TEST(McSuite, ForkPathSamePivotCasRace) {
 
 namespace {
 
-spr::race::stream::Batch two_writer_batch(spr::race::stream::StreamId s,
-                                          std::uint64_t loc) {
-  namespace rs = spr::race::stream;
-  rs::Batch b;
-  b.stream = s;
-  b.events = {rs::fork_event(/*series=*/false), rs::thread_begin_event(0),
-              rs::access_event(loc, /*write=*/true), rs::thread_end_event(),
-              rs::switch_event(),  rs::thread_begin_event(1),
-              rs::access_event(loc, /*write=*/true), rs::thread_end_event(),
-              rs::join_event()};
-  return b;
+namespace rs = spr::race::stream;
+
+/// A parallel fork whose two threads each write `locs` in order: one race
+/// (and one query) per location.
+std::vector<rs::Event> two_writer_events(std::vector<std::uint64_t> locs) {
+  std::vector<rs::Event> ev = {rs::fork_event(/*series=*/false)};
+  for (const spr::tree::ThreadId t : {0u, 1u}) {
+    if (t == 1) ev.push_back(rs::switch_event());
+    ev.push_back(rs::thread_begin_event(t));
+    for (const std::uint64_t loc : locs)
+      ev.push_back(rs::access_event(loc, /*write=*/true));
+    ev.push_back(rs::thread_end_event());
+  }
+  ev.push_back(rs::join_event());
+  return ev;
 }
 
-void run_stream_shard_scenario(std::uint64_t loc_a, std::uint64_t loc_b,
-                               const char* name) {
-  namespace rs = spr::race::stream;
+/// Two streams on a 2-shard service, each submitting one batch and
+/// finishing concurrently; each must report exactly its own `races`.
+void run_stream_shard_scenario(const std::vector<rs::Event>& ev1,
+                               const std::vector<rs::Event>& ev2,
+                               std::uint64_t races, const char* name) {
   mc::Options o = base_options();
   o.max_dfs_schedules = 3000;
   const mc::Stats st = mc::explore(o, [&](mc::Run& r) {
@@ -431,20 +437,22 @@ void run_stream_shard_scenario(std::uint64_t loc_a, std::uint64_t loc_b,
     const rs::StreamId s2 = svc.open_stream();
     rs::IngestResult r1, r2, f1, f2;
     r.spawn([&] {
-      r1 = svc.submit(two_writer_batch(s1, loc_a));
+      r1 = svc.submit({s1, 0, ev1});
       f1 = svc.finish(s1);
     });
     r.spawn([&] {
-      r2 = svc.submit(two_writer_batch(s2, loc_b));
+      r2 = svc.submit({s2, 0, ev2});
       f2 = svc.finish(s2);
     });
     r.join_all();
     SPR_MC_ASSERT(r1.ok() && f1.ok() && r2.ok() && f2.ok(),
                   "valid batches must ingest on every interleaving");
-    SPR_MC_ASSERT(svc.report(s1).races.race_count == 1,
-                  "stream 1 must report exactly its own race");
-    SPR_MC_ASSERT(svc.report(s2).races.race_count == 1,
-                  "stream 2 must report exactly its own race");
+    const spr::race::RaceReport v1 = svc.report(s1).races;
+    const spr::race::RaceReport v2 = svc.report(s2).races;
+    SPR_MC_ASSERT(v1.race_count == races && v1.queries == races,
+                  "stream 1 must report exactly its own races");
+    SPR_MC_ASSERT(v2.race_count == races && v2.queries == races,
+                  "stream 2 must report exactly its own races");
     SPR_MC_ASSERT(svc.report(s1).finished && svc.report(s2).finished,
                   "both streams must finish");
   });
@@ -452,24 +460,46 @@ void run_stream_shard_scenario(std::uint64_t loc_a, std::uint64_t loc_b,
   report(name, st);
 }
 
+
+/// The first location after 0 that lands on (`same`) or off 0's shard.
+std::uint64_t partner_of_loc0(bool same) {
+  const rs::DeterminacyShadow probe(2);
+  std::uint64_t loc = 1;
+  while ((probe.shard_of(loc) == probe.shard_of(0)) != same) ++loc;
+  return loc;
+}
+
 }  // namespace
 
 TEST(McSuite, StreamShardContentionSameShard) {
   // Two locations that hash to the SAME of 2 shards: every shadow apply
   // funnels through one lock.
-  spr::race::stream::DeterminacyShadow probe(2);
-  std::uint64_t loc_b = 1;
-  while (probe.shard_of(loc_b) != probe.shard_of(0)) ++loc_b;
-  run_stream_shard_scenario(0, loc_b, "stream_same_shard");
+  const std::uint64_t b = partner_of_loc0(true);
+  run_stream_shard_scenario(two_writer_events({0}), two_writer_events({b}), 1,
+                            "stream_same_shard");
 }
 
 TEST(McSuite, StreamShardContentionCrossShard) {
   // Two locations on DIFFERENT shards: streams only share the stream
   // table lock.
-  spr::race::stream::DeterminacyShadow probe(2);
-  std::uint64_t loc_b = 1;
-  while (probe.shard_of(loc_b) == probe.shard_of(0)) ++loc_b;
-  run_stream_shard_scenario(0, loc_b, "stream_cross_shard");
+  const std::uint64_t b = partner_of_loc0(false);
+  run_stream_shard_scenario(two_writer_events({0}), two_writer_events({b}), 1,
+                            "stream_cross_shard");
+}
+
+// ---------------------------------------------------------------------
+// Scenario 10: batched shard locking. Each stream's one batch touches
+// BOTH shards, stream 1 in shard order (0, 1) and stream 2 in (1, 0).
+// Shadow::apply_batch groups a batch by shard and takes each shard's lock
+// once, in ascending shard order, never nested, so opposite access orders
+// cannot deadlock. Oracle: both batches ingest on every interleaving and
+// each stream reports exactly its own two races and two queries.
+
+TEST(McSuite, StreamBatchesCrossBothShards) {
+  const std::uint64_t b = partner_of_loc0(false);
+  run_stream_shard_scenario(two_writer_events({0, b}),
+                            two_writer_events({b, 0}), 2,
+                            "stream_batch_both_shards");
 }
 
 // ---------------------------------------------------------------------

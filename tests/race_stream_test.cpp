@@ -5,7 +5,8 @@
 //    builds events — on the whole generator corpus, for both the
 //    determinacy and ALL-SETS shadow protocols;
 //  - batch-boundary invariance: replaying one trace at any batch size and
-//    shard count yields identical verdicts;
+//    shard count yields identical verdicts, and the shard-grouped batch
+//    apply equals per-access apply on one shard, cell for cell;
 //  - malformed-input robustness: truncated, reordered, and duplicate-id
 //    batches are rejected with typed errors, rejects are atomic (the
 //    stream state is untouched and the same epoch can be repaired and
@@ -16,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -121,6 +124,90 @@ TEST(StreamService, BatchBoundaryAndShardCountInvariance) {
         EXPECT_EQ(got.events, ref.events) << which << " batch=" << batch;
       }
     }
+  }
+}
+
+// apply_batch must be per-access apply in disguise: grouping a batch by
+// shard may reorder accesses ACROSS locations but never within one, so
+// every cell sees the same access sequence and issues the same queries.
+// Random programs with their accesses squeezed onto a few locations
+// (heavy reuse, mixed reads/writes and locksets) make each batch
+// interleave one location's accesses with other shards'.
+constexpr std::uint64_t kReusedLocs[] = {3, 17, 42, 99, 1000, 4096};
+
+template <typename Shadow>
+void expect_batched_equals_per_access(std::uint64_t seed) {
+  spr::util::Xoshiro256 rng(seed);
+  std::vector<Event> events;
+  for (const Event& e : record_events(spr::fj::lower_to_parse_tree(
+           spr::fj::make_random_program(seed, 80)))) {
+    events.push_back(e);
+    if (e.kind != EventKind::kThreadBegin) continue;
+    for (std::uint64_t k = 1 + rng.next_below(5); k > 0; --k)
+      events.push_back(stream::access_event(
+          kReusedLocs[rng.next_below(std::size(kReusedLocs))],
+          rng.next_below(3) == 0, rng.next_below(4)));
+  }
+
+  // Reference: per-access apply on one shard, SP fed as events arrive.
+  Shadow one(1);
+  spr::order::StreamingSpOrder sp_ref;
+  spr::race::RaceReport ref;
+  const auto ref_serial = spr::race::counted_serial(
+      [&](spr::tree::ThreadId u, spr::tree::ThreadId v) {
+        return sp_ref.precedes(u, v);
+      },
+      ref.queries);
+  spr::tree::ThreadId cur = spr::tree::kNoThread;
+  for (const Event& e : events) {
+    stream::feed_sp(sp_ref, e);
+    if (e.kind == EventKind::kThreadBegin) cur = e.thread;
+    if (e.kind == EventKind::kAccess)
+      one.apply(0, {e.loc, e.write, e.locks}, cur, ref_serial, ref.race_count);
+  }
+
+  // Batched: 16 shards, SP fed for a whole batch before its accesses.
+  Shadow many(16);
+  spr::order::StreamingSpOrder sp;
+  spr::race::RaceReport got;
+  const auto serial = spr::race::counted_serial(
+      [&](spr::tree::ThreadId u, spr::tree::ThreadId v) {
+        return sp.precedes(u, v);
+      },
+      got.queries);
+  stream::AccessBatch batch;
+  bool interleaved = false;
+  cur = spr::tree::kNoThread;
+  for (const Batch& b : make_batches(events, 0, 16 + rng.next_below(81))) {
+    batch.clear();
+    for (const Event& e : b.events) {
+      stream::feed_sp(sp, e);
+      if (e.kind == EventKind::kThreadBegin) cur = e.thread;
+      if (e.kind == EventKind::kAccess)
+        batch.push({e.loc, e.write, e.locks}, cur);
+    }
+    const auto& it = batch.items;
+    for (std::size_t i = 2; i < it.size() && !interleaved; ++i)
+      interleaved = it[i].access.loc == it[i - 2].access.loc &&
+                    many.shard_of(it[i - 1].access.loc) !=
+                        many.shard_of(it[i].access.loc);
+    many.apply_batch(0, batch, serial, got.race_count);
+  }
+  EXPECT_TRUE(interleaved) << "seed " << seed << " never reordered a batch";
+  EXPECT_GT(ref.race_count, 0u) << "seed " << seed;
+  EXPECT_EQ(got.race_count, ref.race_count) << "seed " << seed;
+  EXPECT_EQ(got.queries, ref.queries) << "seed " << seed;
+}
+
+TEST(StreamService, BatchedApplyMatchesPerAccessApply) {
+  std::uint32_t shards_hit = 0;
+  const stream::DeterminacyShadow probe(16);
+  for (const std::uint64_t loc : kReusedLocs)
+    shards_hit |= 1u << probe.shard_of(loc);
+  ASSERT_GT(std::popcount(shards_hit), 2) << "locations must span shards";
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    expect_batched_equals_per_access<stream::DeterminacyShadow>(seed);
+    expect_batched_equals_per_access<stream::AllSetsShadow>(seed);
   }
 }
 
