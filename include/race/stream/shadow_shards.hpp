@@ -22,6 +22,16 @@
 //                              access sequence (and SP queries) of the
 //                              per-access path.
 //
+// Shard and slot come from disjoint bits. shard_of(loc) is bits 32 and
+// up of mix64(loc) — a function of the location alone, which the batch
+// path's ordering argument above needs — and a cell's home slot in its
+// shard's table is the low bits of cell_hash(stream, loc). For stream 0
+// (the SP-hybrid engine's only stream, and every service's first)
+// cell_hash is mix64(loc) itself, so if both read the low bits, every
+// key of shard k would start probing at a slot congruent to k modulo the
+// shard count S: only 1/S of each table would take probe starts, and the
+// linear-probe runs would grow with S.
+//
 // DeterminacyShadow keeps its cells in SoA columns (keys, writer,
 // reader1, reader2 as parallel arrays) in an open-addressed table whose
 // storage comes from a per-shard util::Arena: the access hot path is one
@@ -91,6 +101,13 @@ inline std::uint64_t cell_hash(StreamId s, std::uint64_t loc) {
   return mix64(loc ^ (static_cast<std::uint64_t>(s) << 32));
 }
 
+/// The home slot of (s, loc) in a table of `cap` (a power of two) slots:
+/// the low bits of cell_hash, disjoint from the bits ShardArray::shard_of
+/// reads for tables up to 2^32 slots (see the header comment).
+inline std::size_t home_slot(StreamId s, std::uint64_t loc, std::size_t cap) {
+  return static_cast<std::size_t>(cell_hash(s, loc)) & (cap - 1);
+}
+
 inline std::uint32_t round_up_pow2(std::uint32_t x) {
   std::uint32_t p = 1;
   while (p < x) p <<= 1;
@@ -113,7 +130,7 @@ class SoaShadowTable {
 
   std::size_t find_or_insert(StreamId s, std::uint64_t loc) {
     if (count_ * 4 >= cap_ * 3) grow();
-    std::size_t i = cell_hash(s, loc) & (cap_ - 1);
+    std::size_t i = home_slot(s, loc, cap_);
     while (stream_[i] != kNoStream) {
       if (stream_[i] == s && loc_[i] == loc) return i;
       i = (i + 1) & (cap_ - 1);
@@ -142,7 +159,7 @@ class SoaShadowTable {
     for (std::size_t i = 0; i < ncap; ++i) nstream[i] = kNoStream;
     for (std::size_t i = 0; i < cap_; ++i) {
       if (stream_[i] == kNoStream) continue;
-      std::size_t j = cell_hash(stream_[i], loc_[i]) & (ncap - 1);
+      std::size_t j = home_slot(stream_[i], loc_[i], ncap);
       while (nstream[j] != kNoStream) j = (j + 1) & (ncap - 1);
       nloc[j] = loc_[i];
       nstream[j] = stream_[i];
@@ -182,7 +199,7 @@ class ShardArray {
   }
 
   std::uint32_t shard_of(std::uint64_t loc) const {
-    return static_cast<std::uint32_t>(mix64(loc)) & mask_;
+    return static_cast<std::uint32_t>(mix64(loc) >> 32) & mask_;
   }
   std::uint32_t size() const { return mask_ + 1; }
 

@@ -323,7 +323,10 @@ class BasicWorkStealingEngine {
         w.queries);
     // The engine is one program == one stream; sharding (hash-partitioned
     // locations, per-shard locks, SoA cells) is shared with the streaming
-    // service so both deployments run the same shadow code.
+    // service so both deployments run the same shadow code. Stream 0's
+    // cell hash is the shard hash, so the shard takes its high bits and
+    // the table slot its low bits; shared bits would start every probe
+    // in 1/64 of each shard's table (see shadow_shards.hpp).
     for (const tree::Access& a : tree_.accesses(v))
       shadow_.apply(/*stream=*/0, a, v, serial, local_races);
     if (local_races > 0)

@@ -23,6 +23,31 @@ if command -v taskset >/dev/null 2>&1; then
   PIN="taskset -c 0"
 fi
 
+# Provenance for the "host" block: commit, compiler, build and cores.
+# Stop git's upward search at the repository root, so a checkout that is
+# not a git repository reads nothing outside itself.
+git_sha=$(GIT_CEILING_DIRECTORIES="$(dirname "${PWD}")" \
+  git rev-parse HEAD 2>/dev/null || echo unknown)
+git_dirty=false
+if [[ "${git_sha}" != unknown && -n "$(git status --porcelain 2>/dev/null)" ]]; then
+  git_dirty=true
+fi
+cache() { sed -n "s/^$1:[A-Z]*=//p" "${BUILD}/CMakeCache.txt"; }
+compiler_info() {
+  sed -n "s/^set($1 \"\(.*\)\")$/\1/p" \
+    "${BUILD}"/CMakeFiles/*/CMakeCXXCompiler.cmake | head -n 1
+}
+build_type=$(cache CMAKE_BUILD_TYPE)
+HOST=$(jq -cn --arg sha "${git_sha}" --argjson dirty "${git_dirty}" \
+  --arg compiler "$(compiler_info CMAKE_CXX_COMPILER_ID) $(compiler_info CMAKE_CXX_COMPILER_VERSION)" \
+  --arg build_type "${build_type}" \
+  --arg flags "$(cache CMAKE_CXX_FLAGS) $(cache "CMAKE_CXX_FLAGS_${build_type^^}")" \
+  --argjson nproc "$(nproc)" \
+  --argjson pinned "$( [[ -n "${PIN}" ]] && echo true || echo false )" \
+  '{git_sha: $sha, git_dirty: $dirty, compiler: $compiler,
+    build_type: $build_type, cxx_flags: ($flags | ltrimstr(" ")),
+    nproc: $nproc, pinned: $pinned}')
+
 # Next free BENCH_<n>.json index.
 n=1
 while [[ -e "BENCH_${n}.json" ]]; do n=$((n + 1)); done
@@ -59,7 +84,7 @@ done
   echo "{"
   echo "  \"run\": ${n},"
   echo "  \"date\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
-  echo "  \"host\": {\"nproc\": $(nproc), \"pinned\": $( [[ -n "${PIN}" ]] && echo true || echo false )},"
+  echo "  \"host\": ${HOST},"
   echo "  \"benches\": {"
   first=1
   for b in "${BENCHES[@]}"; do

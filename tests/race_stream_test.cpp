@@ -6,7 +6,8 @@
 //    determinacy and ALL-SETS shadow protocols;
 //  - batch-boundary invariance: replaying one trace at any batch size and
 //    shard count yields identical verdicts, and the shard-grouped batch
-//    apply equals per-access apply on one shard, cell for cell;
+//    apply equals per-access apply on one shard, cell for cell, and the
+//    shard index and the in-table home slot use independent hash bits;
 //  - malformed-input robustness: truncated, reordered, and duplicate-id
 //    batches are rejected with typed errors, rejects are atomic (the
 //    stream state is untouched and the same epoch can be repaired and
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <iterator>
@@ -208,6 +210,27 @@ TEST(StreamService, BatchedApplyMatchesPerAccessApply) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     expect_batched_equals_per_access<stream::DeterminacyShadow>(seed);
     expect_batched_equals_per_access<stream::AllSetsShadow>(seed);
+  }
+}
+
+// Within one shard, home slots must still spread over the whole table:
+// the shard index and the slot take disjoint hash bits, for every stream
+// id including 0, whose cell hash is the shard hash itself.
+TEST(ShadowShards, SlotBitsIndependentOfShard) {
+  constexpr std::size_t kCap = 1024;
+  for (std::uint32_t shards : {2u, 16u, 64u}) {
+    const stream::DeterminacyShadow probe(shards);
+    std::vector<std::uint64_t> locs;
+    for (std::uint64_t loc = 0; locs.size() < 4096; ++loc)
+      if (probe.shard_of(loc) == shards - 1) locs.push_back(loc);
+    for (StreamId s : {0u, 1u, 7u}) {
+      std::vector<bool> hit(kCap, false);
+      for (const std::uint64_t loc : locs)
+        hit[stream::detail::home_slot(s, loc, kCap)] = true;
+      const auto covered = std::count(hit.begin(), hit.end(), true);
+      // 4096 uniform keys cover ~1024 * (1 - e^-4) ~ 1005 slots.
+      EXPECT_GE(covered, 900) << shards << " shards, stream " << s;
+    }
   }
 }
 
