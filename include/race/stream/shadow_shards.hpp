@@ -1,16 +1,22 @@
 #pragma once
-// Sharded shadow memory for the streaming race-detection service.
-// Locations hash-partition across a power-of-two number of shards; each
-// shard is guarded by a spr::mutex (the atomics-policy type, so the
-// systematic concurrency checker can drive the locking — see
-// tests/mc_test.cpp's shard-contention scenarios) and owns its cells
-// outright, so concurrent client streams only contend when their
-// locations collide on a shard.
+// Sharded shadow memory for the streaming race-detection service and the
+// SP-hybrid engine. Locations hash-partition across a power-of-two number
+// of shards; each shard is guarded by a spr::spin_lock (util/atomics.hpp)
+// and owns its cells outright, so concurrent clients only contend when
+// their locations collide on a shard. The lock spins rather than sleeps
+// because a cell update holds it for ~100 ns, far less than the futex
+// sleep and wake-up a std::mutex pays on each collision — and SP-hybrid's
+// shadow collides often. It is built from spr::atomic, so the systematic
+// concurrency checker explores its handoffs (see tests/mc_test.cpp's
+// shard scenarios).
 //
 // Two entry points share one per-cell body (apply_locked):
 //   apply(s, access, v, ...)   one access under its shard's lock — the
-//                              serial detectors and SP-hybrid, whose
-//                              shadows are one-shard or uncontended;
+//                              serial detectors (one shard, never
+//                              contended) and SP-hybrid, whose workers
+//                              share one shadow of 64 shards per worker
+//                              and contend whenever two accesses land on
+//                              one shard;
 //   apply_batch(s, batch, ...) a whole batch of (access, thread) pairs —
 //                              the streaming service. A stable counting
 //                              sort groups the pairs by shard; touched
@@ -186,7 +192,7 @@ class SoaShadowTable {
 };
 
 /// The shard array both shadows sit on: `Shard` is a shadow's per-shard
-/// state and must have a spr::mutex `mu`. Owns the location -> shard map
+/// state and must have a spr::spin_lock `mu`. Owns the location -> shard map
 /// and the two locking disciplines (per access, per batch).
 template <typename Shard>
 class ShardArray {
@@ -207,7 +213,7 @@ class ShardArray {
   template <typename Fn>
   void with_shard(std::uint64_t loc, Fn&& fn) {
     Shard& sh = *shards_[shard_of(loc)];
-    spr::lock_guard<spr::mutex> lock(sh.mu);
+    spr::lock_guard<spr::spin_lock> lock(sh.mu);
     fn(sh);
   }
 
@@ -237,7 +243,7 @@ class ShardArray {
       const std::uint32_t hi = b.bounds[k];
       if (lo == hi) continue;
       Shard& sh = *shards_[k];
-      spr::lock_guard<spr::mutex> lock(sh.mu);
+      spr::lock_guard<spr::spin_lock> lock(sh.mu);
       for (std::uint32_t i = lo; i < hi; ++i) fn(sh, b.items[b.order[i]]);
       lo = hi;
     }
@@ -301,7 +307,7 @@ class DeterminacyShadow {
  private:
   struct Shard {
     Shard() : table(arena) {}
-    spr::mutex mu;
+    spr::spin_lock mu;
     util::Arena arena;
     detail::SoaShadowTable table;
   };
@@ -373,7 +379,7 @@ class AllSetsShadow {
   };
 
   struct Shard {
-    spr::mutex mu;
+    spr::spin_lock mu;
     std::unordered_map<Key, Entry*, KeyHash> histories;
     util::Pool<Entry> pool;
   };

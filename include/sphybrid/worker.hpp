@@ -76,7 +76,9 @@ struct ExecResult {
   std::uint64_t queries = 0;
   std::uint64_t fast_queries = 0;  ///< answered by the SP-bags local tier
   std::uint64_t om_inserts = 0;    ///< locked global-tier insertions
-  std::uint64_t lock_wait_ns = 0;  ///< time inside locked global sections
+  /// Time inside locked global-tier sections (and kNaive's SP lock);
+  /// shadow shard-lock waits are not counted.
+  std::uint64_t lock_wait_ns = 0;
   std::uint64_t query_retries = 0;  ///< failed lock-free query attempts
   std::uint64_t race_count = 0;
   std::uint64_t checksum = 0;
@@ -322,11 +324,16 @@ class BasicWorkStealingEngine {
         },
         w.queries);
     // The engine is one program == one stream; sharding (hash-partitioned
-    // locations, per-shard locks, SoA cells) is shared with the streaming
-    // service so both deployments run the same shadow code. Stream 0's
-    // cell hash is the shard hash, so the shard takes its high bits and
-    // the table slot its low bits; shared bits would start every probe
-    // in 1/64 of each shard's table (see shadow_shards.hpp).
+    // locations, per-shard spin locks, SoA cells) is shared with the
+    // streaming service so both deployments run the same shadow code.
+    // Every worker applies its leaves' accesses one at a time to the one
+    // shared shadow, so the shard count is 64 per worker (64 at P=1, 256
+    // at P=4): the chance that two workers' accesses collide on a shard
+    // stays flat as P grows. Stream 0's cell hash is the shard hash, so
+    // the shard takes its high bits and the table slot its low bits;
+    // shared bits would start every probe in 1/S of each shard's table
+    // (see shadow_shards.hpp). Shard-lock waits are not in lock_wait_ns,
+    // which times only the global-tier sections.
     for (const tree::Access& a : tree_.accesses(v))
       shadow_.apply(/*stream=*/0, a, v, serial, local_races);
     if (local_races > 0)
@@ -449,6 +456,8 @@ class BasicWorkStealingEngine {
     }
   }
 
+  static constexpr std::uint32_t kShardsPerWorker = 64;
+
   const tree::ParseTree& tree_;
   const ExecOptions opts_;
   const unsigned nworkers_;
@@ -460,7 +469,7 @@ class BasicWorkStealingEngine {
   std::unique_ptr<detail::NaiveSpOrder> naive_;
   std::mutex naive_mu_;
   std::vector<std::unique_ptr<WorkerCtx>> workers_;
-  race::stream::DeterminacyShadow shadow_{64};
+  race::stream::DeterminacyShadow shadow_{kShardsPerWorker * nworkers_};
   std::atomic<std::uint64_t> race_count_{0};
   std::atomic<std::uint32_t> next_trace_{0};
   std::atomic<bool> done_{false};

@@ -3,8 +3,9 @@
 // to a memory model. Every concurrent structure in the library
 // (sphybrid/deque.hpp, sphybrid/segment_list.hpp, om/concurrent_om.hpp,
 // spbags/dsu.hpp, sphybrid/two_tier_sp.hpp) declares its shared state as
-// spr::atomic<T> / spr::atomic_flag / spr::mutex and spins via
-// spr::thread_yield(), never touching <atomic> or <thread> directly.
+// spr::atomic<T> / spr::atomic_flag / spr::mutex / spr::spin_lock and
+// spins via spr::thread_yield(), never touching <atomic> or <thread>
+// directly.
 //
 //  - Normal builds: zero-cost aliases of std::atomic / std::atomic_flag /
 //    std::mutex; thread_yield() is std::this_thread::yield(). Release
@@ -18,6 +19,10 @@
 //
 // Memory orders stay spelled as std::memory_order in client code; the
 // model checker consumes the same enum.
+//
+// spr::spin_lock is defined once, below both branches, on spr::atomic:
+// under the checker it is explored like any other atomic protocol, not
+// trusted as a primitive the way mc::mutex is.
 
 #if defined(SPR_MODEL_CHECK)
 
@@ -35,6 +40,11 @@ using lock_guard = std::lock_guard<M>;
 /// Spin-loop yield: under the checker this is a mandatory context switch
 /// (the spinner cannot make progress until another thread runs).
 inline void thread_yield() { mc::yield(); }
+
+/// Spin-lock back-off. Under the checker every failed try must switch
+/// threads: re-reading the lock word without a switch cannot see it
+/// change, and would only burn the step budget.
+inline void spin_pause(unsigned /*tries*/) { mc::yield(); }
 
 /// Standalone fence. The checker treats it as a scheduling point only —
 /// fence-induced synchronization is NOT modeled (the library deliberately
@@ -61,6 +71,22 @@ using lock_guard = std::lock_guard<M>;
 
 inline void thread_yield() { std::this_thread::yield(); }
 
+/// Spin-lock back-off: a CPU pause for the first kSpins failed tries (a
+/// shard lock's critical section is ~100 ns, so the holder is about to
+/// release), then yield the core in case the holder was descheduled.
+inline void spin_pause(unsigned tries) {
+  constexpr unsigned kSpins = 64;
+  if (tries < kSpins) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  } else {
+    thread_yield();
+  }
+}
+
 inline void atomic_thread_fence(std::memory_order mo) {
   std::atomic_thread_fence(mo);
 }
@@ -68,3 +94,39 @@ inline void atomic_thread_fence(std::memory_order mo) {
 }  // namespace spr
 
 #endif  // SPR_MODEL_CHECK
+
+namespace spr {
+
+/// Test-and-test-and-set spin lock (BasicLockable) for critical sections
+/// of a few hundred nanoseconds, such as a shadow shard's cell update. A
+/// std::mutex sleeps on its first collision, and the futex round trip
+/// costs far more than waiting out the holder. Waiters re-read the word
+/// relaxed, so the cache line stays shared until the holder's release
+/// store; only then do they retry the acquire exchange.
+class spin_lock {
+ public:
+  void lock() {
+    for (unsigned tries = 0;;) {
+#if defined(SPR_MODEL_CHECK) && defined(SPR_MC_SEED_BUG_SHARD_LOCK_SPLIT)
+      // Seeded bug (tests/mc_bug_test.cpp): the test and the set are two
+      // steps, so two threads can both see the lock free and both enter.
+      if (!locked_.load(std::memory_order_acquire)) {
+        locked_.store(true, std::memory_order_relaxed);
+        return;
+      }
+#else
+      if (!locked_.exchange(true, std::memory_order_acquire)) return;
+#endif
+      do {
+        spin_pause(tries++);
+      } while (locked_.load(std::memory_order_relaxed));
+    }
+  }
+
+  void unlock() { locked_.store(false, std::memory_order_release); }
+
+ private:
+  atomic<bool> locked_{false};
+};
+
+}  // namespace spr

@@ -16,12 +16,18 @@
 //    the relabeler, so the seqlock validation can re-read the stale
 //    even version and vouch for a torn (old, new) label pair, flipping
 //    an order verdict.
+//  - mc_bug_shardlock_test (-DSPR_MC_SEED_BUG_SHARD_LOCK_SPLIT): splits
+//    spr::spin_lock's acquire exchange into a load and a separate store.
+//    Two threads can both read the lock free before either sets it, so
+//    both enter a shadow shard's critical section; the occupancy oracle
+//    of tests/mc_shard_lock_episode.hpp trips.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "mc/checker.hpp"
+#include "mc_shard_lock_episode.hpp"
 #include "om/concurrent_om.hpp"
 #include "sphybrid/deque.hpp"
 
@@ -114,6 +120,31 @@ TEST(McSeededBug, SeqlockRelaxedLabelReadIsCaught) {
   const mc::Stats st = mc::explore(o, episode);
   ASSERT_TRUE(st.failed)
       << "the checker must catch the seeded relaxed-label-read bug";
+  EXPECT_FALSE(st.failure_schedule.empty());
+  EXPECT_FALSE(st.failure_trace.empty());
+  std::printf("[  mc    ] caught after %llu episodes: %s\n",
+              static_cast<unsigned long long>(st.episodes),
+              st.failure_message.c_str());
+  const mc::Stats re =
+      mc::replay(o, episode, st.failure_schedule, st.failure_bound);
+  ASSERT_TRUE(re.failed) << "recorded schedule did not replay the violation";
+  EXPECT_EQ(re.failure_message, st.failure_message);
+}
+
+#elif defined(SPR_MC_SEED_BUG_SHARD_LOCK_SPLIT)
+
+TEST(McSeededBug, ShardLockSplitExchangeIsCaught) {
+  mc::Options o;
+  o.preemption_bound = 2;
+  o.max_dfs_schedules = 20000;
+  o.random_schedules = 20000;
+  o.stale_read_budget = 4;
+  const mc::Episode episode = [](mc::Run& r) {
+    spr::mc_episodes::shard_lock_same_cell(r);
+  };
+  const mc::Stats st = mc::explore(o, episode);
+  ASSERT_TRUE(st.failed)
+      << "the checker must catch the seeded split-exchange lock bug";
   EXPECT_FALSE(st.failure_schedule.empty());
   EXPECT_FALSE(st.failure_trace.empty());
   std::printf("[  mc    ] caught after %llu episodes: %s\n",

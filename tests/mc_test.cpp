@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "mc/checker.hpp"
+#include "mc_shard_lock_episode.hpp"
 #include "om/forkpath_om.hpp"
 #include "om/two_level_om.hpp"
 #include "race/stream/service.hpp"
@@ -399,8 +400,9 @@ TEST(McSuite, ForkPathSamePivotCasRace) {
 // ---------------------------------------------------------------------
 // Scenario 9: the streaming service's sharded shadow memory under two
 // concurrent client streams (race/stream/). Each stream is an
-// independent two-writer race on one location; the per-shard spr::mutex
-// is the only cross-stream structure. Oracle: verdicts are deterministic
+// independent two-writer race on one location; the per-shard
+// spr::spin_lock is the only cross-stream structure in the shadow (the
+// service's stream table has its own spr::mutex). Oracle: verdicts are deterministic
 // — each stream reports exactly its own race on EVERY interleaving,
 // whether the two streams' locations collide on one shard (full lock
 // contention) or land on different shards (no contention).
@@ -500,6 +502,25 @@ TEST(McSuite, StreamBatchesCrossBothShards) {
   run_stream_shard_scenario(two_writer_events({0, b}),
                             two_writer_events({b, 0}), 2,
                             "stream_batch_both_shards");
+}
+
+// ---------------------------------------------------------------------
+// Scenario 11: the per-access shard path SP-hybrid's workers take. Two
+// threads call DeterminacyShadow::apply on one cell of a one-shard shadow,
+// so they hand the shard's spin lock back and forth; every failed try is a
+// scheduling point. Oracle (tests/mc_shard_lock_episode.hpp): never two
+// threads inside the critical section, exactly one race, counted by the
+// final writer — and both writers must win on some schedule.
+
+TEST(McSuite, ShadowApplySameCellTwoThreads) {
+  int last1 = 0, last2 = 0;
+  const mc::Stats st = mc::explore(base_options(), [&](mc::Run& r) {
+    (spr::mc_episodes::shard_lock_same_cell(r) == 1 ? last1 : last2)++;
+  });
+  ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
+  report("shadow_apply_same_cell", st);
+  EXPECT_GT(last1, 0) << "no schedule let thread 1 write last";
+  EXPECT_GT(last2, 0) << "no schedule let thread 2 write last";
 }
 
 // ---------------------------------------------------------------------

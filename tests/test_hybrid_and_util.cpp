@@ -16,6 +16,7 @@
 #include "om/concurrent_om.hpp"
 #include "sphybrid/executor.hpp"
 #include "sptree/metrics.hpp"
+#include "util/atomics.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -223,6 +224,26 @@ TEST(Util, TablePrintsAlignedColumns) {
   const std::string out = os.str();
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("-+-"), std::string::npos);
+}
+
+// The shadow shard lock: a plain (non-atomic) counter stays exact only if
+// lock/unlock exclude each other, and under TSan a missing acquire or
+// release shows up as a data race on the counter.
+TEST(Util, SpinLockCountsExactly) {
+  constexpr int kThreads = 4;
+  constexpr int kIncrements = 200000;
+  spr::spin_lock mu;
+  long counter = 0;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIncrements; ++i) {
+        const spr::lock_guard<spr::spin_lock> lock(mu);
+        ++counter;
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(counter, static_cast<long>(kThreads) * kIncrements);
 }
 
 TEST(Hybrid, ChecksumStableAcrossModes) {
