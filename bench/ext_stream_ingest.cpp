@@ -1,16 +1,16 @@
 // Extension bench: throughput of the streaming race-detection service
 // (race/stream/) — events/second as a function of concurrent client
-// streams, shadow shard count, and batch size. One fork-join trace
-// (dnc_fill) is recorded once and replayed by every client, so all work
-// is ingestion: batch validation, per-stream SP-order maintenance, and
-// sharded shadow-memory application.
+// streams and batch size. One fork-join trace (dnc_fill) is recorded once
+// and replayed by every client, so all work is ingestion: batch
+// validation, per-stream SP-order maintenance, and per-stream
+// shadow-memory application.
 //
-// Expectations on a multi-core host: throughput flat in shard count at 1
-// stream (no contention to shed), rising with shards at 4 streams (the
-// per-shard locks stop being a single funnel). On a 1-core container the
-// stream sweep only measures oversubscription overhead — read S>1 rows
-// as correctness-under-contention, not scaling. Emits `#METRIC {...}`
-// JSON lines for scripts/bench.sh.
+// Expectations on a multi-core host: streams share no shadow state and
+// take no common lock per access, so aggregate throughput rises with
+// streams up to the core count. On a 1-core container the stream sweep
+// only measures oversubscription overhead — read S>1 rows as
+// correctness-under-concurrency, not scaling. Emits `#METRIC {...}` JSON
+// lines for scripts/bench.sh.
 
 #include <cstdint>
 #include <iostream>
@@ -40,8 +40,8 @@ struct RunResult {
 };
 
 RunResult run(const std::vector<Event>& events, unsigned streams,
-              std::uint32_t shards, std::size_t batch_size) {
-  spr::race::stream::IngestService svc({shards});
+              std::size_t batch_size) {
+  spr::race::stream::IngestService svc;
   std::vector<StreamId> sids;
   std::vector<std::vector<Batch>> batches;
   for (unsigned s = 0; s < streams; ++s) {
@@ -75,7 +75,7 @@ RunResult run(const std::vector<Event>& events, unsigned streams,
 
 int main() {
   std::cout << "Extension — streaming ingestion throughput "
-               "(events/s x streams x shards x batch)\n";
+               "(events/s x streams x batch)\n";
   const spr::tree::ParseTree t =
       spr::fj::lower_to_parse_tree(spr::fj::make_dnc_fill(65536, 4));
   const std::vector<Event> events = spr::fj::record_events(t);
@@ -86,31 +86,29 @@ int main() {
   std::cout << "trace: " << t.leaf_count() << " threads, " << events.size()
             << " events, reference races = " << ref.race_count << "\n";
 
-  spr::util::Table table({"streams", "shards", "batch", "total events",
-                          "elapsed", "Mev/s", "races/stream"});
+  spr::util::Table table({"streams", "batch", "total events", "elapsed",
+                          "Mev/s", "races/stream"});
   for (unsigned streams : {1u, 2u, 4u}) {
-    for (std::uint32_t shards : {1u, 4u, 16u}) {
-      for (std::size_t batch : {std::size_t{256}, std::size_t{8192}}) {
-        const RunResult r = run(events, streams, shards, batch);
-        if (r.races_per_stream != ref.race_count) {
-          std::cerr << "verdict mismatch vs in-process detector\n";
-          return 1;
-        }
-        const double evps =
-            r.elapsed_s > 0 ? static_cast<double>(r.events) / r.elapsed_s : 0;
-        table.add_row({std::to_string(streams), std::to_string(shards),
-                       std::to_string(batch), std::to_string(r.events),
-                       spr::util::fmt_double(r.elapsed_s, 3),
-                       spr::util::fmt_double(evps / 1e6, 2),
-                       std::to_string(r.races_per_stream)});
-        std::cout << "#METRIC {\"bench\":\"ext_stream_ingest\",\"streams\":"
-                  << streams << ",\"shards\":" << shards
-                  << ",\"batch\":" << batch << ",\"events\":" << r.events
-                  << ",\"elapsed_s\":" << r.elapsed_s
-                  << ",\"events_per_s\":" << evps
-                  << ",\"races_per_stream\":" << r.races_per_stream
-                  << ",\"memory_bytes\":" << r.memory_bytes << "}\n";
+    for (std::size_t batch : {std::size_t{256}, std::size_t{8192}}) {
+      const RunResult r = run(events, streams, batch);
+      if (r.races_per_stream != ref.race_count) {
+        std::cerr << "verdict mismatch vs in-process detector\n";
+        return 1;
       }
+      const double evps =
+          r.elapsed_s > 0 ? static_cast<double>(r.events) / r.elapsed_s : 0;
+      table.add_row({std::to_string(streams), std::to_string(batch),
+                     std::to_string(r.events),
+                     spr::util::fmt_double(r.elapsed_s, 3),
+                     spr::util::fmt_double(evps / 1e6, 2),
+                     std::to_string(r.races_per_stream)});
+      std::cout << "#METRIC {\"bench\":\"ext_stream_ingest\",\"streams\":"
+                << streams << ",\"batch\":" << batch
+                << ",\"events\":" << r.events
+                << ",\"elapsed_s\":" << r.elapsed_s
+                << ",\"events_per_s\":" << evps
+                << ",\"races_per_stream\":" << r.races_per_stream
+                << ",\"memory_bytes\":" << r.memory_bytes << "}\n";
     }
   }
   table.print(std::cout);

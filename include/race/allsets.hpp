@@ -6,11 +6,10 @@
 // A one-line client: the walker is shared with the determinacy detector
 // (race/detector.hpp), and the protocol — per (stream, location) a
 // pruned history of (lockset, writer?) entries, each remembering the
-// most recent thread and a sticky parallel one — lives in the sharded
-// shadow layer as stream::AllSetsShadow
-// (race/stream/shadow_shards.hpp). An access races with a history entry
-// iff at least one side writes, the locksets are disjoint, and the
-// threads are parallel.
+// most recent thread and a sticky parallel one — lives in the shadow
+// layer as stream::OwnedAllSetsShadow (race/stream/shadow_shards.hpp).
+// An access races with a history entry iff at least one side writes, the
+// locksets are disjoint, and the threads are parallel.
 
 #include "race/detector.hpp"
 #include "race/stream/shadow_shards.hpp"
@@ -22,7 +21,7 @@ namespace spr::race {
 /// SP-maintenance backend `algo`.
 template <typename SpAlgo>
 inline RaceReport detect_lock_races(const tree::ParseTree& t, SpAlgo& algo) {
-  return detail::detect<stream::AllSetsShadow>(t, algo);
+  return detail::detect<stream::OwnedAllSetsShadow>(t, algo);
 }
 
 }  // namespace spr::race

@@ -2,7 +2,7 @@
 // Serial on-the-fly determinacy-race detection (Corollary 6): the walker
 // executes the program serially, drives its SP-maintenance backend
 // through walk.hpp's MaintenanceDriver, and applies each thread's
-// accesses to a one-shard shadow memory while that thread is current (the
+// accesses to a one-owner shadow memory while that thread is current (the
 // contract strictly on-the-fly backends like SP-bags depend on). The
 // input is a trusted in-process tree, so nothing is validated; the
 // untrusted boundary is the streaming service (race/stream/service.hpp),
@@ -29,7 +29,7 @@ namespace detail {
 /// Templated on the SP algorithm so detection can run over any backend
 /// (tree::SpMaintenance subclasses or a concrete SP-order) with
 /// statically bound calls, and on the shadow protocol
-/// (DeterminacyShadow or AllSetsShadow). Every query goes through
+/// (OwnedDeterminacyShadow or OwnedAllSetsShadow). Every query goes through
 /// `sp.precedes`.
 template <typename SpAlgo, typename Shadow>
 class DetectVisitor final : public tree::MaintenanceDriver<SpAlgo> {
@@ -53,7 +53,7 @@ class DetectVisitor final : public tree::MaintenanceDriver<SpAlgo> {
 
  private:
   const tree::ParseTree& tree_;
-  Shadow shadow_{1};
+  Shadow shadow_;
 };
 
 /// Shared driver for the determinacy and ALL-SETS entry points.
@@ -71,7 +71,7 @@ inline RaceReport detect(const tree::ParseTree& t, SpAlgo& algo) {
 /// fresh `algo` (any SpMaintenance backend) for SP queries.
 template <typename SpAlgo>
 inline RaceReport detect_races(const tree::ParseTree& t, SpAlgo& algo) {
-  return detail::detect<stream::DeterminacyShadow>(t, algo);
+  return detail::detect<stream::OwnedDeterminacyShadow>(t, algo);
 }
 
 }  // namespace spr::race

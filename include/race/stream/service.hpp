@@ -4,28 +4,25 @@
 // as epoch-numbered event batches (race/stream/event.hpp) and answered
 // with per-stream race verdicts.
 //
-//   Service<Sp, Shadow> svc({.shards = 16});
-//   StreamId s = svc.open_stream();          // Sp per stream
+//   Service<Sp, Shadow> svc;
+//   StreamId s = svc.open_stream();          // Sp and Shadow per stream
 //   svc.submit({s, /*epoch=*/0, events});    // typed reject on bad input
 //   svc.finish(s);                           // rejects truncated traces
 //   svc.report(s).races.has_race();
 //
 // Concurrency contract: one submitter per stream at a time (enforced by a
 // per-stream mutex — a second client of the same stream serializes, it
-// does not corrupt), any number of streams in parallel. Per-stream SP
-// state is only ever mutated by its submitter; the sharded shadow memory
-// (race/stream/shadow_shards.hpp) is the one cross-stream structure and
-// carries per-shard locks. Verdicts are deterministic: they depend only
-// on each stream's own event order, never on cross-stream interleaving —
-// the mc shard-contention scenarios check exactly this.
+// does not corrupt), any number of streams in parallel. Each stream owns
+// its SP engine and its shadow memory (race/stream/shadow_shards.hpp's
+// one-owner shadows), and only the stream mutex guards them, so streams
+// share nothing but the stream table. Verdicts are deterministic: they
+// depend only on each stream's own event order, never on cross-stream
+// interleaving — the mc stream scenarios check exactly this.
 //
-// Applying a batch takes two passes: every structural event goes to the
-// stream's SP engine first while the accesses are collected as (access,
-// issuing thread) pairs, then the shadow applies them all at once
-// (Shadow::apply_batch). That takes each touched shard's lock once per
-// batch — never nested, in ascending shard order — instead of once per
-// access, and keeps every location's accesses in batch order, so
-// verdicts and query counts equal a per-access replay's.
+// Applying a batch is one pass in event order: each structural event
+// goes to the stream's SP engine and each access to the stream's shadow,
+// while the thread that issued it is the one executing. finish() frees
+// the engine and the shadow, so a finished stream keeps only its report.
 //
 // Validation: every batch is trial-run against the stream's trace
 // grammar BEFORE any of it is applied, so a rejected batch leaves the
@@ -34,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -107,7 +105,10 @@ class TraceValidator {
 };
 
 struct ServiceOptions {
-  std::uint32_t shards = 16;  ///< rounded up to a power of two
+  /// Ignored: every stream owns an unsharded shadow. It remains only
+  /// because bench/spbench constructs `Service({kShards})`; drop it with
+  /// that call.
+  std::uint32_t shards = 16;
 };
 
 struct StreamReport {
@@ -117,15 +118,14 @@ struct StreamReport {
   bool finished = false;
 };
 
-/// `Sp` must answer precedes(u, v) for ANY two threads that have begun,
-/// not only for v the most recent one: a batch's SP queries run after all
-/// of its structural events. SP-order qualifies (the English/Hebrew order
-/// of begun threads never changes); SP-bags, which answer only for the
-/// currently executing thread, do not.
-template <typename Sp = StreamingSpOrder, typename Shadow = DeterminacyShadow>
+/// `Sp` answers precedes(u, v) for u an earlier thread and v the thread
+/// now executing, as strictly on-the-fly engines do: an access is applied
+/// before any later structural event, so SP-order and SP-bags both serve.
+template <typename Sp = StreamingSpOrder,
+          typename Shadow = OwnedDeterminacyShadow>
 class Service {
  public:
-  explicit Service(ServiceOptions o = {}) : shadow_(o.shards) {}
+  explicit Service(ServiceOptions = {}) {}
 
   /// Opens a new stream whose SP engine is constructed from `args`
   /// (in place: SP engines hold OM lists and are not movable).
@@ -141,7 +141,7 @@ class Service {
     StreamState* st = stream(b.stream);
     if (st == nullptr) return {IngestError::kUnknownStream, 0};
     spr::lock_guard<spr::mutex> lock(st->mu);
-    if (st->finished) return {IngestError::kStreamFinished, 0};
+    if (st->rep.finished) return {IngestError::kStreamFinished, 0};
     if (b.epoch < st->next_epoch) return {IngestError::kEpochReplayed, 0};
     if (b.epoch > st->next_epoch) return {IngestError::kEpochGap, 0};
     // Trial pass: nothing is applied unless the whole batch is valid.
@@ -161,11 +161,11 @@ class Service {
     StreamState* st = stream(s);
     if (st == nullptr) return {IngestError::kUnknownStream, 0};
     spr::lock_guard<spr::mutex> lock(st->mu);
-    if (st->finished) return {IngestError::kStreamFinished, 0};
+    if (st->rep.finished) return {IngestError::kStreamFinished, 0};
     if (!st->validator.complete()) return {IngestError::kTruncated, 0};
-    st->finished = true;
     st->rep.finished = true;
-    st->accesses.release();
+    st->sp.reset();
+    st->shadow.reset();
     return {IngestError::kOk, 0};
   }
 
@@ -176,35 +176,34 @@ class Service {
     return st->rep;
   }
 
-  const Sp& sp(StreamId s) const { return stream(s)->sp; }
-
-  std::uint32_t shard_count() const { return shadow_.shard_count(); }
-  std::uint32_t shard_of(std::uint64_t loc) const {
-    return shadow_.shard_of(loc);
-  }
-
   std::size_t memory_bytes() const {
     spr::lock_guard<spr::mutex> lock(streams_mu_);
-    std::size_t n = sizeof(*this) + shadow_.memory_bytes();
+    std::size_t n = sizeof(*this);
     for (const auto& st : streams_) {
       spr::lock_guard<spr::mutex> stream_lock(st->mu);
-      n += sizeof(StreamState) + st->sp.memory_bytes() +
-           st->accesses.memory_bytes();
+      n += sizeof(StreamState);
+      if (st->sp) n += st->sp->memory_bytes();
+      if (st->shadow) n += st->shadow->memory_bytes();
     }
     return n;
+  }
+
+  /// What memory_bytes() counts for a finished stream.
+  static constexpr std::size_t finished_stream_bytes() {
+    return sizeof(StreamState);
   }
 
  private:
   struct StreamState {
     template <typename... Args>
-    explicit StreamState(Args&&... args) : sp(std::forward<Args>(args)...) {}
-    mutable spr::mutex mu;  ///< serializes submitters of this stream
-    Sp sp;
+    explicit StreamState(Args&&... args)
+        : sp(std::in_place, std::forward<Args>(args)...) {}
+    mutable spr::mutex mu;  ///< serializes submitters; guards all below
+    std::optional<Sp> sp;   ///< empty once finished
+    std::optional<Shadow> shadow{std::in_place};  ///< empty once finished
     TraceValidator validator;
     std::uint64_t next_epoch = 0;
     tree::ThreadId current = tree::kNoThread;  ///< open leaf thread
-    AccessBatch accesses;  ///< the batch being applied; reused per submit
-    bool finished = false;
     StreamReport rep;
   };
 
@@ -215,27 +214,26 @@ class Service {
   }
 
   void apply(const Batch& b, StreamState& st) {
+    Sp& sp = *st.sp;
+    Shadow& shadow = *st.shadow;
     const auto serial = counted_serial(
-        [&st](tree::ThreadId u, tree::ThreadId v) {
-          return st.sp.precedes(u, v);
-        },
+        [&sp](tree::ThreadId u, tree::ThreadId v) { return sp.precedes(u, v); },
         st.rep.races.queries);
-    st.accesses.clear();
     for (const Event& e : b.events) {
-      feed_sp(st.sp, e);
+      if (e.kind == EventKind::kAccess) {
+        shadow.apply(b.stream, tree::Access{e.loc, e.write, e.locks},
+                     st.current, serial, st.rep.races.race_count);
+        continue;
+      }
+      feed_sp(sp, e);
       if (e.kind == EventKind::kThreadBegin) st.current = e.thread;
-      if (e.kind == EventKind::kAccess)
-        st.accesses.push(tree::Access{e.loc, e.write, e.locks}, st.current);
     }
-    shadow_.apply_batch(b.stream, st.accesses, serial,
-                        st.rep.races.race_count);
     st.rep.events += b.events.size();
     ++st.rep.batches;
   }
 
   mutable spr::mutex streams_mu_;
   std::vector<std::unique_ptr<StreamState>> streams_;
-  Shadow shadow_;
 };
 
 /// The service most deployments want: native per-stream SP-order over the

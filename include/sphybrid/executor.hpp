@@ -80,7 +80,7 @@ class SerialDriver final
   ExecResult& result_;
   std::uint64_t spin_xor_ = 0;
   std::uint64_t digest_sum_ = 0;
-  race::stream::DeterminacyShadow shadow_{1};
+  race::stream::OwnedDeterminacyShadow shadow_;
 };
 
 }  // namespace detail

@@ -323,10 +323,10 @@ class BasicWorkStealingEngine {
           return answer(w, u, cur);
         },
         w.queries);
-    // The engine is one program == one stream; sharding (hash-partitioned
-    // locations, per-shard spin locks, SoA cells) is shared with the
-    // streaming service so both deployments run the same shadow code.
-    // Every worker applies its leaves' accesses one at a time to the one
+    // The engine is one program == one stream, and the only shadow user
+    // with several threads: each shard is the one-owner SoA shadow the
+    // serial detectors and service streams use, behind a spin lock. Every
+    // worker applies its leaves' accesses one at a time to the one
     // shared shadow, so the shard count is 64 per worker (64 at P=1, 256
     // at P=4): the chance that two workers' accesses collide on a shard
     // stays flat as P grows. Stream 0's cell hash is the shard hash, so

@@ -398,14 +398,9 @@ TEST(McSuite, ForkPathSamePivotCasRace) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 9: the streaming service's sharded shadow memory under two
-// concurrent client streams (race/stream/). Each stream is an
-// independent two-writer race on one location; the per-shard
-// spr::spin_lock is the only cross-stream structure in the shadow (the
-// service's stream table has its own spr::mutex). Oracle: verdicts are deterministic
-// — each stream reports exactly its own race on EVERY interleaving,
-// whether the two streams' locations collide on one shard (full lock
-// contention) or land on different shards (no contention).
+// Scenarios 9 and 10: the streaming service (race/stream/). Each stream
+// owns its SP engine and shadow, guarded by the stream's spr::mutex; the
+// stream table's spr::mutex is the only state streams share.
 
 namespace {
 
@@ -426,15 +421,25 @@ std::vector<rs::Event> two_writer_events(std::vector<std::uint64_t> locs) {
   return ev;
 }
 
-/// Two streams on a 2-shard service, each submitting one batch and
-/// finishing concurrently; each must report exactly its own `races`.
-void run_stream_shard_scenario(const std::vector<rs::Event>& ev1,
-                               const std::vector<rs::Event>& ev2,
-                               std::uint64_t races, const char* name) {
+bool exactly(const spr::race::RaceReport& r, std::uint64_t races) {
+  return r.race_count == races && r.queries == races;
+}
+
+}  // namespace
+
+// Scenario 9: two streams submit and finish concurrently, one racing on
+// location 0 and the other on locations 0 and 1 — the same location in
+// both, so a stream that saw the other's cells would miscount. Oracle:
+// on every interleaving both batches ingest and each stream reports
+// exactly its own races.
+
+TEST(McSuite, StreamsSubmitAndFinishConcurrently) {
+  const std::vector<rs::Event> ev1 = two_writer_events({0});
+  const std::vector<rs::Event> ev2 = two_writer_events({0, 1});
   mc::Options o = base_options();
   o.max_dfs_schedules = 3000;
   const mc::Stats st = mc::explore(o, [&](mc::Run& r) {
-    rs::IngestService svc({2});
+    rs::IngestService svc;
     const rs::StreamId s1 = svc.open_stream();
     const rs::StreamId s2 = svc.open_stream();
     rs::IngestResult r1, r2, f1, f2;
@@ -449,59 +454,56 @@ void run_stream_shard_scenario(const std::vector<rs::Event>& ev1,
     r.join_all();
     SPR_MC_ASSERT(r1.ok() && f1.ok() && r2.ok() && f2.ok(),
                   "valid batches must ingest on every interleaving");
-    const spr::race::RaceReport v1 = svc.report(s1).races;
-    const spr::race::RaceReport v2 = svc.report(s2).races;
-    SPR_MC_ASSERT(v1.race_count == races && v1.queries == races,
-                  "stream 1 must report exactly its own races");
-    SPR_MC_ASSERT(v2.race_count == races && v2.queries == races,
-                  "stream 2 must report exactly its own races");
+    SPR_MC_ASSERT(exactly(svc.report(s1).races, 1),
+                  "stream 1 must report exactly its own race");
+    SPR_MC_ASSERT(exactly(svc.report(s2).races, 2),
+                  "stream 2 must report exactly its own two races");
     SPR_MC_ASSERT(svc.report(s1).finished && svc.report(s2).finished,
                   "both streams must finish");
   });
   ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
-  report(name, st);
+  report("streams_submit_and_finish", st);
 }
 
+// Scenario 10: finish() frees a stream's shadow and SP engine while a
+// second thread reads the stream through memory_bytes() and report().
+// Oracle: the reader sees the stream wholly open or wholly finished —
+// memory_bytes() is one of the two sums, and the report carries the
+// stream's one race either way — and both states occur.
 
-/// The first location after 0 that lands on (`same`) or off 0's shard.
-std::uint64_t partner_of_loc0(bool same) {
-  const rs::DeterminacyShadow probe(2);
-  std::uint64_t loc = 1;
-  while ((probe.shard_of(loc) == probe.shard_of(0)) != same) ++loc;
-  return loc;
-}
-
-}  // namespace
-
-TEST(McSuite, StreamShardContentionSameShard) {
-  // Two locations that hash to the SAME of 2 shards: every shadow apply
-  // funnels through one lock.
-  const std::uint64_t b = partner_of_loc0(true);
-  run_stream_shard_scenario(two_writer_events({0}), two_writer_events({b}), 1,
-                            "stream_same_shard");
-}
-
-TEST(McSuite, StreamShardContentionCrossShard) {
-  // Two locations on DIFFERENT shards: streams only share the stream
-  // table lock.
-  const std::uint64_t b = partner_of_loc0(false);
-  run_stream_shard_scenario(two_writer_events({0}), two_writer_events({b}), 1,
-                            "stream_cross_shard");
-}
-
-// ---------------------------------------------------------------------
-// Scenario 10: batched shard locking. Each stream's one batch touches
-// BOTH shards, stream 1 in shard order (0, 1) and stream 2 in (1, 0).
-// Shadow::apply_batch groups a batch by shard and takes each shard's lock
-// once, in ascending shard order, never nested, so opposite access orders
-// cannot deadlock. Oracle: both batches ingest on every interleaving and
-// each stream reports exactly its own two races and two queries.
-
-TEST(McSuite, StreamBatchesCrossBothShards) {
-  const std::uint64_t b = partner_of_loc0(false);
-  run_stream_shard_scenario(two_writer_events({0, b}),
-                            two_writer_events({b, 0}), 2,
-                            "stream_batch_both_shards");
+TEST(McSuite, FinishFreesWhileReaderReads) {
+  const std::vector<rs::Event> ev = two_writer_events({0});
+  int saw_open = 0, saw_finished = 0;
+  mc::Options o = base_options();
+  o.max_dfs_schedules = 3000;
+  const mc::Stats st = mc::explore(o, [&](mc::Run& r) {
+    rs::IngestService svc;
+    const rs::StreamId s = svc.open_stream();
+    SPR_MC_ASSERT(svc.submit({s, 0, ev}).ok(), "the batch must ingest");
+    const std::size_t open_bytes = svc.memory_bytes();
+    rs::IngestResult f;
+    std::size_t seen_bytes = 0;
+    rs::StreamReport seen;
+    r.spawn([&] { f = svc.finish(s); });
+    r.spawn([&] {
+      seen_bytes = svc.memory_bytes();
+      seen = svc.report(s);
+    });
+    r.join_all();
+    const std::size_t finished_bytes = svc.memory_bytes();
+    SPR_MC_ASSERT(f.ok(), "finish must accept the complete trace");
+    SPR_MC_ASSERT(finished_bytes < open_bytes,
+                  "finish must free the stream's shadow and SP engine");
+    SPR_MC_ASSERT(seen_bytes == open_bytes || seen_bytes == finished_bytes,
+                  "memory_bytes must see the stream wholly open or finished");
+    SPR_MC_ASSERT(exactly(seen.races, 1) && svc.report(s).finished,
+                  "the report must carry the stream's one race");
+    (seen.finished ? saw_finished : saw_open)++;
+  });
+  ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
+  report("finish_frees_while_reading", st);
+  EXPECT_GT(saw_open, 0) << "no schedule read the stream before finish";
+  EXPECT_GT(saw_finished, 0) << "no schedule read the stream after finish";
 }
 
 // ---------------------------------------------------------------------

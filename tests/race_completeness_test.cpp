@@ -13,7 +13,7 @@
 // decompose per location, so multi-location behavior is exactly the
 // product of single-location behaviors.
 //  - Phase A (L = 1..5): full streaming-service path (validator, batch,
-//    sharded SoA shadow, native per-stream SP-order) AND the in-process
+//    per-stream SoA shadow, native per-stream SP-order) AND the in-process
 //    serial detector, with patterns over TWO locations — 4^L
 //    combinations of {read,write} x {loc0,loc1}, plus a no-access letter
 //    at L <= 3 to cover empty-trace leaves.
@@ -109,7 +109,7 @@ void set_pattern(ParseTree& t, const std::vector<Letter>& pattern) {
 /// Full-path verdict: record, batch, validate, ingest through the native
 /// streaming service.
 bool service_verdict(const ParseTree& t) {
-  stream::IngestService svc({4});
+  stream::IngestService svc;
   const stream::StreamId s = svc.open_stream();
   stream::Batch b;
   b.stream = s;

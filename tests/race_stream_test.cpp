@@ -3,11 +3,14 @@
 //    stream) must report the same race and query counts as the in-process
 //    serial detector — an independent path that walks the tree and never
 //    builds events — on the whole generator corpus, for both the
-//    determinacy and ALL-SETS shadow protocols;
-//  - batch-boundary invariance: replaying one trace at any batch size and
-//    shard count yields identical verdicts, and the shard-grouped batch
-//    apply equals per-access apply on one shard, cell for cell, and the
-//    shard index and the in-table home slot use independent hash bits;
+//    determinacy and ALL-SETS shadow protocols — and SP-bags, strictly
+//    on the fly, serves as a stream's engine just as SP-order does;
+//  - batch-boundary invariance: replaying one trace at any batch size
+//    yields identical verdicts, and the sharded shadow's shard index and
+//    in-table home slot use independent hash bits;
+//  - bounded memory: finish() frees a stream's SP engine and shadow, so
+//    open/submit/finish churn grows the service by a fixed-size record
+//    per stream;
 //  - malformed-input robustness: truncated, reordered, and duplicate-id
 //    batches are rejected with typed errors, rejects are atomic (the
 //    stream state is untouched and the same epoch can be repaired and
@@ -19,9 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "race/detector.hpp"
 #include "race/stream/service.hpp"
 #include "sp_test_util.hpp"
+#include "spbags/sp_bags.hpp"
 #include "sphybrid/executor.hpp"
 #include "sporder/sp_order.hpp"
 #include "util/rng.hpp"
@@ -48,11 +50,10 @@ using stream::StreamId;
 
 /// Replays `events` through a fresh native service in `batch_size`-event
 /// batches (0 = whole trace) and returns the stream report.
-template <typename Shadow = stream::DeterminacyShadow>
+template <typename Shadow = stream::OwnedDeterminacyShadow>
 stream::StreamReport replay(const std::vector<Event>& events,
-                            std::size_t batch_size = 0,
-                            std::uint32_t shards = 16) {
-  stream::Service<stream::StreamingSpOrder, Shadow> svc({shards});
+                            std::size_t batch_size = 0) {
+  stream::Service<stream::StreamingSpOrder, Shadow> svc;
   const StreamId s = svc.open_stream();
   for (const Batch& b : make_batches(events, s, batch_size))
     EXPECT_EQ(svc.submit(b).error, IngestError::kOk);
@@ -74,7 +75,7 @@ TEST(StreamService, CorpusVerdictsMatchInProcessDetector) {
 
     spr::order::SpOrder a2(prog.tree);
     const auto lock_in_process = spr::race::detect_lock_races(prog.tree, a2);
-    const auto lock_streamed = replay<stream::AllSetsShadow>(events);
+    const auto lock_streamed = replay<stream::OwnedAllSetsShadow>(events);
     EXPECT_EQ(lock_streamed.races.race_count, lock_in_process.race_count)
         << prog.name;
     EXPECT_EQ(lock_streamed.races.queries, lock_in_process.queries)
@@ -101,7 +102,7 @@ TEST(StreamService, SerialReferenceModeRecordsTheSameTrace) {
   EXPECT_EQ(replay(recorded).races.race_count, res.race_count);
 }
 
-TEST(StreamService, BatchBoundaryAndShardCountInvariance) {
+TEST(StreamService, BatchBoundaryInvariance) {
   for (const char* which : {"clean", "racy", "random"}) {
     const ParseTree t = [&]() -> ParseTree {
       if (std::string(which) == "clean")
@@ -117,100 +118,62 @@ TEST(StreamService, BatchBoundaryAndShardCountInvariance) {
     const auto ref = replay(events);
     for (std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{64},
                               std::size_t{0}}) {
-      for (std::uint32_t shards : {1u, 4u, 16u}) {
-        const auto got = replay(events, batch, shards);
-        EXPECT_EQ(got.races.race_count, ref.races.race_count)
-            << which << " batch=" << batch << " shards=" << shards;
-        EXPECT_EQ(got.races.queries, ref.races.queries)
-            << which << " batch=" << batch << " shards=" << shards;
-        EXPECT_EQ(got.events, ref.events) << which << " batch=" << batch;
-      }
+      const auto got = replay(events, batch);
+      EXPECT_EQ(got.races.race_count, ref.races.race_count)
+          << which << " batch=" << batch;
+      EXPECT_EQ(got.races.queries, ref.races.queries)
+          << which << " batch=" << batch;
+      EXPECT_EQ(got.events, ref.events) << which << " batch=" << batch;
     }
   }
 }
 
-// apply_batch must be per-access apply in disguise: grouping a batch by
-// shard may reorder accesses ACROSS locations but never within one, so
-// every cell sees the same access sequence and issues the same queries.
-// Random programs with their accesses squeezed onto a few locations
-// (heavy reuse, mixed reads/writes and locksets) make each batch
-// interleave one location's accesses with other shards'.
-constexpr std::uint64_t kReusedLocs[] = {3, 17, 42, 99, 1000, 4096};
-
-template <typename Shadow>
-void expect_batched_equals_per_access(std::uint64_t seed) {
-  spr::util::Xoshiro256 rng(seed);
-  std::vector<Event> events;
-  for (const Event& e : record_events(spr::fj::lower_to_parse_tree(
-           spr::fj::make_random_program(seed, 80)))) {
-    events.push_back(e);
-    if (e.kind != EventKind::kThreadBegin) continue;
-    for (std::uint64_t k = 1 + rng.next_below(5); k > 0; --k)
-      events.push_back(stream::access_event(
-          kReusedLocs[rng.next_below(std::size(kReusedLocs))],
-          rng.next_below(3) == 0, rng.next_below(4)));
+// Accesses apply while their thread executes, so SP-bags, which answers
+// only for the current thread, is as good a stream engine as SP-order.
+TEST(StreamService, SpBagsEngineMatchesSpOrderOverCorpus) {
+  for (const auto& prog : spr::testutil::corpus()) {
+    const std::vector<Event> events = record_events(prog.tree);
+    stream::Service<spr::bags::SpBags> bags;
+    const StreamId s = bags.open_stream(prog.tree);
+    for (const Batch& b : make_batches(events, s, 7))
+      ASSERT_EQ(bags.submit(b).error, IngestError::kOk) << prog.name;
+    ASSERT_EQ(bags.finish(s).error, IngestError::kOk) << prog.name;
+    const auto got = bags.report(s);
+    const auto ref = replay(events, 7);
+    EXPECT_EQ(got.races.race_count, ref.races.race_count) << prog.name;
+    EXPECT_EQ(got.races.queries, ref.races.queries) << prog.name;
   }
-
-  // Reference: per-access apply on one shard, SP fed as events arrive.
-  Shadow one(1);
-  spr::order::StreamingSpOrder sp_ref;
-  spr::race::RaceReport ref;
-  const auto ref_serial = spr::race::counted_serial(
-      [&](spr::tree::ThreadId u, spr::tree::ThreadId v) {
-        return sp_ref.precedes(u, v);
-      },
-      ref.queries);
-  spr::tree::ThreadId cur = spr::tree::kNoThread;
-  for (const Event& e : events) {
-    stream::feed_sp(sp_ref, e);
-    if (e.kind == EventKind::kThreadBegin) cur = e.thread;
-    if (e.kind == EventKind::kAccess)
-      one.apply(0, {e.loc, e.write, e.locks}, cur, ref_serial, ref.race_count);
-  }
-
-  // Batched: 16 shards, SP fed for a whole batch before its accesses.
-  Shadow many(16);
-  spr::order::StreamingSpOrder sp;
-  spr::race::RaceReport got;
-  const auto serial = spr::race::counted_serial(
-      [&](spr::tree::ThreadId u, spr::tree::ThreadId v) {
-        return sp.precedes(u, v);
-      },
-      got.queries);
-  stream::AccessBatch batch;
-  bool interleaved = false;
-  cur = spr::tree::kNoThread;
-  for (const Batch& b : make_batches(events, 0, 16 + rng.next_below(81))) {
-    batch.clear();
-    for (const Event& e : b.events) {
-      stream::feed_sp(sp, e);
-      if (e.kind == EventKind::kThreadBegin) cur = e.thread;
-      if (e.kind == EventKind::kAccess)
-        batch.push({e.loc, e.write, e.locks}, cur);
-    }
-    const auto& it = batch.items;
-    for (std::size_t i = 2; i < it.size() && !interleaved; ++i)
-      interleaved = it[i].access.loc == it[i - 2].access.loc &&
-                    many.shard_of(it[i - 1].access.loc) !=
-                        many.shard_of(it[i].access.loc);
-    many.apply_batch(0, batch, serial, got.race_count);
-  }
-  EXPECT_TRUE(interleaved) << "seed " << seed << " never reordered a batch";
-  EXPECT_GT(ref.race_count, 0u) << "seed " << seed;
-  EXPECT_EQ(got.race_count, ref.race_count) << "seed " << seed;
-  EXPECT_EQ(got.queries, ref.queries) << "seed " << seed;
 }
 
-TEST(StreamService, BatchedApplyMatchesPerAccessApply) {
-  std::uint32_t shards_hit = 0;
-  const stream::DeterminacyShadow probe(16);
-  for (const std::uint64_t loc : kReusedLocs)
-    shards_hit |= 1u << probe.shard_of(loc);
-  ASSERT_GT(std::popcount(shards_hit), 2) << "locations must span shards";
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    expect_batched_equals_per_access<stream::DeterminacyShadow>(seed);
-    expect_batched_equals_per_access<stream::AllSetsShadow>(seed);
+// finish() frees the stream's SP engine and shadow: the service shrinks,
+// and open/submit/finish churn grows it by the fixed-size record each
+// finished stream keeps, and no more.
+TEST(StreamService, FinishFreesStreamState) {
+  const std::vector<Event> events = record_events(
+      spr::fj::lower_to_parse_tree(spr::fj::make_dnc_fill(64, 4, true)));
+  stream::IngestService svc;
+  const auto run = [&svc, &events] {
+    const StreamId s = svc.open_stream();
+    for (const Batch& b : make_batches(events, s, 64))
+      EXPECT_EQ(svc.submit(b).error, IngestError::kOk);
+    return s;
+  };
+  const StreamId first = run();
+  const std::size_t open = svc.memory_bytes();
+  ASSERT_EQ(svc.finish(first).error, IngestError::kOk);
+  const std::size_t finished = svc.memory_bytes();
+  EXPECT_LT(finished, open);
+
+  constexpr std::size_t kCycles = 2000;
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    const StreamId s = run();
+    ASSERT_EQ(svc.finish(s).error, IngestError::kOk);
+    ASSERT_EQ(svc.report(s).races.race_count,
+              svc.report(first).races.race_count);
   }
+  EXPECT_LE(svc.memory_bytes() - finished,
+            kCycles * stream::IngestService::finished_stream_bytes());
+  EXPECT_TRUE(svc.report(first).races.has_race());
 }
 
 // Within one shard, home slots must still spread over the whole table:
@@ -463,7 +426,7 @@ TEST(StreamService, ConcurrentStreamsMatchSerialReplays) {
     expected.push_back(replay(traces.back()));
   }
   for (int round = 0; round < 8; ++round) {
-    stream::IngestService svc({4});
+    stream::IngestService svc;
     std::vector<StreamId> sids;
     for (std::size_t i = 0; i < trees.size(); ++i)
       sids.push_back(svc.open_stream());
