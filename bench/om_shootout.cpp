@@ -1,19 +1,20 @@
-// OM backend shootout: the three om::Backend implementations (mutex-serial
-// oracle, two-level paper structure, fork-path) under identical workloads
-// at 1, 2 and 4 threads. Three measured phases per (backend, P) cell:
+// OM backend shootout: the two om::Backend implementations (mutex-serial
+// oracle, two-level paper structure) under identical workloads at 1, 2
+// and 4 threads. Three measured phases per (backend, P) cell:
 //   insert  P writer threads, each growing its own region by inserting
-//           after a random item it already owns (disjoint pivots — the
-//           concurrent contract every backend supports); total insert
-//           count is fixed across P so cells are comparable.
+//           after a random item it already owns (disjoint pivots, the
+//           steal protocol's pattern); total insert count is fixed
+//           across P so cells are comparable.
 //   query   P reader threads issuing random-pair precedes() over the
 //           built list at quiescence.
 //   mixed   1 writer keeps inserting while P-1 readers hammer precedes()
 //           on a pre-built snapshot — the on-the-fly regime the race
 //           detectors live in.
 // Every cell is guarded by an (untimed) postcondition sweep — each
-// thread's items must sit strictly between its boundary pivots — so a
-// throughput number from a corrupted order is impossible. Emits
-// machine-readable `#METRIC {...}` lines for scripts/bench.sh.
+// thread's items must sit strictly between its boundary pivots — that
+// abort()s on a violation, so a throughput number from a corrupted order
+// is impossible and CI runs the binary once as a 4-thread order check.
+// Emits machine-readable `#METRIC {...}` lines for scripts/bench.sh.
 //
 // Hardware honesty: on a 1-core container every P > 1 row is
 // oversubscribed — per-thread rates drop and the interesting columns are
@@ -29,7 +30,6 @@
 
 #include "om/backend.hpp"
 #include "om/concurrent_om.hpp"
-#include "om/forkpath_om.hpp"
 #include "om/two_level_om.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -214,13 +214,11 @@ int main() {
   for (const unsigned threads : {1u, 2u, 4u}) {
     run_backend<spr::om::ConcurrentOrderList>(threads, table);
     run_backend<spr::om::TwoLevelOm>(threads, table);
-    run_backend<spr::om::ForkPathOm>(threads, table);
   }
   table.print(std::cout);
   std::cout << "\n(checksum " << g_checksum
-            << ")\nShape check: fork-path never takes a lock (lock_waits "
-               "== 0 by construction);\ntwo-level insert waits stay near "
-               "zero once groups spread the writers out;\nthe mutex-serial "
-               "oracle serializes every insert behind one lock.\n";
+            << ")\nShape check: two-level insert waits stay near zero once "
+               "groups spread the writers out;\nthe mutex-serial oracle "
+               "serializes every insert behind one lock.\n";
   return 0;
 }

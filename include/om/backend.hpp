@@ -9,26 +9,21 @@
 // A backend maintains one total order of opaque Items and provides:
 //  - base():          sentinel Item preceding everything ever inserted;
 //  - insert_after(x): a new Item immediately after x. Thread safety
-//    contract: concurrent insert_after calls on DISTINCT pivots must be
-//    safe; same-pivot concurrency is backend-defined (ForkPathOm
-//    linearizes it, the locked backends serialize it);
+//    contract: concurrent insert_after calls are safe on any pivots,
+//    including the same one (both models serialize same-pivot inserts
+//    behind a lock, so the later one lands between x and the earlier);
 //  - precedes(a, b):  lock-free total-order query, linearizable against
 //    concurrent inserts;
-//  - label(a):        a totally ordered snapshot of a's current position.
-//    Labels are DIAGNOSTIC: comparing two Labels is only meaningful when
-//    no insert is concurrently reordering the items they were taken from
-//    (precedes() is the linearizable query);
 //  - counters: size(), memory_bytes(), lock_waits() (contended lock
 //    acquisitions on the insert path — the shootout's headline metric),
 //    query_retries() (failed lock-free query attempts).
 //
-// The three models shipped here:
+// The two models shipped here:
 //  - ConcurrentOrderList (om/concurrent_om.hpp): mutex-serial inserts,
-//    O(n) full relabels, seqlock queries — the oracle;
+//    O(n) full relabels, seqlock queries — the engine default and the
+//    oracle;
 //  - TwoLevelOm (om/two_level_om.hpp): the paper's Section 4 two-level
-//    structure with per-group spinlocks and localized relabeling;
-//  - ForkPathOm (om/forkpath_om.hpp): DePa-style fork-path labels,
-//    coordination-free inserts (no locks at all).
+//    structure with per-group spinlocks and localized relabeling.
 
 #include <concepts>
 #include <cstddef>
@@ -38,15 +33,12 @@ namespace spr::om {
 
 template <typename B>
 concept Backend =
-    std::totally_ordered<typename B::Label> &&
     requires(B& b, const B& cb, typename B::Item* it,
              const typename B::Item* ca, const typename B::Item* cbi) {
       typename B::Item;
-      typename B::Label;
       { b.base() } -> std::convertible_to<typename B::Item*>;
       { b.insert_after(it) } -> std::same_as<typename B::Item*>;
       { cb.precedes(ca, cbi) } -> std::same_as<bool>;
-      { cb.label(ca) } -> std::same_as<typename B::Label>;
       { cb.size() } -> std::convertible_to<std::size_t>;
       { cb.memory_bytes() } -> std::convertible_to<std::size_t>;
       { cb.lock_waits() } -> std::convertible_to<std::uint64_t>;

@@ -11,9 +11,8 @@
 // This is the ORACLE backend of the om::Backend shootout: correct but
 // simple — linearizable, lock-free reads, O(lg n) amortized insert with
 // O(n) full relabels, every insert serialized on one mutex. The scalable
-// implementations live in om/two_level_om.hpp (the paper's two-level
-// structure, finely locked per group) and om/forkpath_om.hpp (DePa-style
-// coordination-free fork-path labels).
+// implementation is om/two_level_om.hpp (the paper's two-level
+// structure, finely locked per group).
 
 #include <atomic>
 #include <cstddef>
@@ -28,7 +27,6 @@ namespace spr::om {
 class ConcurrentOrderList {
  public:
   static constexpr const char* kName = "mutex-serial";
-  using Label = std::uint64_t;
 
   // The seqlock's data loads. precedes() relies on these being ACQUIRE:
   // reading a label written inside a relabel epoch synchronizes with the
@@ -117,10 +115,6 @@ class ConcurrentOrderList {
       retries_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-
-  /// Diagnostic position snapshot (see om/backend.hpp: only comparable
-  /// while no relabel is concurrently rewriting these items).
-  Label label(const Item* it) const { return it->label.load(kLabelRead); }
 
   std::size_t size() const { return size_.load(std::memory_order_relaxed); }
   std::uint64_t query_retries() const {

@@ -31,7 +31,6 @@
 // drops to 4 so the checker reaches the split path in small episodes.
 
 #include <atomic>
-#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -64,13 +63,6 @@ class TwoLevelOm {
     Item* head = nullptr;   ///< guarded by this group's spinlock
     Item* tail = nullptr;
     std::size_t count = 0;
-  };
-
-  /// (top label, local label) snapshot, ordered lexicographically.
-  struct Label {
-    std::uint64_t top = 0;
-    std::uint64_t local = 0;
-    friend auto operator<=>(const Label&, const Label&) = default;
   };
 
   TwoLevelOm() {
@@ -157,13 +149,6 @@ class TwoLevelOm {
       }
       retries_.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-
-  /// Diagnostic position snapshot (see om/backend.hpp).
-  Label label(const Item* it) const {
-    Group* g = it->group.load(std::memory_order_acquire);
-    return Label{g->label.load(std::memory_order_acquire),
-                 it->label.load(std::memory_order_acquire)};
   }
 
   std::size_t size() const { return size_.load(std::memory_order_relaxed); }

@@ -19,9 +19,7 @@
 // paths still run on tiny CI hosts).
 
 #include <cstdint>
-#include <vector>
 
-#include "fjprog/record.hpp"
 #include "race/shadow_protocol.hpp"
 #include "race/stream/shadow_shards.hpp"
 #include "sphybrid/worker.hpp"
@@ -98,10 +96,6 @@ inline ExecResult run_parallel(const tree::ParseTree& t,
     serial_walk(t, driver);
     r.elapsed_s = sw.elapsed_s();
     driver.finish();
-    if (o.record_events != nullptr) {
-      const std::vector<race::stream::Event> ev = fj::record_events(t);
-      o.record_events->insert(o.record_events->end(), ev.begin(), ev.end());
-    }
     r.workers_used = 1;  // the oracle always runs on the calling thread
     r.traces = 1;
     util::do_not_optimize(r.checksum);

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "race/shadow_protocol.hpp"
-#include "race/stream/event.hpp"
 #include "race/stream/shadow_shards.hpp"
 #include "spbags/dsu.hpp"
 #include "sphybrid/deque.hpp"
@@ -61,10 +60,6 @@ struct ExecOptions {
   bool detect_races = false;
   bags::AtomicDisjointSets::Mode dsu_mode =
       bags::AtomicDisjointSets::Mode::kRankOnly;
-  /// kSerialReference only: when non-null, the run is also serialized
-  /// into the streaming service's event vocabulary (fjprog/record.hpp),
-  /// ready to replay through race::stream::Service at any batch size.
-  std::vector<race::stream::Event>* record_events = nullptr;
 };
 
 struct ExecResult {

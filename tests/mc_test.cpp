@@ -19,7 +19,6 @@
 
 #include "mc/checker.hpp"
 #include "mc_shard_lock_episode.hpp"
-#include "om/forkpath_om.hpp"
 #include "om/two_level_om.hpp"
 #include "race/stream/service.hpp"
 #include "spbags/dsu.hpp"
@@ -30,7 +29,6 @@ namespace mc = spr::mc;
 using spr::bags::AtomicDisjointSets;
 using spr::hybrid::ChaseLevDeque;
 using spr::hybrid::SegmentList;
-using spr::om::ForkPathOm;
 using spr::om::TwoLevelOm;
 
 namespace {
@@ -361,44 +359,7 @@ TEST(McSuite, TwoLevelSplitVsReader) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 8: ForkPathOm same-pivot insert_after race — the CAS loop's
-// linearization point. Both threads fork the SAME path; the loser must
-// re-fork below the winner. Oracle: both land strictly between the
-// pivot and its old successor, mutually ordered one way, while a
-// concurrent reader sees only schedule-independent truths.
-
-TEST(McSuite, ForkPathSamePivotCasRace) {
-  mc::Options o = base_options();
-  o.max_dfs_schedules = 3000;
-  const mc::Stats st = mc::explore(o, [&](mc::Run& r) {
-    ForkPathOm om;
-    ForkPathOm::Item* base = om.base();
-    ForkPathOm::Item* pivot = om.insert_after(base);
-    ForkPathOm::Item* succ = om.insert_after(pivot);
-    ForkPathOm::Item* a = nullptr;
-    ForkPathOm::Item* b = nullptr;
-    r.spawn([&] { a = om.insert_after(pivot); });
-    r.spawn([&] { b = om.insert_after(pivot); });
-    r.spawn([&] {
-      SPR_MC_ASSERT(om.precedes(base, pivot), "base < pivot is invariant");
-      SPR_MC_ASSERT(om.precedes(pivot, succ), "pivot < succ is invariant");
-      SPR_MC_ASSERT(!om.precedes(succ, base), "succ < base is impossible");
-    });
-    r.join_all();
-    SPR_MC_ASSERT(om.precedes(pivot, a) && om.precedes(a, succ),
-                  "a must land inside (pivot, succ)");
-    SPR_MC_ASSERT(om.precedes(pivot, b) && om.precedes(b, succ),
-                  "b must land inside (pivot, succ)");
-    SPR_MC_ASSERT(om.precedes(a, b) != om.precedes(b, a),
-                  "same-pivot winners must be mutually ordered");
-    SPR_MC_ASSERT(om.size() == 5, "every insert must be counted once");
-  });
-  ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
-  report("forkpath_same_pivot_cas", st);
-}
-
-// ---------------------------------------------------------------------
-// Scenarios 9 and 10: the streaming service (race/stream/). Each stream
+// Scenarios 8 and 9: the streaming service (race/stream/). Each stream
 // owns its SP engine and shadow, guarded by the stream's spr::mutex; the
 // stream table's spr::mutex is the only state streams share.
 
@@ -427,7 +388,7 @@ bool exactly(const spr::race::RaceReport& r, std::uint64_t races) {
 
 }  // namespace
 
-// Scenario 9: two streams submit and finish concurrently, one racing on
+// Scenario 8: two streams submit and finish concurrently, one racing on
 // location 0 and the other on locations 0 and 1 — the same location in
 // both, so a stream that saw the other's cells would miscount. Oracle:
 // on every interleaving both batches ingest and each stream reports
@@ -465,7 +426,7 @@ TEST(McSuite, StreamsSubmitAndFinishConcurrently) {
   report("streams_submit_and_finish", st);
 }
 
-// Scenario 10: finish() frees a stream's shadow and SP engine while a
+// Scenario 9: finish() frees a stream's shadow and SP engine while a
 // second thread reads the stream through memory_bytes() and report().
 // Oracle: the reader sees the stream wholly open or wholly finished —
 // memory_bytes() is one of the two sums, and the report carries the
@@ -507,7 +468,7 @@ TEST(McSuite, FinishFreesWhileReaderReads) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 11: the per-access shard path SP-hybrid's workers take. Two
+// Scenario 10: the per-access shard path SP-hybrid's workers take. Two
 // threads call DeterminacyShadow::apply on one cell of a one-shard shadow,
 // so they hand the shard's spin lock back and forth; every failed try is a
 // scheduling point. Oracle (tests/mc_shard_lock_episode.hpp): never two

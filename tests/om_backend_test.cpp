@@ -1,8 +1,8 @@
-// Backend-conformance suite for the om::Backend concept: every backend
-// (mutex-serial oracle, two-level, fork-path) must order items exactly
-// like a sequential mirror under randomized insert positions, survive a
+// Backend-conformance suite for the om::Backend concept: both backends
+// (mutex-serial oracle, two-level) must order items exactly like a
+// sequential mirror under randomized insert positions, survive a
 // multi-threaded disjoint-pivot stress with concurrent readers (the TSan
-// leg's meat), and keep label() consistent with precedes() at quiescence.
+// leg's meat), and linearize concurrent inserts after the same pivot.
 
 #include <gtest/gtest.h>
 
@@ -14,24 +14,21 @@
 
 #include "om/backend.hpp"
 #include "om/concurrent_om.hpp"
-#include "om/forkpath_om.hpp"
 #include "om/two_level_om.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using spr::om::ConcurrentOrderList;
-using spr::om::ForkPathOm;
 using spr::om::TwoLevelOm;
 
 static_assert(spr::om::Backend<ConcurrentOrderList>);
 static_assert(spr::om::Backend<TwoLevelOm>);
-static_assert(spr::om::Backend<ForkPathOm>);
 
 template <typename B>
 class OmBackendTest : public ::testing::Test {};
 
-using Backends = ::testing::Types<ConcurrentOrderList, TwoLevelOm, ForkPathOm>;
+using Backends = ::testing::Types<ConcurrentOrderList, TwoLevelOm>;
 TYPED_TEST_SUITE(OmBackendTest, Backends);
 
 // All ordered pairs of `mirror` (list order) must agree with precedes().
@@ -61,8 +58,7 @@ TYPED_TEST(OmBackendTest, RandomizedInsertsMatchSequentialOracle) {
 }
 
 TYPED_TEST(OmBackendTest, AdversarialSameChainInserts) {
-  // Every insert after the same pivot: maximal relabel pressure for the
-  // label-based backends, maximal path depth for fork-path.
+  // Every insert after the same pivot: maximal relabel pressure.
   TypeParam om;
   auto* pivot = om.insert_after(om.base());
   std::vector<typename TypeParam::Item*> items;
@@ -77,22 +73,6 @@ TYPED_TEST(OmBackendTest, AdversarialSameChainInserts) {
     if (i != j) {
       ASSERT_EQ(om.precedes(items[i], items[j]), i > j);
     }
-  }
-}
-
-TYPED_TEST(OmBackendTest, LabelsAgreeWithPrecedesAtQuiescence) {
-  spr::util::Xoshiro256 rng(3);
-  TypeParam om;
-  std::vector<typename TypeParam::Item*> mirror;
-  mirror.push_back(om.base());
-  for (int i = 1; i < 100; ++i) {
-    const std::size_t pos = rng.next_below(mirror.size());
-    mirror.insert(mirror.begin() + static_cast<std::ptrdiff_t>(pos) + 1,
-                  om.insert_after(mirror[pos]));
-  }
-  for (std::size_t i = 0; i + 1 < mirror.size(); ++i) {
-    ASSERT_LT(om.label(mirror[i]), om.label(mirror[i + 1])) << i;
-    ASSERT_EQ(om.label(mirror[i]), om.label(mirror[i]));
   }
 }
 
@@ -162,25 +142,48 @@ TYPED_TEST(OmBackendTest, ConcurrentDisjointInsertsWithReaders) {
     concurrent_stress<TypeParam>(threads, 2000);
 }
 
-TEST(ForkPathOm, SamePivotConcurrentInsertsLinearize) {
-  // Two threads insert after the SAME pivot concurrently: the CAS loop
-  // must leave both strictly after the pivot, mutually ordered, and
-  // strictly before the pivot's old successor.
-  for (int round = 0; round < 50; ++round) {
-    ForkPathOm om;
-    auto* pivot = om.insert_after(om.base());
-    auto* succ = om.insert_after(pivot);
-    ForkPathOm::Item* a = nullptr;
-    ForkPathOm::Item* b = nullptr;
-    std::thread t1([&] { a = om.insert_after(pivot); });
-    std::thread t2([&] { b = om.insert_after(pivot); });
-    t1.join();
-    t2.join();
-    ASSERT_TRUE(om.precedes(pivot, a));
-    ASSERT_TRUE(om.precedes(pivot, b));
-    ASSERT_TRUE(om.precedes(a, succ));
-    ASSERT_TRUE(om.precedes(b, succ));
-    ASSERT_NE(om.precedes(a, b), om.precedes(b, a));
+TYPED_TEST(OmBackendTest, SamePivotConcurrentInsertsLinearize) {
+  // Every thread inserts after the SAME pivot. Each insert lands
+  // immediately after the pivot, so in any linearization every item ends
+  // strictly inside (pivot, succ), the items are totally ordered, and
+  // each thread's own items appear newest first.
+  for (const unsigned threads : {2u, 4u}) {
+    for (int round = 0; round < 50; ++round) {
+      TypeParam om;
+      // 40 items ahead of the pivot put it in the latter half of its
+      // two-level group, so the first split moves it mid-insert.
+      auto* pivot = om.base();
+      for (int i = 0; i <= 40; ++i) pivot = om.insert_after(pivot);
+      auto* succ = om.insert_after(pivot);
+      std::vector<std::vector<typename TypeParam::Item*>> mine(threads);
+      std::atomic<unsigned> ready{0};  // start together so inserts overlap
+      std::vector<std::thread> ws;
+      for (unsigned t = 0; t < threads; ++t)
+        ws.emplace_back([&, t] {
+          ready.fetch_add(1, std::memory_order_acq_rel);
+          while (ready.load(std::memory_order_acquire) < threads)
+            std::this_thread::yield();
+          for (int i = 0; i < 50; ++i)
+            mine[t].push_back(om.insert_after(pivot));
+        });
+      for (auto& w : ws) w.join();
+      ASSERT_EQ(om.size(), 43 + threads * 50u);
+      std::vector<typename TypeParam::Item*> all;
+      for (const auto& chain : mine) {
+        for (std::size_t i = 0; i + 1 < chain.size(); ++i)
+          ASSERT_TRUE(om.precedes(chain[i + 1], chain[i]));
+        all.insert(all.end(), chain.begin(), chain.end());
+      }
+      for (const auto* a : all) {
+        ASSERT_TRUE(om.precedes(pivot, a));
+        ASSERT_TRUE(om.precedes(a, succ));
+        for (const auto* b : all) {
+          if (a != b) {
+            ASSERT_NE(om.precedes(a, b), om.precedes(b, a));
+          }
+        }
+      }
+    }
   }
 }
 
@@ -194,18 +197,6 @@ TEST(TwoLevelOm, SplitsKeepCountersHonest) {
   // Chain appends land in an existing gap or split locally — the
   // single-threaded run must never contend a lock.
   EXPECT_EQ(om.lock_waits(), 0u);
-}
-
-TEST(ChainInsertScaling, ForkPathPathsDeepenMutexRelabels) {
-  // Document the backends' contrasting adversarial behavior: under a
-  // same-pivot storm the mutex backend relabels globally (query cost
-  // stays O(1)), while fork-path queries walk ever-longer paths.
-  ForkPathOm fp;
-  auto* pivot = fp.insert_after(fp.base());
-  for (int i = 0; i < 1000; ++i) (void)fp.insert_after(pivot);
-  // 1001 forks of the same pivot: path depth ~1001 bits, ~16 chunks.
-  EXPECT_TRUE(fp.precedes(fp.base(), pivot));
-  EXPECT_GT(fp.memory_bytes(), 1000 * sizeof(ForkPathOm::Chunk));
 }
 
 }  // namespace

@@ -83,23 +83,17 @@ TEST(StreamService, CorpusVerdictsMatchInProcessDetector) {
   }
 }
 
-TEST(StreamService, SerialReferenceModeRecordsTheSameTrace) {
-  const ParseTree t =
-      spr::fj::lower_to_parse_tree(spr::fj::make_reduce_sum(64, 4));
-  std::vector<Event> recorded;
+TEST(StreamService, RecordedTraceReplaysToSerialReferenceVerdict) {
+  const ParseTree t = spr::fj::lower_to_parse_tree(
+      spr::fj::make_reduce_sum(64, 4, /*inject_race=*/true));
   spr::hybrid::ExecOptions o;
   o.mode = spr::hybrid::Mode::kSerialReference;
   o.detect_races = true;
-  o.record_events = &recorded;
   const auto res = spr::hybrid::run_parallel(t, o);
-  const std::vector<Event> direct = record_events(t);
-  ASSERT_EQ(recorded.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(recorded[i].kind, direct[i].kind) << "event " << i;
-    EXPECT_EQ(recorded[i].loc, direct[i].loc) << "event " << i;
-  }
-  // And the recorded trace replays to the executor's own verdict.
-  EXPECT_EQ(replay(recorded).races.race_count, res.race_count);
+  const auto streamed = replay(record_events(t));
+  EXPECT_GT(res.race_count, 0u);
+  EXPECT_EQ(streamed.races.race_count, res.race_count);
+  EXPECT_EQ(streamed.races.queries, res.queries);
 }
 
 TEST(StreamService, BatchBoundaryInvariance) {

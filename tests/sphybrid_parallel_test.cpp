@@ -18,7 +18,6 @@
 
 #include "fjprog/generators.hpp"
 #include "fjprog/lower.hpp"
-#include "om/forkpath_om.hpp"
 #include "om/two_level_om.hpp"
 #include "sp_test_util.hpp"
 #include "sphybrid/executor.hpp"
@@ -140,12 +139,11 @@ TEST(SpHybridParallel, NaivePaysLockedInsertsPerNodeAtAnyWorkerCount) {
 }
 
 // The GlobalOm template parameter end-to-end: the engine instantiated
-// over each alternative om::Backend must reproduce the LCA oracle and
-// the paper's counter identities at every worker count — proof that the
-// backends are genuinely swappable behind the scheduler, not just in
-// isolation.
-template <typename GlobalOm>
-void engine_backend_leg() {
+// over the paper's two-level om::Backend instead of the default
+// ConcurrentOrderList must reproduce the LCA oracle and the paper's
+// counter identities at every worker count — proof that the backends are
+// genuinely swappable behind the scheduler, not just in isolation.
+TEST(SpHybridParallel, TwoLevelBackendMatchesOracle) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const auto t = spr::fj::lower_to_parse_tree(
         spr::fj::make_random_program(seed, 120, 500));
@@ -154,7 +152,7 @@ void engine_backend_leg() {
       ExecOptions o = base_options(seed);
       o.mode = Mode::kHybrid;
       o.workers = workers;
-      BasicWorkStealingEngine<GlobalOm> engine(t, o);
+      BasicWorkStealingEngine<spr::om::TwoLevelOm> engine(t, o);
       const ExecResult r = engine.run();
       EXPECT_EQ(r.om_inserts, 3 * r.splits);
       EXPECT_EQ(r.traces, 4 * r.splits + 1);
@@ -162,21 +160,12 @@ void engine_backend_leg() {
       for (spr::tree::ThreadId u = 0; u < n; ++u) {
         for (spr::tree::ThreadId v = 0; v < n; ++v) {
           ASSERT_EQ(engine.precedes(u, v), oracle.precedes(u, v))
-              << GlobalOm::kName << " seed=" << seed
-              << " workers=" << workers << " precedes(" << u << ", " << v
-              << ")";
+              << "seed=" << seed << " workers=" << workers << " precedes("
+              << u << ", " << v << ")";
         }
       }
     }
   }
-}
-
-TEST(SpHybridParallel, TwoLevelBackendMatchesOracle) {
-  engine_backend_leg<spr::om::TwoLevelOm>();
-}
-
-TEST(SpHybridParallel, ForkPathBackendMatchesOracle) {
-  engine_backend_leg<spr::om::ForkPathOm>();
 }
 
 TEST(SpHybridParallel, DsuModesAgreeUnderParallelExecution) {
