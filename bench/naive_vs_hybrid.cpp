@@ -55,7 +55,7 @@ int main() {
   for (const unsigned workers : {1u, 2u, 4u}) {
     for (const Mode mode : {Mode::kNaive, Mode::kHybrid}) {
       const ExecResult r = run(t, mode, workers);
-      // Both counts are measured by the engine: naive pays 4 locked item
+      // Both counts are measured by the engine: naive pays 2 locked item
       // inserts per internal node, hybrid 3 per trace split.
       const std::uint64_t inserts = r.om_inserts;
       const double per_insert =

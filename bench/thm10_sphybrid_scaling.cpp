@@ -7,13 +7,15 @@
 // insertions only on steals. Every reported quantity is measured from the
 // run (no modeled counters):
 //   steals/splits   from the deques' successful steal CASes,
-//   OM ins          global-tier insertions (3 per trace split),
+//   OM ins          the global tier's size (3 insertions per trace split),
 //   lock wait       time inside locked global sections,
 //   qry retries     failed lock-free seqlock query attempts (bucket B5),
-//   traces          |C| = 4*splits + 1, checked against measured splits.
+//   traces          trace ids the engine minted, checked against Section
+//                   5's bound of 4*steals + 1.
 // Each hybrid run's checksum is cross-checked against the serial
 // reference executor, so a scaling number from a wrong answer is
-// impossible. Emits machine-readable `#METRIC {...}` JSON lines for
+// impossible. Exits non-zero if any cell is marked VIOLATION or
+// MISMATCH. Emits machine-readable `#METRIC {...}` JSON lines for
 // scripts/bench.sh.
 //
 // Hardware honesty: speedup only appears when the host really has >1
@@ -65,7 +67,8 @@ void metric_line(const std::string& bench, const std::string& name,
             << "}\n";
 }
 
-void bench_tree(const std::string& name, const spr::tree::ParseTree& t) {
+/// Prints one tree's table; returns false if any cell failed a check.
+bool bench_tree(const std::string& name, const spr::tree::ParseTree& t) {
   const auto m = spr::tree::compute_metrics(t);
   std::cout << "\n-- " << name << ": n=" << m.threads << ", T1=" << m.work
             << ", Tinf=" << m.span << ", T1/Tinf=" << m.work / m.span
@@ -79,9 +82,10 @@ void bench_tree(const std::string& name, const spr::tree::ParseTree& t) {
 
   spr::util::Table table({"P", "plain T_P", "hybrid T_P", "overhead",
                           "speedup(hybrid)", "steals", "P*Tinf",
-                          "traces(=4s+1)", "OM ins(=3s)", "lock wait",
+                          "traces(<=4s+1)", "OM ins(=3s)", "lock wait",
                           "qry retries", "answers"});
   double hybrid_p1 = 0;
+  bool all_ok = true;
   for (const unsigned workers : {1u, 2u, 4u}) {
     ExecOptions plain;
     plain.workers = workers;
@@ -95,9 +99,10 @@ void bench_tree(const std::string& name, const spr::tree::ParseTree& t) {
     const ExecResult rh = best_of(t, hyb, 3);
     if (workers == 1) hybrid_p1 = rh.elapsed_s;
 
-    const bool traces_ok = rh.traces == 4 * rh.splits + 1;
+    const bool traces_ok = rh.traces <= 4 * rh.steals + 1;
     const bool inserts_ok = rh.om_inserts == 3 * rh.splits;
     const bool checksum_ok = rh.checksum == serial.checksum;
+    all_ok = all_ok && traces_ok && inserts_ok && checksum_ok;
     table.add_row(
         {std::to_string(workers), spr::util::fmt_ns(rp.elapsed_s * 1e9),
          spr::util::fmt_ns(rh.elapsed_s * 1e9),
@@ -113,6 +118,7 @@ void bench_tree(const std::string& name, const spr::tree::ParseTree& t) {
     metric_line("thm10", name, workers, rh, checksum_ok);
   }
   table.print(std::cout);
+  return all_ok;
 }
 
 }  // namespace
@@ -127,15 +133,21 @@ int main() {
             << (hw <= 1 ? "  [1-core host: P>1 rows are oversubscribed; "
                           "no speedup is physically possible]\n"
                         : "\n");
-  bench_tree("fib(24), 64 work/thread", spr::fj::lower_to_parse_tree(
-                                            spr::fj::make_fib(24, 64)));
-  bench_tree("balanced(15), 128 work/thread",
-             spr::fj::lower_to_parse_tree(spr::fj::make_balanced(15, 128)));
+  bool ok = bench_tree("fib(24), 64 work/thread",
+                       spr::fj::lower_to_parse_tree(spr::fj::make_fib(24, 64)));
+  ok = bench_tree("balanced(15), 128 work/thread",
+                  spr::fj::lower_to_parse_tree(
+                      spr::fj::make_balanced(15, 128))) &&
+       ok;
   std::cout
       << "\nShape check (paper): hybrid overhead vs plain is a modest "
          "constant factor at\nfixed P (the lg n factor); measured steals "
          "stay well below the O(P*Tinf)\nbound and global OM inserts are "
          "exactly 3 per split; hybrid speeds up with P\non ample "
          "parallelism (T1/Tinf >> P) when the host has that many cores.\n";
+  if (!ok) {
+    std::cerr << "thm10: a cell failed its check (VIOLATION or MISMATCH)\n";
+    return 1;
+  }
   return 0;
 }

@@ -92,7 +92,6 @@ class ConcurrentOrderList {
       link_after(x, item);
     }
     size_.fetch_add(1, std::memory_order_relaxed);
-    inserts_.fetch_add(1, std::memory_order_relaxed);
     return item;
   }
 
@@ -165,8 +164,7 @@ class ConcurrentOrderList {
   Item* base_ = nullptr;
   Item* head_ = nullptr;
   Item* tail_ = nullptr;
-  spr::atomic<std::size_t> size_{0};    ///< read concurrently with inserts
-  spr::atomic<std::uint64_t> inserts_{0};
+  spr::atomic<std::size_t> size_{0};  ///< read concurrently with inserts
 };
 
 static_assert(Backend<ConcurrentOrderList>);

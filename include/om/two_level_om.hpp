@@ -119,7 +119,6 @@ class TwoLevelOm {
         it->label.store(lo + (hi - lo) / 2, std::memory_order_release);
       }
       size_.fetch_add(1, std::memory_order_relaxed);
-      inserts_.fetch_add(1, std::memory_order_relaxed);
       g->lock.clear(std::memory_order_release);
       return it;
     }
@@ -335,7 +334,6 @@ class TwoLevelOm {
   spr::atomic<std::uint64_t> topver_{0};
   mutable spr::atomic<std::uint64_t> retries_{0};
   spr::atomic<std::uint64_t> lock_waits_{0};
-  spr::atomic<std::uint64_t> inserts_{0};
   spr::atomic<std::uint64_t> splits_{0};
   spr::atomic<std::uint64_t> local_relabels_{0};
   spr::atomic<std::uint64_t> top_relabels_{0};

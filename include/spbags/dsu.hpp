@@ -1,20 +1,22 @@
 #pragma once
 // Disjoint-set structures for SP-bags and the SP-hybrid local tier.
 //
-// DisjointSets: classic serial union-find with union by rank and optional
-// path compression (the Section 7 ablation toggles compression to measure
-// the alpha-vs-lg-n gap). Instrumented with find/step counters.
+// DisjointSets: serial union-find with union by rank and path
+// compression, the Theta(alpha) structure of Figure 3's SP-bags row. Its
+// users are serial SP-bags and compact SP-order. Instrumented with
+// find/step counters.
 //
-// AtomicDisjointSets: the concurrency-safe variant the paper's Section 7
-// conjecture contemplates for the SP-hybrid local tier — rank-only unions
-// (writer-side serialized by the owning worker) with either plain reads
-// (kRankOnly) or CAS path halving on finds (kCasHalving, Anderson-Woll),
-// which is safe under concurrent finds because halving only ever swings a
-// parent pointer upward along its own path.
+// AtomicDisjointSets: the SP-hybrid local tier's union-find, union by
+// rank only (Theorem 10's analysis). Unions are serialized by the owning
+// worker and publish parent links with release stores; finds are
+// read-only acquire walks, so they are safe against a concurrent unite:
+// a find that reads a stale link still climbs through ancestors of its
+// start and ends at a root the union later hangs below the merged root.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/atomics.hpp"
@@ -23,16 +25,8 @@ namespace spr::bags {
 
 class DisjointSets {
  public:
-  explicit DisjointSets(std::uint32_t n, bool path_compression = true)
-      : compress_(path_compression), parent_(n), rank_(n, 0) {
+  explicit DisjointSets(std::uint32_t n) : parent_(n), rank_(n, 0) {
     for (std::uint32_t i = 0; i < n; ++i) parent_[i] = i;
-  }
-
-  std::uint32_t make_set() {
-    const auto id = static_cast<std::uint32_t>(parent_.size());
-    parent_.push_back(id);
-    rank_.push_back(0);
-    return id;
   }
 
   std::uint32_t find(std::uint32_t x) {
@@ -42,12 +36,10 @@ class DisjointSets {
       root = parent_[root];
       ++find_steps_;
     }
-    if (compress_) {
-      while (parent_[x] != root) {
-        const std::uint32_t next = parent_[x];
-        parent_[x] = root;
-        x = next;
-      }
+    while (parent_[x] != root) {
+      const std::uint32_t next = parent_[x];
+      parent_[x] = root;
+      x = next;
     }
     return root;
   }
@@ -63,14 +55,8 @@ class DisjointSets {
     return ra;
   }
 
-  bool same(std::uint32_t a, std::uint32_t b) { return find(a) == find(b); }
-
-  std::uint32_t size() const {
-    return static_cast<std::uint32_t>(parent_.size());
-  }
   std::uint64_t finds() const { return finds_; }
   std::uint64_t find_steps() const { return find_steps_; }
-  bool compression_enabled() const { return compress_; }
 
   std::size_t memory_bytes() const {
     return sizeof(*this) + parent_.capacity() * sizeof(std::uint32_t) +
@@ -78,7 +64,6 @@ class DisjointSets {
   }
 
  private:
-  bool compress_;
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint8_t> rank_;
   std::uint64_t finds_ = 0;
@@ -87,32 +72,16 @@ class DisjointSets {
 
 class AtomicDisjointSets {
  public:
-  enum class Mode : std::uint8_t {
-    kRankOnly,    ///< shipped algorithm: union by rank, plain finds
-    kCasHalving,  ///< Section 7 conjecture: CAS path halving on finds
-  };
-
-  explicit AtomicDisjointSets(std::uint32_t n, Mode mode = Mode::kRankOnly)
-      : mode_(mode), parent_(n), rank_(n, 0) {
+  explicit AtomicDisjointSets(std::uint32_t n) : parent_(n), rank_(n, 0) {
     for (std::uint32_t i = 0; i < n; ++i)
       parent_[i].store(i, std::memory_order_relaxed);
   }
 
-  std::uint32_t find(std::uint32_t x) {
-    finds_.fetch_add(1, std::memory_order_relaxed);
+  std::uint32_t find(std::uint32_t x) const {
     for (;;) {
-      std::uint32_t p = parent_[x].load(std::memory_order_acquire);
+      const std::uint32_t p = parent_[x].load(std::memory_order_acquire);
       if (p == x) return x;
-      const std::uint32_t gp = parent_[p].load(std::memory_order_acquire);
-      if (gp == p) return p;
-      find_steps_.fetch_add(1, std::memory_order_relaxed);
-      if (mode_ == Mode::kCasHalving) {
-        // Swing x's parent up to its grandparent; losing the CAS is fine,
-        // someone else moved it at least as high.
-        parent_[x].compare_exchange_weak(p, gp, std::memory_order_acq_rel,
-                                         std::memory_order_acquire);
-      }
-      x = gp;
+      x = p;
     }
   }
 
@@ -128,30 +97,10 @@ class AtomicDisjointSets {
     return ra;
   }
 
-  std::uint32_t size() const {
-    return static_cast<std::uint32_t>(parent_.size());
-  }
-  Mode mode() const { return mode_; }
-  std::uint64_t finds() const {
-    return finds_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t find_steps() const {
-    return find_steps_.load(std::memory_order_relaxed);
-  }
-
-  std::size_t memory_bytes() const {
-    return sizeof(*this) +
-           parent_.size() * sizeof(spr::atomic<std::uint32_t>) +
-           rank_.capacity() * sizeof(std::uint8_t);
-  }
-
  private:
-  Mode mode_;
   std::vector<spr::atomic<std::uint32_t>> parent_;
   std::vector<std::uint8_t> rank_;  ///< rank_[r] touched only while r is a
                                     ///< root owned by one completion chain
-  spr::atomic<std::uint64_t> finds_{0};       ///< instrumentation only
-  spr::atomic<std::uint64_t> find_steps_{0};  ///< instrumentation only
 };
 
 }  // namespace spr::bags

@@ -28,9 +28,8 @@ namespace spr::bags {
 
 class SpBags : public tree::SpMaintenance {
  public:
-  explicit SpBags(const tree::ParseTree& t, bool path_compression = true)
-      : dsu_(t.leaf_count(), path_compression),
-        serial_flag_(t.leaf_count(), 0) {}
+  explicit SpBags(const tree::ParseTree& t)
+      : dsu_(t.leaf_count()), serial_flag_(t.leaf_count(), 0) {}
 
   void on_fork(bool series) override { forks_.push_back({series, 0}); }
 

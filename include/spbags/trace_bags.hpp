@@ -1,9 +1,9 @@
 #pragma once
 // Trace-local SP-bags: the fast tier of SP-hybrid (Section 6). One shared
-// union-find instance (AtomicDisjointSets) spans all workers; every walk
-// event is executed by exactly one worker, and the scheduler's join
-// protocol (acq_rel on the join counter) orders the cross-worker hand-off
-// of subtree set roots.
+// union-find instance (AtomicDisjointSets: union by rank, read-only
+// acquire finds) spans all workers; every walk event is executed by
+// exactly one worker, and the scheduler's join protocol (acq_rel on the
+// join counter) orders the cross-worker hand-off of subtree set roots.
 //
 // The S/P flag of a completed set's root means "relative to the walk
 // position of the trace that wrote it". That makes the tier sound ONLY
@@ -19,7 +19,6 @@
 // (sphybrid/two_tier_sp.hpp).
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,10 +31,8 @@ inline constexpr std::uint32_t kNoTrace = ~std::uint32_t{0};
 
 class TraceBags {
  public:
-  TraceBags(std::uint32_t leaf_count, AtomicDisjointSets::Mode mode)
-      : dsu_(leaf_count, mode),
-        sflag_(leaf_count),
-        trace_(leaf_count) {
+  explicit TraceBags(std::uint32_t leaf_count)
+      : dsu_(leaf_count), sflag_(leaf_count), trace_(leaf_count) {
     for (auto& f : sflag_) f.store(0, std::memory_order_relaxed);
     for (auto& t : trace_) t.store(kNoTrace, std::memory_order_relaxed);
   }
@@ -72,14 +69,6 @@ class TraceBags {
     return sflag_[dsu_.find(u)].load(std::memory_order_relaxed) != 0
                ? Answer::kSerial
                : Answer::kParallel;
-  }
-
-  const AtomicDisjointSets& dsu() const { return dsu_; }
-
-  std::size_t memory_bytes() const {
-    return sizeof(*this) + dsu_.memory_bytes() +
-           sflag_.size() * sizeof(std::atomic<std::uint8_t>) +
-           trace_.size() * sizeof(std::atomic<std::uint32_t>);
   }
 
  private:

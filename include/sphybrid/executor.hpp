@@ -11,12 +11,12 @@
 //     engine, so a correct parallel run reproduces its checksum exactly at
 //     any worker count.
 //
-// Counters are measured (steals, splits, om_inserts, lock_wait_ns); the
-// `traces` field reports Section 5's |C| = 4*splits + 1 accounting, which
-// the tests assert as an expected-value identity against the measured
-// split count. `workers` is validated: 0 throws std::invalid_argument,
-// larger requests clamp to hardware_concurrency (floor 4, so concurrent
-// paths still run on tiny CI hosts).
+// Counters are measured (steals, splits, traces, om_inserts,
+// lock_wait_ns); the tests assert Section 5's bound traces <= 4*steals + 1
+// and 3 global OM insertions per split against them. `workers` is
+// validated: 0 throws std::invalid_argument, larger requests clamp to
+// hardware_concurrency (floor 4, so concurrent paths still run on tiny CI
+// hosts).
 
 #include <cstdint>
 

@@ -113,11 +113,9 @@ class BasicSegmentList {
       link_after_locked(s, x, item);
       if (hi - lo < 2) {
         relabel_locked(s);
-        relabels_.fetch_add(1, std::memory_order_relaxed);
       } else {
         item->label.store(lo + (hi - lo) / 2, std::memory_order_release);
       }
-      inserts_.fetch_add(1, std::memory_order_relaxed);
       s->release();
       return item;
     }
@@ -137,7 +135,6 @@ class BasicSegmentList {
     // pointer is republished below, the owner's insert_after may target
     // dst, and it must block until the suffix is fully linked/relabeled.
     dst->acquire();
-    global_inserts_.fetch_add(1, std::memory_order_relaxed);
     // Detach the suffix.
     Item* pred = first->prev;
     if (pred != nullptr) pred->next = nullptr;
@@ -199,25 +196,12 @@ class BasicSegmentList {
     }
   }
 
-  std::uint64_t global_inserts() const {
-    return global_inserts_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t local_inserts() const {
-    return inserts_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t relabels() const {
-    return relabels_.load(std::memory_order_relaxed);
-  }
+  /// Global-tier insertions so far: one per split_tail.
+  std::uint64_t global_inserts() const { return global_.size() - 1; }
   std::uint64_t query_retries() const {
     return retries_.load(std::memory_order_relaxed) + global_.query_retries();
   }
   std::size_t segment_count() const { return segments_.size(); }
-
-  std::size_t memory_bytes() const {
-    return sizeof(*this) + global_.memory_bytes() +
-           segments_.size() * sizeof(Segment) +
-           inserts_.load(std::memory_order_relaxed) * sizeof(Item);
-  }
 
  private:
   static constexpr std::uint64_t kMax = ~0ULL;
@@ -270,9 +254,6 @@ class BasicSegmentList {
   GlobalOm global_;
   spr::atomic<std::uint64_t> gver_{0};
   mutable spr::atomic<std::uint64_t> retries_{0};
-  spr::atomic<std::uint64_t> inserts_{0};
-  spr::atomic<std::uint64_t> relabels_{0};
-  spr::atomic<std::uint64_t> global_inserts_{0};
   spr::mutex split_mu_;
   spr::mutex segments_mu_;
   std::vector<std::unique_ptr<Segment>> segments_;

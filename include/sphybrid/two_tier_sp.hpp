@@ -41,11 +41,8 @@ class BasicTwoTierSp {
   using SegList = BasicSegmentList<GlobalOm>;
   using SegItem = typename SegList::Item;
 
-  BasicTwoTierSp(const tree::ParseTree& t,
-                 bags::AtomicDisjointSets::Mode dsu_mode)
-      : tree_(t),
-        slots_(t.node_count()),
-        bags_(t.leaf_count(), dsu_mode) {
+  explicit BasicTwoTierSp(const tree::ParseTree& t)
+      : tree_(t), slots_(t.node_count()), bags_(t.leaf_count()) {
     if (t.root() != tree::kNoNode) {
       Slot& root = slots_[static_cast<std::size_t>(t.root())];
       root.heb.store(heb_.root(), std::memory_order_relaxed);
@@ -80,9 +77,8 @@ class BasicTwoTierSp {
   /// Steal path: thread `stolen` is the right child of P-node X whose
   /// continuation was just stolen. Cuts the English order once (at R's
   /// base) and the Hebrew order twice (R's region sits between the
-  /// pre-X region and L's region there). Returns the number of
-  /// global-tier insertions performed (always 3).
-  std::uint32_t steal_split(tree::NodeId stolen) {
+  /// pre-X region and L's region there): 3 global-tier insertions.
+  void steal_split(tree::NodeId stolen) {
     const tree::Node& r = tree_.node(stolen);
     const tree::Node& x = tree_.node(r.parent);
     const std::size_t lid = static_cast<std::size_t>(x.left);
@@ -93,7 +89,6 @@ class BasicTwoTierSp {
     heb_.split_tail(slots_[rid].heb.load(std::memory_order_acquire));
     // English: [pre + L | e_R ...] -> one cut at R's base.
     eng_.split_tail(slots_[rid].eng.load(std::memory_order_acquire));
-    return 3;
   }
 
   // ---- TraceBags hooks (forwarded so the executor has one facade) ----
@@ -146,11 +141,6 @@ class BasicTwoTierSp {
   }
   std::uint64_t fast_hits() const {
     return fast_hits_.load(std::memory_order_relaxed);
-  }
-
-  std::size_t memory_bytes() const {
-    return sizeof(*this) + eng_.memory_bytes() + heb_.memory_bytes() +
-           slots_.size() * sizeof(Slot) + bags_.memory_bytes();
   }
 
  private:

@@ -18,12 +18,10 @@
 // (the T_P baseline).
 //
 // Counters are measured, not modeled: steals/splits come from the deques,
-// om_inserts from the global tier, lock_wait_ns from time spent in locked
-// global sections. `traces` reports the paper's |C| = 4*splits + 1
-// subtrace accounting, driven by the measured split count (the engine
-// materializes 3 global segment boundaries and at most 2 new execution
-// traces per split; the identity is kept so Section 5's bound is
-// checkable against real runs).
+// om_inserts from the sizes of the OM lists that take locked insertions
+// (kHybrid's global tier, kNaive's shared pair), lock_wait_ns from time
+// spent in locked global sections, and `traces` from the trace ids the
+// engine minted, which Section 5 bounds by 4*steals + 1.
 
 #include <atomic>
 #include <cstdint>
@@ -35,7 +33,6 @@
 
 #include "race/shadow_protocol.hpp"
 #include "race/stream/shadow_shards.hpp"
-#include "spbags/dsu.hpp"
 #include "sphybrid/deque.hpp"
 #include "sphybrid/two_tier_sp.hpp"
 #include "sporder/sp_order.hpp"
@@ -58,8 +55,6 @@ struct ExecOptions {
   std::uint32_t queries_per_leaf = 0;
   std::uint64_t seed = 1;
   bool detect_races = false;
-  bags::AtomicDisjointSets::Mode dsu_mode =
-      bags::AtomicDisjointSets::Mode::kRankOnly;
 };
 
 struct ExecResult {
@@ -67,7 +62,7 @@ struct ExecResult {
   unsigned workers_used = 1;
   std::uint64_t steals = 0;
   std::uint64_t splits = 0;        ///< steals that split a trace
-  std::uint64_t traces = 1;        ///< |C| = 4 * splits + 1 (Section 5)
+  std::uint64_t traces = 1;        ///< traces started; <= 4*steals + 1
   std::uint64_t queries = 0;
   std::uint64_t fast_queries = 0;  ///< answered by the SP-bags local tier
   std::uint64_t om_inserts = 0;    ///< locked global-tier insertions
@@ -131,6 +126,12 @@ class NaiveSpOrder {
     root.heb = hebrew_.insert_front();
   }
 
+  /// Locked OM insertions so far: both lists' items minus the two roots.
+  std::uint64_t inserts() const {
+    const std::size_t items = english_.size() + hebrew_.size();
+    return items == 0 ? 0 : items - 2;
+  }
+
   void enter(const tree::Node& n) {
     const order::Branches b =
         order::split(english_, hebrew_, node_slots_[slot_index(n.id)],
@@ -189,7 +190,7 @@ class BasicWorkStealingEngine {
       stolen_[i].store(0, std::memory_order_relaxed);
     }
     if (opts_.mode == Mode::kHybrid)
-      sp_ = std::make_unique<TwoTier>(tree_, opts_.dsu_mode);
+      sp_ = std::make_unique<TwoTier>(tree_);
     if (opts_.mode == Mode::kNaive)
       naive_ = std::make_unique<detail::NaiveSpOrder>(tree_);
     workers_.reserve(nworkers_);
@@ -223,18 +224,19 @@ class BasicWorkStealingEngine {
       r.steals += w->steals;
       r.splits += w->splits;
       r.queries += w->queries;
-      r.om_inserts += w->om_inserts;
       r.lock_wait_ns += w->lock_wait_ns;
       spin ^= w->spin_xor;
       digest += w->digest_sum;
     }
     r.checksum = spin + digest;
-    r.traces = 4 * r.splits + 1;
+    r.traces = next_trace_.load(std::memory_order_relaxed);
     r.race_count = race_count_.load(std::memory_order_relaxed);
     if (sp_ != nullptr) {
+      r.om_inserts = sp_->global_inserts();
       r.query_retries = sp_->query_retries();
       r.fast_queries = sp_->fast_hits();
     }
+    if (naive_ != nullptr) r.om_inserts = naive_->inserts();
     util::do_not_optimize(r.checksum);
     return r;
   }
@@ -249,8 +251,6 @@ class BasicWorkStealingEngine {
     throw std::logic_error("precedes() requires kHybrid or kNaive");
   }
 
-  const TwoTier* two_tier() const { return sp_.get(); }
-
  private:
   struct WorkerCtx {
     WorkerCtx(unsigned id_, std::uint64_t seed)
@@ -263,7 +263,6 @@ class BasicWorkStealingEngine {
     std::uint64_t steals = 0;
     std::uint64_t splits = 0;
     std::uint64_t queries = 0;
-    std::uint64_t om_inserts = 0;
     std::uint64_t lock_wait_ns = 0;
     std::uint64_t spin_xor = 0;
     std::uint64_t digest_sum = 0;
@@ -282,8 +281,7 @@ class BasicWorkStealingEngine {
       const util::Stopwatch sw;
       std::lock_guard<std::mutex> lock(naive_mu_);
       w.lock_wait_ns += static_cast<std::uint64_t>(sw.elapsed_ns());
-      w.om_inserts += 4;  // Section 3: every OM insertion is locked
-      naive_->enter(n);
+      naive_->enter(n);  // Section 3: every OM insertion is locked
     }
   }
 
@@ -442,7 +440,7 @@ class BasicWorkStealingEngine {
       if (sp_ != nullptr) {
         // The only global-tier work in the whole hybrid scheme.
         const util::Stopwatch sw;
-        w.om_inserts += sp_->steal_split(task);
+        sp_->steal_split(task);
         w.lock_wait_ns += static_cast<std::uint64_t>(sw.elapsed_ns());
         ++w.splits;
       }

@@ -55,7 +55,7 @@ OUT="BENCH_${n}.json"
 
 BENCHES=(fig3_serial_comparison thm5_sporder_scaling thm10_sphybrid_scaling
          naive_vs_hybrid cor6_race_overhead ext_allsets
-         ext_parallel_racedetect ext_stream_ingest ablation_dsu om_shootout)
+         ext_parallel_racedetect ext_stream_ingest om_shootout)
 if [[ "${QUICK}" == "0" ]]; then
   BENCHES+=(om_micro)
 fi

@@ -228,16 +228,16 @@ TEST(McSuite, SplitTailVsInsertAfter) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 5: AtomicDisjointSets CAS path halving under concurrent
-// finds and an owner-serialized unite. Halving only ever swings parent
-// pointers upward along the walker's own path; the oracle is that every
-// find lands in the caller's set and the final forest matches a serial
-// union-find fed the same unions.
+// Scenario 5: AtomicDisjointSets, the shipped rank-only protocol: two
+// read-only acquire finds race an owner-serialized unite that publishes
+// the new parent link with a release store. A find that reads the link
+// stale still ends at its own set's pre-union root; the oracle is that
+// every find lands in the caller's set and the final forest is one set.
 
-TEST(McSuite, DsuConcurrentPathHalving) {
+TEST(McSuite, DsuConcurrentFindVsUnite) {
   mc::Options o = base_options();
   const mc::Stats st = mc::explore(o, [&](mc::Run& r) {
-    AtomicDisjointSets dsu(8, AtomicDisjointSets::Mode::kCasHalving);
+    AtomicDisjointSets dsu(8);
     // Setup (plain mode): two multi-level trees {0..3} and {4..7}.
     dsu.unite(0, 1);
     dsu.unite(2, 3);
@@ -247,7 +247,7 @@ TEST(McSuite, DsuConcurrentPathHalving) {
     dsu.unite(4, 6);
     const std::uint32_t left = dsu.find(3), right = dsu.find(7);
     std::uint32_t fa = 0, fb = 0;
-    r.spawn([&] { fa = dsu.find(3); });  // halves along 3's path
+    r.spawn([&] { fa = dsu.find(3); });  // walks 3's two-hop path
     r.spawn([&] { fb = dsu.find(7); });
     r.spawn([&] { dsu.unite(0, 4); });   // owner-serialized union
     r.join_all();
@@ -265,7 +265,7 @@ TEST(McSuite, DsuConcurrentPathHalving) {
                     "all 8 elements must end in one set");
   });
   ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
-  report("dsu_path_halving", st);
+  report("dsu_find_vs_unite", st);
 }
 
 // ---------------------------------------------------------------------

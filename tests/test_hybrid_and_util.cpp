@@ -36,11 +36,12 @@ TEST(Hybrid, ModesRunAndCountersHold) {
     o.queries_per_leaf = 2;
     const auto r = spr::hybrid::run_parallel(t, o);
     EXPECT_GT(r.elapsed_s, 0.0);
-    EXPECT_EQ(r.traces, 4 * r.splits + 1);  // |C| = 4s + 1 (Section 5)
+    EXPECT_LE(r.traces, 4 * r.steals + 1);  // Section 5's trace bound
     if (mode == Mode::kNaive) {
-      // Naive locks every OM insertion: 4 item inserts per internal node.
+      // Naive locks every OM insertion: one item per order per internal
+      // node.
       EXPECT_EQ(r.om_inserts,
-                4ull * (t.node_count() - t.leaf_count()));
+                2ull * (t.node_count() - t.leaf_count()));
     } else if (mode == Mode::kHybrid) {
       // Hybrid pays locked insertions only on steals: the two-tier orders
       // take exactly 3 global cuts per trace split (measured, not modeled).
