@@ -1,6 +1,6 @@
 #pragma once
-// spr::mc instrumented atomics: drop-in replacements for std::atomic,
-// std::atomic_flag and std::mutex that (a) turn every access into a
+// spr::mc instrumented atomics: drop-in replacements for std::atomic and
+// std::mutex that (a) turn every access into a
 // scheduling point of the cooperative scheduler (mc/sched.hpp) and
 // (b) model weak-memory STALENESS with a per-location store history +
 // vector clocks, in the spirit of relacy:
@@ -243,27 +243,6 @@ class atomic {
   mutable std::uint32_t next_idx_ = 0;
   mutable std::uint32_t sc_floor_ = 0;
   mutable std::uint32_t min_read_[kMaxThreads] = {};
-};
-
-/// std::atomic_flag stand-in (C++20 shape: default-constructed clear).
-class atomic_flag {
- public:
-  atomic_flag() noexcept = default;
-  atomic_flag(const atomic_flag&) = delete;
-  atomic_flag& operator=(const atomic_flag&) = delete;
-
-  bool test_and_set(std::memory_order mo = std::memory_order_seq_cst) {
-    return b_.exchange(true, mo);
-  }
-  void clear(std::memory_order mo = std::memory_order_seq_cst) {
-    b_.store(false, mo);
-  }
-  bool test(std::memory_order mo = std::memory_order_seq_cst) const {
-    return b_.load(mo);
-  }
-
- private:
-  atomic<bool> b_{false};
 };
 
 /// Cooperative mutex: lock() blocks the logical thread (the scheduler

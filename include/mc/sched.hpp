@@ -15,7 +15,7 @@
 //  - kOp     before each atomic access. Default is to continue the
 //            current thread; switching here is a PREEMPTION and is only
 //            offered while the episode's preemption budget lasts.
-//  - kYield  spr::thread_yield() in a spin loop: the current thread
+//  - kYield  spr::spin_pause() in a retry loop: the current thread
 //            cannot progress, so switching is mandatory (and free) when
 //            anyone else is runnable.
 //  - kBlock  the current thread just blocked (mutex) or finished: a

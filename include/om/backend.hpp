@@ -1,10 +1,12 @@
 #pragma once
-// om::Backend — the unified order-maintenance backend concept every
-// concurrent OM implementation in this library models. The SP-hybrid
-// global tier (sphybrid/segment_list.hpp), the two-tier SP structure and
-// the work-stealing engine are templated over a Backend, so label
-// disciplines can be swapped without touching the scheduler; the
-// contention shootout (bench/om_shootout.cpp) races them head-to-head.
+// om::Backend — the interface both concurrent OM implementations in this
+// library model. The typed suite (tests/om_backend_test.cpp) checks each
+// against one sequential oracle, and the contention shootout
+// (bench/om_shootout.cpp) races them head-to-head. SP-hybrid's global
+// tier (sphybrid/segment_list.hpp) is not generic: it holds a
+// ConcurrentOrderList, because it takes inserts only on steals, one at a
+// time (at most 3 per steal), which a mutex serves as well as any finer
+// scheme.
 //
 // A backend maintains one total order of opaque Items and provides:
 //  - base():          sentinel Item preceding everything ever inserted;
@@ -20,10 +22,10 @@
 //
 // The two models shipped here:
 //  - ConcurrentOrderList (om/concurrent_om.hpp): mutex-serial inserts,
-//    O(n) full relabels, seqlock queries — the engine default and the
-//    oracle;
+//    O(n) full relabels, seqlock queries — SP-hybrid's global tier and
+//    the oracle;
 //  - TwoLevelOm (om/two_level_om.hpp): the paper's Section 4 two-level
-//    structure with per-group spinlocks and localized relabeling.
+//    structure with per-group spr::spin_locks and localized relabeling.
 
 #include <concepts>
 #include <cstddef>

@@ -95,12 +95,11 @@ class ConcurrentOrderList {
     return item;
   }
 
-  /// Lock-free order query; retries while a relabel is in flight. Yields
-  /// after a burst of failed attempts so a preempted relabeler can finish
-  /// its write section on oversubscribed hosts.
+  /// Lock-free order query; retries while a relabel is in flight, backing
+  /// off through spr::spin_pause so a preempted relabeler can finish its
+  /// write section on oversubscribed hosts.
   bool precedes(const Item* a, const Item* b) const {
-    for (int spins = 0;; ++spins) {
-      if (spins >= kSpinYieldThreshold) spr::thread_yield();
+    for (unsigned tries = 0;; spr::spin_pause(tries++)) {
       const std::uint64_t v0 = version_.load(std::memory_order_acquire);
       if (v0 & 1) continue;  // relabel in progress
       const std::uint64_t la = a->label.load(kLabelRead);
@@ -129,13 +128,6 @@ class ConcurrentOrderList {
 
  private:
   static constexpr std::uint64_t kMax = ~0ULL;
-  // Spin budget before yielding to a preempted relabeler; 1 under the
-  // model checker so every failed attempt is a mandatory switch point.
-#if defined(SPR_MODEL_CHECK)
-  static constexpr int kSpinYieldThreshold = 1;
-#else
-  static constexpr int kSpinYieldThreshold = 64;
-#endif
 
   void link_after(Item* x, Item* item) {
     item->prev = x;

@@ -6,13 +6,13 @@
 // tau = 2^(1/4) window scheme as the serial om/order_list.hpp).
 //
 // Concurrency design — no global mutex on the insert hot path:
-//  - insert_after(x) takes only x's GROUP spinlock; a gap exhaustion
-//    relabels just that group (under the group's seqlock), never the
-//    whole list. Inserts into different groups proceed fully in parallel;
-//    lock_waits() counts contended acquisitions and stays ~0 when
-//    writers work disjoint regions (the SP-hybrid access pattern).
+//  - insert_after(x) takes only x's GROUP lock (an spr::spin_lock, like
+//    the top lock); a gap exhaustion relabels just that group (under the
+//    group's seqlock), never the whole list. Inserts into different
+//    groups proceed fully in parallel; lock_waits() counts contended
+//    acquisitions and stays ~0 when writers work disjoint regions.
 //  - a full group splits: the RARE path (once per kGroupCap/2 inserts at
-//    one point) takes the top spinlock, then both group locks, links a
+//    one point) takes the top lock, then both group locks, links a
 //    new group, assigns it a top label (localized window relabel when the
 //    gap is gone) and moves the latter half of the items. All top-label
 //    writes and item->group moves happen inside a top seqlock (topver_)
@@ -50,17 +50,17 @@ class TwoLevelOm {
   struct Item {
     spr::atomic<std::uint64_t> label{0};
     spr::atomic<Group*> group{nullptr};
-    Item* prev = nullptr;  ///< guarded by the owning group's spinlock
-    Item* next = nullptr;  ///< guarded by the owning group's spinlock
+    Item* prev = nullptr;  ///< guarded by the owning group's lock
+    Item* next = nullptr;  ///< guarded by the owning group's lock
   };
 
   struct Group {
     spr::atomic<std::uint64_t> label{0};  ///< top label; topver_ sections
     spr::atomic<std::uint64_t> ver{0};    ///< seqlock for local relabels
-    spr::atomic_flag lock;  // C++20: default-initialized clear
-    Group* prev = nullptr;  ///< guarded by the top spinlock
-    Group* next = nullptr;  ///< guarded by the top spinlock
-    Item* head = nullptr;   ///< guarded by this group's spinlock
+    spr::spin_lock lock;
+    Group* prev = nullptr;  ///< guarded by the top lock
+    Group* next = nullptr;  ///< guarded by the top lock
+    Item* head = nullptr;   ///< guarded by this group's lock
     Item* tail = nullptr;
     std::size_t count = 0;
   };
@@ -98,11 +98,11 @@ class TwoLevelOm {
       Group* g = x->group.load(std::memory_order_acquire);
       acquire(g->lock);
       if (x->group.load(std::memory_order_relaxed) != g) {
-        g->lock.clear(std::memory_order_release);  // split moved x; retry
+        g->lock.unlock();  // split moved x; retry
         continue;
       }
       if (g->count >= kGroupCap) {
-        g->lock.clear(std::memory_order_release);
+        g->lock.unlock();
         split_group(g);
         continue;
       }
@@ -119,7 +119,7 @@ class TwoLevelOm {
         it->label.store(lo + (hi - lo) / 2, std::memory_order_release);
       }
       size_.fetch_add(1, std::memory_order_relaxed);
-      g->lock.clear(std::memory_order_release);
+      g->lock.unlock();
       return it;
     }
   }
@@ -127,8 +127,7 @@ class TwoLevelOm {
   /// Lock-free order query; retries while a relabel or split is in
   /// flight. See the header comment for the validation scheme.
   bool precedes(const Item* a, const Item* b) const {
-    for (int spins = 0;; ++spins) {
-      if (spins >= kSpinYieldThreshold) spr::thread_yield();
+    for (unsigned tries = 0;; spr::spin_pause(tries++)) {
       const std::uint64_t t0 = topver_.load(std::memory_order_acquire);
       if (t0 & 1) continue;  // split in flight
       Group* ga = a->group.load(std::memory_order_acquire);
@@ -185,20 +184,17 @@ class TwoLevelOm {
 #if defined(SPR_MODEL_CHECK)
   static constexpr std::uint64_t kLocalMax = 255;
   static constexpr std::size_t kGroupCap = 16;
-  static constexpr int kSpinYieldThreshold = 1;
 #else
   static constexpr std::uint64_t kLocalMax = ~0ULL;
   static constexpr std::size_t kGroupCap = 64;
-  static constexpr int kSpinYieldThreshold = 64;
 #endif
 
-  /// Spinlock acquire that counts contended acquisitions (the shootout's
-  /// lock_waits metric), yielding so a preempted holder can run.
-  void acquire(spr::atomic_flag& f) {
-    if (!f.test_and_set(std::memory_order_acquire)) return;
+  /// Lock acquire that counts contended acquisitions (the shootout's
+  /// lock_waits metric).
+  void acquire(spr::spin_lock& l) {
+    if (l.try_lock()) return;
     lock_waits_.fetch_add(1, std::memory_order_relaxed);
-    for (int spins = 0; f.test_and_set(std::memory_order_acquire);)
-      if (++spins >= kSpinYieldThreshold) spr::thread_yield();
+    l.lock();
   }
 
   Group* register_group() {
@@ -241,8 +237,8 @@ class TwoLevelOm {
     acquire(top_lock_);
     acquire(g->lock);
     if (g->count < kGroupCap) {  // raced with another split of g
-      g->lock.clear(std::memory_order_release);
-      top_lock_.clear(std::memory_order_release);
+      g->lock.unlock();
+      top_lock_.unlock();
       return;
     }
     Group* ng = register_group();
@@ -272,9 +268,9 @@ class TwoLevelOm {
       label += stride;
     }
     topver_.fetch_add(1, std::memory_order_acq_rel);
-    ng->lock.clear(std::memory_order_release);
-    g->lock.clear(std::memory_order_release);
-    top_lock_.clear(std::memory_order_release);
+    ng->lock.unlock();
+    g->lock.unlock();
+    top_lock_.unlock();
   }
 
   /// Gives the freshly linked `ng` (successor of `g`) a top label; when
@@ -330,7 +326,7 @@ class TwoLevelOm {
     top_relabels_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  spr::atomic_flag top_lock_;
+  spr::spin_lock top_lock_;
   spr::atomic<std::uint64_t> topver_{0};
   mutable spr::atomic<std::uint64_t> retries_{0};
   spr::atomic<std::uint64_t> lock_waits_{0};

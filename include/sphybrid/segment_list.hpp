@@ -3,9 +3,8 @@
 // (English or Hebrew) of the threads (Sections 4-6).
 //
 // The total order is chopped into contiguous SEGMENTS. The global tier is
-// any om::Backend (om/backend.hpp) over one item per segment — default
-// om::ConcurrentOrderList; the local tier gives
-// every element a 64-bit label inside its segment. x < y holds iff
+// an om::ConcurrentOrderList over one item per segment; the local tier
+// gives every element a 64-bit label inside its segment. x < y holds iff
 //   segment(x) == segment(y) ? label(x) < label(y)
 //                            : segment(x) precedes segment(y) globally.
 // This is correct for ANY contiguous segmentation of the sequence, which
@@ -16,10 +15,11 @@
 // Concurrency contract (matches the scheduler's steal discipline):
 //  - insert_after(x) is called only by the worker that currently owns the
 //    region around x (the SP-order split rule guarantees exclusivity); a
-//    per-segment spinlock serializes the rare case where a thief splits
-//    the same segment concurrently.
+//    per-segment spr::spin_lock serializes the rare case where a thief
+//    splits the same segment concurrently.
 //  - split_tail is called only on the steal path, serialized by a global
-//    mutex; it is the ONLY operation that inserts into the global tier.
+//    mutex; it is the ONLY operation that inserts into the global tier,
+//    so global inserts arrive one at a time, at most 3 per steal.
 //  - less(a, b) is lock-free: a global seqlock version guards segment
 //    reassignment (splits), a per-segment version guards local relabels,
 //    and the global tier has its own seqlock. All protected data is
@@ -32,44 +32,33 @@
 #include <mutex>
 #include <vector>
 
-#include "om/backend.hpp"
 #include "om/concurrent_om.hpp"
 #include "util/atomics.hpp"
 
 namespace spr::hybrid {
 
-template <typename GlobalOm = om::ConcurrentOrderList>
-  requires om::Backend<GlobalOm>
-class BasicSegmentList {
+class SegmentList {
  public:
-  using GlobalItem = typename GlobalOm::Item;
+  using GlobalItem = om::ConcurrentOrderList::Item;
   struct Segment;
 
   struct Item {
     spr::atomic<std::uint64_t> label{0};
     spr::atomic<Segment*> seg{nullptr};
-    Item* prev = nullptr;  ///< guarded by the owning segment's spinlock
-    Item* next = nullptr;  ///< guarded by the owning segment's spinlock
+    Item* prev = nullptr;  ///< guarded by the owning segment's lock
+    Item* next = nullptr;  ///< guarded by the owning segment's lock
   };
 
   struct Segment {
     GlobalItem* gitem = nullptr;
     spr::atomic<std::uint64_t> lver{0};  ///< seqlock for local relabels
-    spr::atomic_flag lock;  // C++20: default-initialized clear
+    spr::spin_lock lock;
     Item* head = nullptr;
     Item* tail = nullptr;
     std::size_t count = 0;
-
-    void acquire() {
-      // Yield after a few failed attempts: on oversubscribed (or 1-core)
-      // hosts the holder may be preempted and spinning would livelock.
-      for (int spins = 0; lock.test_and_set(std::memory_order_acquire);)
-        if (++spins >= kSpinYieldThreshold) spr::thread_yield();
-    }
-    void release() { lock.clear(std::memory_order_release); }
   };
 
-  BasicSegmentList() {
+  SegmentList() {
     Segment* s = new_segment(global_.base());
     root_ = alloc_item();
     root_->label.store(kMax / 2, std::memory_order_relaxed);
@@ -77,10 +66,10 @@ class BasicSegmentList {
     s->head = s->tail = root_;
     s->count = 1;
   }
-  BasicSegmentList(const BasicSegmentList&) = delete;
-  BasicSegmentList& operator=(const BasicSegmentList&) = delete;
+  SegmentList(const SegmentList&) = delete;
+  SegmentList& operator=(const SegmentList&) = delete;
 
-  ~BasicSegmentList() {
+  ~SegmentList() {
     for (auto& s : segments_) {
       Item* it = s->head;
       while (it != nullptr) {
@@ -100,9 +89,9 @@ class BasicSegmentList {
     Item* item = alloc_item();
     for (;;) {
       Segment* s = x->seg.load(std::memory_order_acquire);
-      s->acquire();
+      s->lock.lock();
       if (x->seg.load(std::memory_order_relaxed) != s) {
-        s->release();  // a split moved x while we were locking; retry
+        s->lock.unlock();  // a split moved x while we were locking; retry
         continue;
       }
       const std::uint64_t lo = x->label.load(std::memory_order_relaxed);
@@ -116,7 +105,7 @@ class BasicSegmentList {
       } else {
         item->label.store(lo + (hi - lo) / 2, std::memory_order_release);
       }
-      s->release();
+      s->lock.unlock();
       return item;
     }
   }
@@ -127,14 +116,14 @@ class BasicSegmentList {
   void split_tail(Item* first) {
     spr::lock_guard<spr::mutex> guard(split_mu_);
     Segment* src = first->seg.load(std::memory_order_relaxed);
-    src->acquire();
+    src->lock.lock();
     // Seqlock write section: queries retry while gver_ is odd.
     gver_.fetch_add(1, std::memory_order_acq_rel);
     Segment* dst = new_segment(global_.insert_after(src->gitem));
     // Hold dst's lock across the whole move: the moment an item's seg
     // pointer is republished below, the owner's insert_after may target
     // dst, and it must block until the suffix is fully linked/relabeled.
-    dst->acquire();
+    dst->lock.lock();
     // Detach the suffix.
     Item* pred = first->prev;
     if (pred != nullptr) pred->next = nullptr;
@@ -160,14 +149,13 @@ class BasicSegmentList {
       label += stride;
     }
     gver_.fetch_add(1, std::memory_order_acq_rel);
-    dst->release();
-    src->release();
+    dst->lock.unlock();
+    src->lock.unlock();
   }
 
   /// Lock-free: true iff a comes strictly before b in the total order.
   bool less(const Item* a, const Item* b) const {
-    for (int spins = 0;; ++spins) {
-      if (spins >= kSpinYieldThreshold) spr::thread_yield();
+    for (unsigned tries = 0;; spr::spin_pause(tries++)) {
       const std::uint64_t g0 = gver_.load(std::memory_order_acquire);
       if (g0 & 1) continue;  // split in flight
       Segment* sa = a->seg.load(std::memory_order_acquire);
@@ -205,14 +193,6 @@ class BasicSegmentList {
 
  private:
   static constexpr std::uint64_t kMax = ~0ULL;
-  // Spin budget before ceding the core to a (possibly preempted) writer;
-  // 1 under the model checker so spin loops become scheduling points
-  // immediately instead of bloating the explored tree.
-#if defined(SPR_MODEL_CHECK)
-  static constexpr int kSpinYieldThreshold = 1;
-#else
-  static constexpr int kSpinYieldThreshold = 64;
-#endif
 
   static Item* alloc_item() { return new Item; }
 
@@ -251,7 +231,7 @@ class BasicSegmentList {
     s->lver.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  GlobalOm global_;
+  om::ConcurrentOrderList global_;
   spr::atomic<std::uint64_t> gver_{0};
   mutable spr::atomic<std::uint64_t> retries_{0};
   spr::mutex split_mu_;
@@ -259,8 +239,5 @@ class BasicSegmentList {
   std::vector<std::unique_ptr<Segment>> segments_;
   Item* root_ = nullptr;
 };
-
-/// Default instantiation: mutex-serial global tier (the oracle backend).
-using SegmentList = BasicSegmentList<>;
 
 }  // namespace spr::hybrid

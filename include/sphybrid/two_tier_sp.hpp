@@ -5,9 +5,9 @@
 // as a two-tier SegmentList so that:
 //  - every enter_internal performs two LOCAL (segment-internal) inserts
 //    per list, lock-free against queries, no global-tier traffic;
-//  - only a steal cuts segments and inserts into the global tier (any
-//    om::Backend; default ConcurrentOrderList): one English cut and two
-//    Hebrew cuts, i.e. exactly 3 global OM insertions per steal.
+//  - only a steal cuts segments and inserts into the global tier (an
+//    om::ConcurrentOrderList): one English cut and two Hebrew cuts, i.e.
+//    exactly 3 global OM insertions per steal.
 // Queries answer with Theorem 4's characterization
 //   u < v  iff  Eng(u) < Eng(v) and Heb(u) < Heb(v),
 // which is schedule-independent, so parallel runs agree with the serial
@@ -34,14 +34,11 @@
 
 namespace spr::hybrid {
 
-template <typename GlobalOm = om::ConcurrentOrderList>
-  requires om::Backend<GlobalOm>
-class BasicTwoTierSp {
+class TwoTierSp {
  public:
-  using SegList = BasicSegmentList<GlobalOm>;
-  using SegItem = typename SegList::Item;
+  using SegItem = SegmentList::Item;
 
-  explicit BasicTwoTierSp(const tree::ParseTree& t)
+  explicit TwoTierSp(const tree::ParseTree& t)
       : tree_(t), slots_(t.node_count()), bags_(t.leaf_count()) {
     if (t.root() != tree::kNoNode) {
       Slot& root = slots_[static_cast<std::size_t>(t.root())];
@@ -161,14 +158,11 @@ class BasicTwoTierSp {
   }
 
   const tree::ParseTree& tree_;
-  SegList eng_;
-  SegList heb_;
+  SegmentList eng_;
+  SegmentList heb_;
   std::vector<Slot> slots_;
   bags::TraceBags bags_;
   spr::atomic<std::uint64_t> fast_hits_{0};
 };
-
-/// Default instantiation: mutex-serial global tier (the oracle backend).
-using TwoTierSp = BasicTwoTierSp<>;
 
 }  // namespace spr::hybrid

@@ -171,14 +171,9 @@ class NaiveSpOrder {
 /// The multi-worker engine. Construct, call run() once, then (for kNaive
 /// and kHybrid) precedes() remains valid for arbitrary post-run queries —
 /// the stress tests cross-check it pairwise against the LCA oracle.
-/// GlobalOm selects the kHybrid global tier's om::Backend.
-template <typename GlobalOm = om::ConcurrentOrderList>
-  requires om::Backend<GlobalOm>
-class BasicWorkStealingEngine {
+class WorkStealingEngine {
  public:
-  using TwoTier = BasicTwoTierSp<GlobalOm>;
-
-  BasicWorkStealingEngine(const tree::ParseTree& t, const ExecOptions& o)
+  WorkStealingEngine(const tree::ParseTree& t, const ExecOptions& o)
       : tree_(t), opts_(o), nworkers_(resolve_workers(o.workers)) {
     const std::size_t nn = tree_.node_count();
     pending_ = std::make_unique<std::atomic<std::uint8_t>[]>(nn);
@@ -190,7 +185,7 @@ class BasicWorkStealingEngine {
       stolen_[i].store(0, std::memory_order_relaxed);
     }
     if (opts_.mode == Mode::kHybrid)
-      sp_ = std::make_unique<TwoTier>(tree_);
+      sp_ = std::make_unique<TwoTierSp>(tree_);
     if (opts_.mode == Mode::kNaive)
       naive_ = std::make_unique<detail::NaiveSpOrder>(tree_);
     workers_.reserve(nworkers_);
@@ -458,7 +453,7 @@ class BasicWorkStealingEngine {
   std::unique_ptr<std::atomic<std::uint8_t>[]> stolen_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> left_root_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> right_root_;
-  std::unique_ptr<TwoTier> sp_;
+  std::unique_ptr<TwoTierSp> sp_;
   std::unique_ptr<detail::NaiveSpOrder> naive_;
   std::mutex naive_mu_;
   std::vector<std::unique_ptr<WorkerCtx>> workers_;
@@ -467,8 +462,5 @@ class BasicWorkStealingEngine {
   std::atomic<std::uint32_t> next_trace_{0};
   std::atomic<bool> done_{false};
 };
-
-/// Default instantiation: mutex-serial global tier (the oracle backend).
-using WorkStealingEngine = BasicWorkStealingEngine<>;
 
 }  // namespace spr::hybrid

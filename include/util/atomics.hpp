@@ -2,15 +2,14 @@
 // Atomics policy layer: the single point where the lock-free core binds
 // to a memory model. Every concurrent structure in the library
 // (sphybrid/deque.hpp, sphybrid/segment_list.hpp, om/concurrent_om.hpp,
-// spbags/dsu.hpp, sphybrid/two_tier_sp.hpp) declares its shared state as
-// spr::atomic<T> / spr::atomic_flag / spr::mutex / spr::spin_lock and
-// spins via spr::thread_yield(), never touching <atomic> or <thread>
-// directly.
+// om/two_level_om.hpp, spbags/dsu.hpp, sphybrid/two_tier_sp.hpp)
+// declares its shared state as spr::atomic<T> / spr::mutex /
+// spr::spin_lock and backs off in retry loops via spr::spin_pause(),
+// never touching <atomic> or <thread> directly.
 //
-//  - Normal builds: zero-cost aliases of std::atomic / std::atomic_flag /
-//    std::mutex; thread_yield() is std::this_thread::yield(). Release
-//    codegen is identical to using the std types (checked: BENCH_2.json
-//    vs BENCH_1.json).
+//  - Normal builds: zero-cost aliases of std::atomic / std::mutex.
+//    Release codegen is identical to using the std types (checked:
+//    BENCH_2.json vs BENCH_1.json).
 //  - -DSPR_MODEL_CHECK=ON builds: the same names dispatch to spr::mc
 //    (mc/atomic.hpp), where every load/store/RMW/lock is a scheduling
 //    point of a cooperative model checker that explores interleavings
@@ -32,18 +31,14 @@ namespace spr {
 
 template <typename T>
 using atomic = mc::atomic<T>;
-using atomic_flag = mc::atomic_flag;
 using mutex = mc::mutex;
 template <typename M>
 using lock_guard = std::lock_guard<M>;
 
-/// Spin-loop yield: under the checker this is a mandatory context switch
-/// (the spinner cannot make progress until another thread runs).
-inline void thread_yield() { mc::yield(); }
-
-/// Spin-lock back-off. Under the checker every failed try must switch
-/// threads: re-reading the lock word without a switch cannot see it
-/// change, and would only burn the step budget.
+/// Back-off after a failed spin-lock or seqlock try. Under the checker
+/// every failed try must switch threads: re-reading the lock word or
+/// version without a switch cannot see it change, and would only burn
+/// the step budget.
 inline void spin_pause(unsigned /*tries*/) { mc::yield(); }
 
 /// Standalone fence. The checker treats it as a scheduling point only —
@@ -64,16 +59,14 @@ namespace spr {
 
 template <typename T>
 using atomic = std::atomic<T>;
-using atomic_flag = std::atomic_flag;
 using mutex = std::mutex;
 template <typename M>
 using lock_guard = std::lock_guard<M>;
 
-inline void thread_yield() { std::this_thread::yield(); }
-
-/// Spin-lock back-off: a CPU pause for the first kSpins failed tries (a
-/// shard lock's critical section is ~100 ns, so the holder is about to
-/// release), then yield the core in case the holder was descheduled.
+/// Back-off after a failed spin-lock or seqlock try: a CPU pause for the
+/// first kSpins failed tries (the critical sections and seqlock write
+/// sections it waits out are short, so the holder is about to finish),
+/// then yield the core in case the holder was descheduled.
 inline void spin_pause(unsigned tries) {
   constexpr unsigned kSpins = 64;
   if (tries < kSpins) {
@@ -83,7 +76,7 @@ inline void spin_pause(unsigned tries) {
     asm volatile("yield");
 #endif
   } else {
-    thread_yield();
+    std::this_thread::yield();
   }
 }
 
@@ -97,8 +90,9 @@ inline void atomic_thread_fence(std::memory_order mo) {
 
 namespace spr {
 
-/// Test-and-test-and-set spin lock (BasicLockable) for critical sections
-/// of a few hundred nanoseconds, such as a shadow shard's cell update. A
+/// Test-and-test-and-set spin lock (Lockable) for critical sections of a
+/// few hundred nanoseconds: a shadow shard's cell update, an SP-hybrid
+/// segment's local insert, a TwoLevelOm group's insert or split. A
 /// std::mutex sleeps on its first collision, and the futex round trip
 /// costs far more than waiting out the holder. Waiters re-read the word
 /// relaxed, so the cache line stays shared until the holder's release
@@ -122,6 +116,10 @@ class spin_lock {
       } while (locked_.load(std::memory_order_relaxed));
     }
   }
+
+  /// One acquire attempt, no waiting: lets callers count contended
+  /// acquisitions (TwoLevelOm's lock_waits) before falling back to lock().
+  bool try_lock() { return !locked_.exchange(true, std::memory_order_acquire); }
 
   void unlock() { locked_.store(false, std::memory_order_release); }
 

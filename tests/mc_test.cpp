@@ -1,12 +1,13 @@
 // Systematic concurrency checking of the lock-free core (spr::mc).
 // Build with -DSPR_MODEL_CHECK=ON: the atomics policy layer
-// (util/atomics.hpp) rebinds every spr::atomic / spr::atomic_flag /
-// spr::mutex in the structures under test to the instrumented mc types,
-// and each TEST below explores the schedule space of one known-delicate
-// scenario — DFS with iterative context bounding first, seeded random
-// walks on top — asserting a sequential oracle on every explored
-// schedule. The final test checks the suite explored >= 10k distinct
-// schedules in total (the ISSUE 8 acceptance bar).
+// (util/atomics.hpp) rebinds every spr::atomic and spr::mutex in the
+// structures under test to the instrumented mc types (spr::spin_lock and
+// spr::spin_pause are built on them, so every lock and seqlock back-off
+// is explored too), and each TEST below explores the schedule space of
+// one known-delicate scenario — DFS with iterative context bounding
+// first, seeded random walks on top — asserting a sequential oracle on
+// every explored schedule. The final test checks the suite explored
+// >= 10k distinct schedules in total.
 //
 // Each scenario is an EPISODE: fresh structure, a little setup on the
 // main context (plain sequential mode), spawn 2-3 logical threads,

@@ -18,14 +18,12 @@
 
 #include "fjprog/generators.hpp"
 #include "fjprog/lower.hpp"
-#include "om/two_level_om.hpp"
 #include "sp_test_util.hpp"
 #include "sphybrid/executor.hpp"
 #include "sphybrid/worker.hpp"
 
 namespace {
 
-using spr::hybrid::BasicWorkStealingEngine;
 using spr::hybrid::ExecOptions;
 using spr::hybrid::ExecResult;
 using spr::hybrid::Mode;
@@ -135,36 +133,6 @@ TEST(SpHybridParallel, NaivePaysLockedInsertsPerNodeAtAnyWorkerCount) {
     // Theta(T1) locked insertions regardless of schedule (Section 3): one
     // per order per internal node, versus the hybrid's 3 per steal.
     EXPECT_EQ(r.om_inserts, 2 * internal);
-  }
-}
-
-// The GlobalOm template parameter end-to-end: the engine instantiated
-// over the paper's two-level om::Backend instead of the default
-// ConcurrentOrderList must reproduce the LCA oracle and the paper's
-// counter identities at every worker count — proof that the backends are
-// genuinely swappable behind the scheduler, not just in isolation.
-TEST(SpHybridParallel, TwoLevelBackendMatchesOracle) {
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const auto t = spr::fj::lower_to_parse_tree(
-        spr::fj::make_random_program(seed, 120, 500));
-    const spr::testutil::Oracle oracle(t);
-    for (const unsigned workers : kWorkerCounts) {
-      ExecOptions o = base_options(seed);
-      o.mode = Mode::kHybrid;
-      o.workers = workers;
-      BasicWorkStealingEngine<spr::om::TwoLevelOm> engine(t, o);
-      const ExecResult r = engine.run();
-      EXPECT_EQ(r.om_inserts, 3 * r.splits);
-      EXPECT_LE(r.traces, 4 * r.steals + 1);
-      const spr::tree::ThreadId n = t.leaf_count();
-      for (spr::tree::ThreadId u = 0; u < n; ++u) {
-        for (spr::tree::ThreadId v = 0; v < n; ++v) {
-          ASSERT_EQ(engine.precedes(u, v), oracle.precedes(u, v))
-              << "seed=" << seed << " workers=" << workers << " precedes("
-              << u << ", " << v << ")";
-        }
-      }
-    }
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the SP-hybrid execution harness (serial reference
-// implementation), the concurrent order-maintenance stub, parse-tree
-// metrics, and the util layer (rng/stats/table formatting).
+// implementation), parse-tree metrics, and the util layer (rng/stats/
+// table formatting, the spin lock).
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 
 #include "fjprog/generators.hpp"
 #include "fjprog/lower.hpp"
-#include "om/concurrent_om.hpp"
 #include "sphybrid/executor.hpp"
 #include "sptree/metrics.hpp"
 #include "util/atomics.hpp"
@@ -96,52 +95,6 @@ TEST(Hybrid, DetectsInjectedRaces) {
   const auto racy = spr::fj::lower_to_parse_tree(
       spr::fj::make_dnc_fill(1u << 10, 8, true));
   EXPECT_TRUE(spr::hybrid::run_parallel(racy, o).has_race());
-}
-
-TEST(ConcurrentOm, SerialOrderIsCorrect) {
-  spr::om::ConcurrentOrderList list;
-  auto* a = list.insert_after(list.base());
-  auto* b = list.insert_after(a);
-  auto* c = list.insert_after(a);  // between a and b
-  EXPECT_TRUE(list.precedes(list.base(), a));
-  EXPECT_TRUE(list.precedes(a, c));
-  EXPECT_TRUE(list.precedes(c, b));
-  EXPECT_FALSE(list.precedes(b, a));
-}
-
-TEST(ConcurrentOm, RelabelStormKeepsOrder) {
-  spr::om::ConcurrentOrderList list;
-  auto* pivot = list.insert_after(list.base());
-  std::vector<spr::om::ConcurrentOrderList::Item*> items;
-  for (int i = 0; i < 5000; ++i) items.push_back(list.insert_after(pivot));
-  // Order: base, pivot, items[4999], ..., items[0].
-  spr::util::Xoshiro256 rng(5);
-  for (int s = 0; s < 2000; ++s) {
-    const auto i = rng.next_below(items.size());
-    const auto j = rng.next_below(items.size());
-    ASSERT_TRUE(list.precedes(pivot, items[i]));
-    if (i != j) {
-      ASSERT_EQ(list.precedes(items[i], items[j]), i > j);
-    }
-  }
-}
-
-TEST(ConcurrentOm, ConcurrentInsertsAndQueriesSmoke) {
-  spr::om::ConcurrentOrderList list;
-  auto* pivot = list.insert_after(list.base());
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire))
-      (void)list.precedes(list.base(), pivot);
-  });
-  std::thread writer([&] {
-    for (int i = 0; i < 20000; ++i) (void)list.insert_after(pivot);
-  });
-  writer.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(list.size(), 20002u);
-  EXPECT_TRUE(list.precedes(list.base(), pivot));
 }
 
 TEST(Metrics, BalancedTree) {
@@ -227,9 +180,10 @@ TEST(Util, TablePrintsAlignedColumns) {
   EXPECT_NE(out.find("-+-"), std::string::npos);
 }
 
-// The shadow shard lock: a plain (non-atomic) counter stays exact only if
-// lock/unlock exclude each other, and under TSan a missing acquire or
-// release shows up as a data race on the counter.
+// The spin lock (shadow shards, SP-hybrid segments, TwoLevelOm groups): a
+// plain (non-atomic) counter stays exact only if lock/unlock exclude each
+// other, and under TSan a missing acquire or release shows up as a data
+// race on the counter. Odd threads take the lock through try_lock.
 TEST(Util, SpinLockCountsExactly) {
   constexpr int kThreads = 4;
   constexpr int kIncrements = 200000;
@@ -237,14 +191,36 @@ TEST(Util, SpinLockCountsExactly) {
   long counter = 0;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&] {
+    threads.emplace_back([&, t] {
       for (int i = 0; i < kIncrements; ++i) {
-        const spr::lock_guard<spr::spin_lock> lock(mu);
+        if (t % 2 == 0) {
+          mu.lock();
+        } else {
+          while (!mu.try_lock()) std::this_thread::yield();
+        }
         ++counter;
+        mu.unlock();
       }
     });
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(counter, static_cast<long>(kThreads) * kIncrements);
+
+  // try_lock fails while another thread holds the lock, and succeeds once
+  // it is released.
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    mu.lock();
+    held.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+    mu.unlock();
+  });
+  while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
+  EXPECT_FALSE(mu.try_lock());
+  release.store(true, std::memory_order_release);
+  holder.join();
+  EXPECT_TRUE(mu.try_lock());
+  mu.unlock();
 }
 
 TEST(Hybrid, ChecksumStableAcrossModes) {
