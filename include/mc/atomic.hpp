@@ -271,27 +271,6 @@ class mutex {
     r->note("lock", this, 1);
   }
 
-  /// Non-blocking acquire: one scheduling point, then either takes the
-  /// mutex (same acquire edge as lock()) or reports it busy. Lets client
-  /// code count contended acquisitions without a second lock protocol.
-  bool try_lock() {
-    Run* r = Run::current();
-    if (r == nullptr || !r->executing()) {
-      if (held_) return false;
-      held_ = true;
-      return true;
-    }
-    r->sched_point(PointKind::kOp);
-    if (held_) {
-      r->note("trylock", this, 0);
-      return false;
-    }
-    held_ = true;
-    r->clock(r->tid()).join(vc_);
-    r->note("trylock", this, 1);
-    return true;
-  }
-
   void unlock() {
     Run* r = Run::current();
     if (r == nullptr || !r->executing()) {

@@ -1,33 +1,25 @@
 #pragma once
-// Concurrent order-maintenance list: the global tier of SP-hybrid
-// (Section 4). Queries are lock-free (seqlock over immutable-between-
-// relabels atomic labels); insertions serialize on a mutex, which matches
-// the paper's global tier where insertions happen only on steals and are
-// already serialized by the scheduler lock. The work-stealing executor
-// (sphybrid/worker.hpp) calls insert_after from concurrent steal paths
-// via SegmentList::split_tail while other workers query concurrently, so
-// every field read outside the mutex is atomic.
-//
-// This is the ORACLE backend of the om::Backend shootout: correct but
-// simple — linearizable, lock-free reads, O(lg n) amortized insert with
-// O(n) full relabels, every insert serialized on one mutex. The scalable
-// implementation is om/two_level_om.hpp (the paper's two-level
-// structure, finely locked per group).
+// Concurrent order-maintenance list, the library's only one: the global
+// tier of SP-hybrid (Section 4). Queries are lock-free (seqlock over
+// immutable-between-relabels atomic labels); insertions serialize on a
+// mutex and a gap collision relabels the whole list. That matches the
+// paper's global tier, which takes at most 3 inserts per steal, one at a
+// time, so a finer-grained scheme would buy nothing. The work-stealing
+// executor (sphybrid/worker.hpp) calls insert_after from concurrent steal
+// paths via SegmentList::split_tail while other workers query
+// concurrently, so every field read outside the mutex is atomic.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 
-#include "om/backend.hpp"
 #include "util/atomics.hpp"
 
 namespace spr::om {
 
 class ConcurrentOrderList {
  public:
-  static constexpr const char* kName = "mutex-serial";
-
   // The seqlock's data loads. precedes() relies on these being ACQUIRE:
   // reading a label written inside a relabel epoch synchronizes with the
   // relabeler, which forces the validating re-read of `version_` to
@@ -43,21 +35,19 @@ class ConcurrentOrderList {
 
   struct Item {
     spr::atomic<std::uint64_t> label{0};
-    Item* prev = nullptr;  ///< guarded by the insert mutex
     Item* next = nullptr;  ///< guarded by the insert mutex
   };
 
   ConcurrentOrderList() {
     base_ = new Item;
     base_->label.store(0, std::memory_order_relaxed);
-    head_ = tail_ = base_;
     size_.store(1, std::memory_order_relaxed);
   }
   ConcurrentOrderList(const ConcurrentOrderList&) = delete;
   ConcurrentOrderList& operator=(const ConcurrentOrderList&) = delete;
 
   ~ConcurrentOrderList() {
-    Item* it = head_;
+    Item* it = base_;
     while (it != nullptr) {
       Item* nx = it->next;
       delete it;
@@ -69,13 +59,7 @@ class ConcurrentOrderList {
   Item* base() const { return base_; }
 
   Item* insert_after(Item* x) {
-    // Counted acquisition: a failed try_lock is a contended insert — the
-    // shootout's lock_waits metric (high here, ~0 for the finer backends).
-    if (!mu_.try_lock()) {
-      lock_waits_.fetch_add(1, std::memory_order_relaxed);
-      mu_.lock();
-    }
-    spr::lock_guard<spr::mutex> lock(mu_, std::adopt_lock);
+    spr::lock_guard<spr::mutex> lock(mu_);
     const std::uint64_t lo = x->label.load(std::memory_order_relaxed);
     const std::uint64_t hi =
         x->next != nullptr ? x->next->label.load(std::memory_order_relaxed)
@@ -118,24 +102,12 @@ class ConcurrentOrderList {
   std::uint64_t query_retries() const {
     return retries_.load(std::memory_order_relaxed);
   }
-  std::uint64_t lock_waits() const {
-    return lock_waits_.load(std::memory_order_relaxed);
-  }
-
-  std::size_t memory_bytes() const {
-    return sizeof(*this) + size() * sizeof(Item);
-  }
 
  private:
   static constexpr std::uint64_t kMax = ~0ULL;
 
-  void link_after(Item* x, Item* item) {
-    item->prev = x;
+  static void link_after(Item* x, Item* item) {
     item->next = x->next;
-    if (x->next != nullptr)
-      x->next->prev = item;
-    else
-      tail_ = item;
     x->next = item;
   }
 
@@ -143,7 +115,7 @@ class ConcurrentOrderList {
     const std::uint64_t stride =
         kMax / (size_.load(std::memory_order_relaxed) + 2);
     std::uint64_t label = 0;
-    for (Item* it = head_; it != nullptr; it = it->next) {
+    for (Item* it = base_; it != nullptr; it = it->next) {
       it->label.store(label, std::memory_order_release);
       label += stride;
     }
@@ -151,14 +123,9 @@ class ConcurrentOrderList {
 
   spr::mutex mu_;
   spr::atomic<std::uint64_t> version_{0};
-  spr::atomic<std::uint64_t> lock_waits_{0};
   mutable spr::atomic<std::uint64_t> retries_{0};
   Item* base_ = nullptr;
-  Item* head_ = nullptr;
-  Item* tail_ = nullptr;
   spr::atomic<std::size_t> size_{0};  ///< read concurrently with inserts
 };
-
-static_assert(Backend<ConcurrentOrderList>);
 
 }  // namespace spr::om

@@ -4,8 +4,7 @@
 // 64-bit label; inserts take the midpoint of the neighboring labels and a
 // gap collision relabels the entire list evenly. Queries are one integer
 // compare; adversarial insertion patterns degrade inserts toward O(n)
-// (visible in the moved_per_insert counter), which is exactly the contrast
-// om_micro.cpp draws.
+// items moved each, the contrast bench/thm5_sporder_scaling.cpp reports.
 
 #include <cstddef>
 #include <cstdint>

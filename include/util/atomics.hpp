@@ -2,7 +2,7 @@
 // Atomics policy layer: the single point where the lock-free core binds
 // to a memory model. Every concurrent structure in the library
 // (sphybrid/deque.hpp, sphybrid/segment_list.hpp, om/concurrent_om.hpp,
-// om/two_level_om.hpp, spbags/dsu.hpp, sphybrid/two_tier_sp.hpp)
+// spbags/dsu.hpp, sphybrid/two_tier_sp.hpp, race/stream/shadow_shards.hpp)
 // declares its shared state as spr::atomic<T> / spr::mutex /
 // spr::spin_lock and backs off in retry loops via spr::spin_pause(),
 // never touching <atomic> or <thread> directly.
@@ -90,11 +90,11 @@ inline void atomic_thread_fence(std::memory_order mo) {
 
 namespace spr {
 
-/// Test-and-test-and-set spin lock (Lockable) for critical sections of a
-/// few hundred nanoseconds: a shadow shard's cell update, an SP-hybrid
-/// segment's local insert, a TwoLevelOm group's insert or split. A
-/// std::mutex sleeps on its first collision, and the futex round trip
-/// costs far more than waiting out the holder. Waiters re-read the word
+/// Test-and-test-and-set spin lock (BasicLockable) for critical sections
+/// of a few hundred nanoseconds: a shadow shard's cell update or an
+/// SP-hybrid segment's local insert. A std::mutex sleeps on its first
+/// collision, and the futex round trip costs far more than waiting out
+/// the holder. Waiters re-read the word
 /// relaxed, so the cache line stays shared until the holder's release
 /// store; only then do they retry the acquire exchange.
 class spin_lock {
@@ -116,10 +116,6 @@ class spin_lock {
       } while (locked_.load(std::memory_order_relaxed));
     }
   }
-
-  /// One acquire attempt, no waiting: lets callers count contended
-  /// acquisitions (TwoLevelOm's lock_waits) before falling back to lock().
-  bool try_lock() { return !locked_.exchange(true, std::memory_order_acquire); }
 
   void unlock() { locked_.store(false, std::memory_order_release); }
 

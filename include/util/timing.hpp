@@ -35,8 +35,8 @@ inline std::uint64_t spin_work(std::uint64_t iters) {
   return x;
 }
 
-/// Minimal benchmark::DoNotOptimize equivalent so benches that do not link
-/// google-benchmark can still fence values.
+/// Keeps `value` alive and opaque to the optimizer, so a bench loop whose
+/// result is otherwise unused is not deleted.
 template <typename T>
 inline void do_not_optimize(T const& value) {
 #if defined(__GNUC__) || defined(__clang__)

@@ -1,18 +1,15 @@
 #!/usr/bin/env bash
-# Pinned benchmark runner: builds the bench harnesses, runs each one
-# pinned to core 0 (taskset) for stable numbers, collects their `#METRIC`
-# JSON lines plus wall-clock, and writes BENCH_<n>.json at the repo root
-# (n = first unused index, so committed baselines are never overwritten).
+# Benchmark runner: builds the bench harnesses, runs each one, collects
+# their `#METRIC` JSON lines plus wall-clock, and writes BENCH_<n>.json at
+# the repo root (n = first unused index, so committed baselines are never
+# overwritten). Single-threaded harnesses run pinned to core 0 (taskset)
+# for stable numbers; the multi-threaded ones run unpinned, since pinning
+# would make their P=2/4 cells time-share one core. Each bench's entry
+# records whether it was pinned.
 #
-# Usage: scripts/bench.sh [--quick]
-#   --quick  skip om_micro (the google-benchmark microbench is the slow one)
+# Usage: scripts/bench.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-QUICK=0
-if [[ "${1:-}" == "--quick" ]]; then
-  QUICK=1
-fi
 
 BUILD=build-bench
 cmake -B "${BUILD}" -S . -DBUILD_BENCH=ON -DBUILD_TESTS=OFF >/dev/null
@@ -43,10 +40,9 @@ HOST=$(jq -cn --arg sha "${git_sha}" --argjson dirty "${git_dirty}" \
   --arg build_type "${build_type}" \
   --arg flags "$(cache CMAKE_CXX_FLAGS) $(cache "CMAKE_CXX_FLAGS_${build_type^^}")" \
   --argjson nproc "$(nproc)" \
-  --argjson pinned "$( [[ -n "${PIN}" ]] && echo true || echo false )" \
   '{git_sha: $sha, git_dirty: $dirty, compiler: $compiler,
     build_type: $build_type, cxx_flags: ($flags | ltrimstr(" ")),
-    nproc: $nproc, pinned: $pinned}')
+    nproc: $nproc}')
 
 # Next free BENCH_<n>.json index.
 n=1
@@ -54,27 +50,22 @@ while [[ -e "BENCH_${n}.json" ]]; do n=$((n + 1)); done
 OUT="BENCH_${n}.json"
 
 BENCHES=(fig3_serial_comparison thm5_sporder_scaling thm10_sphybrid_scaling
-         naive_vs_hybrid cor6_race_overhead ext_allsets ext_stream_ingest
-         om_shootout)
-if [[ "${QUICK}" == "0" ]]; then
-  BENCHES+=(om_micro)
-fi
+         naive_vs_hybrid cor6_race_overhead ext_allsets ext_stream_ingest)
 
 LOGDIR=$(mktemp -d)
 trap 'rm -rf "${LOGDIR}"' EXIT
 
-declare -A WALL
+declare -A WALL PINNED
 for b in "${BENCHES[@]}"; do
-  echo "== ${b} (pinned: ${PIN:-no}) =="
+  case "${b}" in
+    thm10_sphybrid_scaling | naive_vs_hybrid | ext_stream_ingest)
+      pin="" ;;  # starts worker threads: never pinned
+    *) pin="${PIN}" ;;
+  esac
+  PINNED[${b}]=$( [[ -n "${pin}" ]] && echo true || echo false )
+  echo "== ${b} (pinned: ${pin:-no}) =="
   start=$(date +%s.%N)
-  # om_micro reports through google-benchmark's own JSON.
-  if [[ "${b}" == "om_micro" ]]; then
-    ${PIN} "./${BUILD}/${b}" \
-      --benchmark_out="${LOGDIR}/${b}.bench.json" \
-      --benchmark_out_format=json | tee "${LOGDIR}/${b}.log"
-  else
-    ${PIN} "./${BUILD}/${b}" | tee "${LOGDIR}/${b}.log"
-  fi
+  ${pin} "./${BUILD}/${b}" | tee "${LOGDIR}/${b}.log"
   end=$(date +%s.%N)
   WALL[${b}]=$(echo "${end} ${start}" | awk '{printf "%.3f", $1 - $2}')
 done
@@ -93,12 +84,10 @@ done
     first=0
     echo "    \"${b}\": {"
     echo "      \"wall_s\": ${WALL[${b}]},"
+    echo "      \"pinned\": ${PINNED[${b}]},"
     echo "      \"metrics\": ["
     sed -n 's/^#METRIC //p' "${LOGDIR}/${b}.log" | paste -sd, - || true
     echo "      ]"
-    if [[ "${b}" == "om_micro" && -f "${LOGDIR}/${b}.bench.json" ]]; then
-      echo "      ,\"google_benchmark\": $(jq -c '.benchmarks' "${LOGDIR}/${b}.bench.json")"
-    fi
     echo "    }"
   done
   echo "  }"

@@ -1,8 +1,8 @@
-// Backend-conformance suite for the om::Backend concept: both backends
-// (mutex-serial oracle, two-level) must order items exactly like a
-// sequential mirror under randomized insert positions, survive a
-// multi-threaded disjoint-pivot stress with concurrent readers (the TSan
-// leg's meat), and linearize concurrent inserts after the same pivot.
+// ConcurrentOrderList, SP-hybrid's global tier: it must order items
+// exactly like a sequential mirror under randomized insert positions,
+// survive a multi-threaded disjoint-pivot stress with concurrent readers
+// (the TSan leg's meat), and linearize concurrent inserts after the same
+// pivot.
 
 #include <gtest/gtest.h>
 
@@ -12,40 +12,28 @@
 #include <thread>
 #include <vector>
 
-#include "om/backend.hpp"
 #include "om/concurrent_om.hpp"
-#include "om/two_level_om.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using spr::om::ConcurrentOrderList;
-using spr::om::TwoLevelOm;
-
-static_assert(spr::om::Backend<ConcurrentOrderList>);
-static_assert(spr::om::Backend<TwoLevelOm>);
-
-template <typename B>
-class OmBackendTest : public ::testing::Test {};
-
-using Backends = ::testing::Types<ConcurrentOrderList, TwoLevelOm>;
-TYPED_TEST_SUITE(OmBackendTest, Backends);
+using Item = ConcurrentOrderList::Item;
 
 // All ordered pairs of `mirror` (list order) must agree with precedes().
-template <typename B>
-void expect_order_matches(const B& om,
-                          const std::vector<typename B::Item*>& mirror) {
+void expect_order_matches(const ConcurrentOrderList& om,
+                          const std::vector<Item*>& mirror) {
   for (std::size_t i = 0; i < mirror.size(); ++i)
     for (std::size_t j = 0; j < mirror.size(); ++j)
       ASSERT_EQ(om.precedes(mirror[i], mirror[j]), i < j)
           << "pair (" << i << ", " << j << ")";
 }
 
-TYPED_TEST(OmBackendTest, RandomizedInsertsMatchSequentialOracle) {
+TEST(ConcurrentOm, RandomizedInsertsMatchSequentialOracle) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     spr::util::Xoshiro256 rng(seed);
-    TypeParam om;
-    std::vector<typename TypeParam::Item*> mirror;
+    ConcurrentOrderList om;
+    std::vector<Item*> mirror;
     mirror.push_back(om.base());
     for (int i = 1; i < 300; ++i) {
       const std::size_t pos = rng.next_below(mirror.size());
@@ -57,11 +45,11 @@ TYPED_TEST(OmBackendTest, RandomizedInsertsMatchSequentialOracle) {
   }
 }
 
-TYPED_TEST(OmBackendTest, AdversarialSameChainInserts) {
+TEST(ConcurrentOm, AdversarialSameChainInserts) {
   // Every insert after the same pivot: maximal relabel pressure.
-  TypeParam om;
+  ConcurrentOrderList om;
   auto* pivot = om.insert_after(om.base());
-  std::vector<typename TypeParam::Item*> items;
+  std::vector<Item*> items;
   for (int i = 0; i < 3000; ++i) items.push_back(om.insert_after(pivot));
   // Order: base, pivot, items[2999], ..., items[0].
   spr::util::Xoshiro256 rng(9);
@@ -82,14 +70,13 @@ TYPED_TEST(OmBackendTest, AdversarialSameChainInserts) {
 //   base < p0 < (t0's inserts, newest first) < p1 < ... — each writer's
 // items stay strictly inside (p_t, p_{t+1}), so a full postcondition
 // sweep catches any cross-thread label corruption.
-template <typename B>
 void concurrent_stress(unsigned threads, int per_thread) {
-  B om;
-  std::vector<typename B::Item*> pivots;
+  ConcurrentOrderList om;
+  std::vector<Item*> pivots;
   auto* cur = om.base();
   for (unsigned t = 0; t < threads; ++t)
     pivots.push_back(cur = om.insert_after(cur));
-  std::vector<std::vector<typename B::Item*>> mine(threads);
+  std::vector<std::vector<Item*>> mine(threads);
   std::atomic<bool> stop{false};
   std::atomic<bool> first_pass_done{false};
   std::atomic<std::uint64_t> reads{0};
@@ -137,25 +124,22 @@ void concurrent_stress(unsigned threads, int per_thread) {
   }
 }
 
-TYPED_TEST(OmBackendTest, ConcurrentDisjointInsertsWithReaders) {
-  for (const unsigned threads : {1u, 2u, 4u})
-    concurrent_stress<TypeParam>(threads, 2000);
+TEST(ConcurrentOm, ConcurrentDisjointInsertsWithReaders) {
+  for (const unsigned threads : {1u, 2u, 4u}) concurrent_stress(threads, 2000);
 }
 
-TYPED_TEST(OmBackendTest, SamePivotConcurrentInsertsLinearize) {
+TEST(ConcurrentOm, SamePivotConcurrentInsertsLinearize) {
   // Every thread inserts after the SAME pivot. Each insert lands
   // immediately after the pivot, so in any linearization every item ends
   // strictly inside (pivot, succ), the items are totally ordered, and
   // each thread's own items appear newest first.
   for (const unsigned threads : {2u, 4u}) {
     for (int round = 0; round < 50; ++round) {
-      TypeParam om;
-      // 40 items ahead of the pivot put it in the latter half of its
-      // two-level group, so the first split moves it mid-insert.
+      ConcurrentOrderList om;
       auto* pivot = om.base();
       for (int i = 0; i <= 40; ++i) pivot = om.insert_after(pivot);
       auto* succ = om.insert_after(pivot);
-      std::vector<std::vector<typename TypeParam::Item*>> mine(threads);
+      std::vector<std::vector<Item*>> mine(threads);
       std::atomic<unsigned> ready{0};  // start together so inserts overlap
       std::vector<std::thread> ws;
       for (unsigned t = 0; t < threads; ++t)
@@ -168,7 +152,7 @@ TYPED_TEST(OmBackendTest, SamePivotConcurrentInsertsLinearize) {
         });
       for (auto& w : ws) w.join();
       ASSERT_EQ(om.size(), 43 + threads * 50u);
-      std::vector<typename TypeParam::Item*> all;
+      std::vector<Item*> all;
       for (const auto& chain : mine) {
         for (std::size_t i = 0; i + 1 < chain.size(); ++i)
           ASSERT_TRUE(om.precedes(chain[i + 1], chain[i]));
@@ -185,18 +169,6 @@ TYPED_TEST(OmBackendTest, SamePivotConcurrentInsertsLinearize) {
       }
     }
   }
-}
-
-TEST(TwoLevelOm, SplitsKeepCountersHonest) {
-  TwoLevelOm om;
-  auto* at = om.base();
-  for (int i = 0; i < 10000; ++i) at = om.insert_after(at);
-  EXPECT_GT(om.splits(), 0u);
-  EXPECT_GT(om.group_count(), 1u);
-  EXPECT_EQ(om.size(), 10001u);
-  // Chain appends land in an existing gap or split locally — the
-  // single-threaded run must never contend a lock.
-  EXPECT_EQ(om.lock_waits(), 0u);
 }
 
 }  // namespace

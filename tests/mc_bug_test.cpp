@@ -15,7 +15,7 @@
 //    relaxed. Reading a mid-relabel label no longer synchronizes with
 //    the relabeler, so the seqlock validation can re-read the stale
 //    even version and vouch for a torn (old, new) label pair, flipping
-//    an order verdict.
+//    an order verdict of tests/mc_seqlock_episode.hpp.
 //  - mc_bug_shardlock_test (-DSPR_MC_SEED_BUG_SHARD_LOCK_SPLIT): splits
 //    spr::spin_lock's acquire exchange into a load and a separate store.
 //    Two threads can both read the lock free before either sets it, so
@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "mc/checker.hpp"
+#include "mc_seqlock_episode.hpp"
 #include "mc_shard_lock_episode.hpp"
-#include "om/concurrent_om.hpp"
 #include "sphybrid/deque.hpp"
 
 namespace mc = spr::mc;
@@ -87,35 +87,13 @@ TEST(McSeededBug, DequeRelaxedPublishIsCaught) {
 #elif defined(SPR_MC_SEED_BUG_SEQLOCK_RELAXED)
 
 TEST(McSeededBug, SeqlockRelaxedLabelReadIsCaught) {
-  using spr::om::ConcurrentOrderList;
   mc::Options o;
   o.preemption_bound = 2;
   o.max_dfs_schedules = 40000;
   o.random_schedules = 40000;
   o.stale_read_budget = 4;
   const mc::Episode episode = [](mc::Run& r) {
-    ConcurrentOrderList om;
-    ConcurrentOrderList::Item* a = om.insert_after(om.base());
-    om.insert_after(a);  // initial successor; ends up last before base's end
-    // Narrow a's gap to 1 so the racing insert relabels the WHOLE list.
-    // y and z = y->next are adjacent mid-chain items whose label ranges
-    // CROSS between epochs: old labels sit near kMax/2, new labels are
-    // small multiples of the relabel stride — so a torn read pairing
-    // y's old label with z's new label inverts their comparison.
-    ConcurrentOrderList::Item* y = om.insert_after(a);
-    while (y->label.load(std::memory_order_relaxed) -
-               a->label.load(std::memory_order_relaxed) >=
-           2)
-      y = om.insert_after(a);
-    ConcurrentOrderList::Item* z = y->next;  // setup phase: links are stable
-    r.spawn([&] { om.insert_after(a); });    // triggers relabel_all_locked
-    r.spawn([&] {
-      SPR_MC_ASSERT(om.precedes(y, z),
-                    "y < z must survive a concurrent relabel");
-      SPR_MC_ASSERT(!om.precedes(z, y),
-                    "z < y contradicts the maintained order");
-    });
-    r.join_all();
+    spr::mc_episodes::seqlock_relabel_vs_reader(r);
   };
   const mc::Stats st = mc::explore(o, episode);
   ASSERT_TRUE(st.failed)

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "mc/checker.hpp"
+#include "mc_seqlock_episode.hpp"
 #include "mc_shard_lock_episode.hpp"
-#include "om/two_level_om.hpp"
 #include "race/stream/service.hpp"
 #include "spbags/dsu.hpp"
 #include "sphybrid/deque.hpp"
@@ -30,7 +30,6 @@ namespace mc = spr::mc;
 using spr::bags::AtomicDisjointSets;
 using spr::hybrid::ChaseLevDeque;
 using spr::hybrid::SegmentList;
-using spr::om::TwoLevelOm;
 
 namespace {
 
@@ -270,97 +269,25 @@ TEST(McSuite, DsuConcurrentFindVsUnite) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 6: TwoLevelOm concurrent insert_after on DISTINCT pivots in
-// the SAME group — the per-group spinlock serializes them and the gap
-// exhaustion forces relabel_group_locked under the group seqlock while
-// a third thread queries lock-free. Oracle: pre-existing order survives
-// any interleaving, and the final order matches the two pivot chains.
+// Scenario 6: ConcurrentOrderList (SP-hybrid's global tier) relabels the
+// whole list under its seqlock while a lock-free reader compares two
+// items whose labels cross between epochs. Oracle
+// (tests/mc_seqlock_episode.hpp): the reader's verdicts match the
+// maintained order on every schedule — and some schedule must tear a read
+// and force a seqlock retry.
 
-TEST(McSuite, TwoLevelInsertVsInsertVsReader) {
-  mc::Options o = base_options();
-  o.max_dfs_schedules = 3000;  // 3 threads: lean on the random phase more
-  const mc::Stats st = mc::explore(o, [&](mc::Run& r) {
-    TwoLevelOm om;
-    TwoLevelOm::Item* base = om.base();
-    // Chain after base until base's successor gap is gone (the MC build's
-    // 8-bit local label space makes this 7 inserts, well below the group
-    // cap), so the racing insert at `base` MUST relabel the group while
-    // the insert at `last` takes the same group lock from the other end.
-    TwoLevelOm::Item* last = om.insert_after(base);
-    TwoLevelOm::Item* first = last;
-    while (first->label.load(std::memory_order_relaxed) -
-               base->label.load(std::memory_order_relaxed) >=
-           2)
-      first = om.insert_after(base);
-    TwoLevelOm::Item* a = nullptr;
-    TwoLevelOm::Item* b = nullptr;
-    r.spawn([&] { a = om.insert_after(base); });  // gap gone -> relabel
-    r.spawn([&] { b = om.insert_after(last); });  // appends at the end
-    r.spawn([&] {
-      SPR_MC_ASSERT(om.precedes(base, first),
-                    "base < first must survive a concurrent relabel");
-      SPR_MC_ASSERT(om.precedes(first, last),
-                    "first < last must survive a concurrent relabel");
-      SPR_MC_ASSERT(!om.precedes(last, base), "last < base is impossible");
-    });
-    r.join_all();
-    SPR_MC_ASSERT(om.local_relabels() > 0,
-                  "the narrowed gap must have forced a local relabel");
-    // Sequential oracle on the rendezvous points.
-    const TwoLevelOm::Item* order[5] = {base, a, first, last, b};
-    for (int x = 0; x < 5; ++x)
-      for (int y = 0; y < 5; ++y)
-        SPR_MC_ASSERT(om.precedes(order[x], order[y]) == (x < y),
-                      "final two-level order disagrees with the oracle");
+TEST(McSuite, ConcurrentOmRelabelVsReader) {
+  int retried = 0;
+  const mc::Stats st = mc::explore(base_options(), [&](mc::Run& r) {
+    if (spr::mc_episodes::seqlock_relabel_vs_reader(r) > 0) ++retried;
   });
   ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
-  report("twolevel_insert_vs_insert", st);
+  report("concurrent_om_relabel", st);
+  EXPECT_GT(retried, 0) << "no schedule made the reader's seqlock retry";
 }
 
 // ---------------------------------------------------------------------
-// Scenario 7: TwoLevelOm group SPLIT (kGroupCap is 4 under the checker)
-// racing a lock-free cross-group reader and a concurrent insert whose
-// pivot is being MOVED to the new group: the insert must retry on the
-// group pointer, and the reader must never observe a torn top/local
-// label pair (topver_ seqlock window).
-
-TEST(McSuite, TwoLevelSplitVsReader) {
-  mc::Options o = base_options();
-  o.max_dfs_schedules = 3000;
-  const mc::Stats st = mc::explore(o, [&](mc::Run& r) {
-    TwoLevelOm om;
-    TwoLevelOm::Item* base = om.base();
-    // Fill the group to its MC cap (16). Inserting after base each time,
-    // so list order is base, it[14], it[13], ..., it[0]; it[0] is the
-    // global tail and moves to the NEW group when the racing insert
-    // splits.
-    TwoLevelOm::Item* it[15];
-    for (auto*& x : it) x = om.insert_after(base);
-    TwoLevelOm::Item* nw = nullptr;
-    r.spawn([&] { nw = om.insert_after(it[0]); });  // full -> split first
-    r.spawn([&] {
-      SPR_MC_ASSERT(om.precedes(base, it[0]),
-                    "base < tail must hold through the split");
-      SPR_MC_ASSERT(om.precedes(it[14], it[0]),
-                    "cross-half order must hold through the split");
-      SPR_MC_ASSERT(!om.precedes(it[0], base), "tail < base is impossible");
-    });
-    r.join_all();
-    SPR_MC_ASSERT(om.group_count() == 2, "full group must have split once");
-    // Sequential oracle on a cross-group sample of the final order.
-    const TwoLevelOm::Item* order[6] = {base,  it[14], it[10],
-                                        it[3], it[0],  nw};
-    for (int x = 0; x < 6; ++x)
-      for (int y = 0; y < 6; ++y)
-        SPR_MC_ASSERT(om.precedes(order[x], order[y]) == (x < y),
-                      "post-split order disagrees with the oracle");
-  });
-  ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
-  report("twolevel_split_vs_reader", st);
-}
-
-// ---------------------------------------------------------------------
-// Scenarios 8 and 9: the streaming service (race/stream/). Each stream
+// Scenarios 7 and 8: the streaming service (race/stream/). Each stream
 // owns its SP engine and shadow, guarded by the stream's spr::mutex; the
 // stream table's spr::mutex is the only state streams share.
 
@@ -389,7 +316,7 @@ bool exactly(const spr::race::RaceReport& r, std::uint64_t races) {
 
 }  // namespace
 
-// Scenario 8: two streams submit and finish concurrently, one racing on
+// Scenario 7: two streams submit and finish concurrently, one racing on
 // location 0 and the other on locations 0 and 1 — the same location in
 // both, so a stream that saw the other's cells would miscount. Oracle:
 // on every interleaving both batches ingest and each stream reports
@@ -427,7 +354,7 @@ TEST(McSuite, StreamsSubmitAndFinishConcurrently) {
   report("streams_submit_and_finish", st);
 }
 
-// Scenario 9: finish() frees a stream's shadow and SP engine while a
+// Scenario 8: finish() frees a stream's shadow and SP engine while a
 // second thread reads the stream through memory_bytes() and report().
 // Oracle: the reader sees the stream wholly open or wholly finished —
 // memory_bytes() is one of the two sums, and the report carries the
@@ -469,7 +396,7 @@ TEST(McSuite, FinishFreesWhileReaderReads) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 10: the per-access shard path SP-hybrid's workers take. Two
+// Scenario 9: the per-access shard path SP-hybrid's workers take. Two
 // threads call DeterminacyShadow::apply on one cell of a one-shard shadow,
 // so they hand the shard's spin lock back and forth; every failed try is a
 // scheduling point. Oracle (tests/mc_shard_lock_episode.hpp): never two

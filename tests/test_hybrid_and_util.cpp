@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -180,10 +179,9 @@ TEST(Util, TablePrintsAlignedColumns) {
   EXPECT_NE(out.find("-+-"), std::string::npos);
 }
 
-// The spin lock (shadow shards, SP-hybrid segments, TwoLevelOm groups): a
-// plain (non-atomic) counter stays exact only if lock/unlock exclude each
-// other, and under TSan a missing acquire or release shows up as a data
-// race on the counter. Odd threads take the lock through try_lock.
+// The spin lock (shadow shards, SP-hybrid segments): a plain (non-atomic)
+// counter stays exact only if lock/unlock exclude each other, and under
+// TSan a missing acquire or release shows up as a data race on the counter.
 TEST(Util, SpinLockCountsExactly) {
   constexpr int kThreads = 4;
   constexpr int kIncrements = 200000;
@@ -191,36 +189,14 @@ TEST(Util, SpinLockCountsExactly) {
   long counter = 0;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] {
+    threads.emplace_back([&] {
       for (int i = 0; i < kIncrements; ++i) {
-        if (t % 2 == 0) {
-          mu.lock();
-        } else {
-          while (!mu.try_lock()) std::this_thread::yield();
-        }
+        const spr::lock_guard<spr::spin_lock> hold(mu);
         ++counter;
-        mu.unlock();
       }
     });
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(counter, static_cast<long>(kThreads) * kIncrements);
-
-  // try_lock fails while another thread holds the lock, and succeeds once
-  // it is released.
-  std::atomic<bool> held{false};
-  std::atomic<bool> release{false};
-  std::thread holder([&] {
-    mu.lock();
-    held.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-    mu.unlock();
-  });
-  while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
-  EXPECT_FALSE(mu.try_lock());
-  release.store(true, std::memory_order_release);
-  holder.join();
-  EXPECT_TRUE(mu.try_lock());
-  mu.unlock();
 }
 
 TEST(Hybrid, ChecksumStableAcrossModes) {
