@@ -7,9 +7,9 @@
 // insertions only on steals. Every reported quantity is measured from the
 // run (no modeled counters):
 //   steals/splits   from the deques' successful steal CASes,
-//   OM ins          the global tier's size (3 insertions per trace split),
+//   OM ins          the segment counts (3 insertions per trace split),
 //   lock wait       time inside locked global sections,
-//   qry retries     failed lock-free seqlock query attempts (bucket B5),
+//   qry retries     failed lock-free seqlock query attempts,
 //   traces          trace ids the engine minted, checked against Section
 //                   5's bound of 4*steals + 1.
 // Each hybrid run's checksum is cross-checked against the serial

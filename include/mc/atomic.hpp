@@ -158,14 +158,6 @@ class atomic {
     r->note("cas-fail", this, detail::to_u64(cur.value));
     return false;
   }
-  bool compare_exchange_weak(T& expected, T desired,
-                             std::memory_order ok = std::memory_order_seq_cst,
-                             std::memory_order fail =
-                                 std::memory_order_seq_cst) {
-    // No spurious failures: they only widen the schedule space the DFS
-    // already covers via preemption at the retry loop's reload.
-    return compare_exchange_strong(expected, desired, ok, fail);
-  }
 
  private:
   static constexpr unsigned kHistory = 4;

@@ -130,7 +130,6 @@ class Run {
 
   unsigned tid() const { return cur_; }
   VectorClock& clock(unsigned t) { return t == 0 ? main_vc_ : fibers_[t - 1]->vc; }
-  VectorClock& cur_clock() { return clock(cur_); }
 
   /// Registers a logical thread; it starts running inside join_all().
   void spawn(std::function<void()> fn) {

@@ -94,8 +94,6 @@ class TraceValidator {
     return !in_thread_ && !expect_subtree_ && stages_.empty();
   }
 
-  tree::ThreadId next_thread() const { return next_thread_; }
-
  private:
   std::vector<std::uint8_t> stages_;  ///< open forks: 0 = in left branch,
                                       ///< 1 = in right branch

@@ -3,10 +3,12 @@
 // (English or Hebrew) of the threads (Sections 4-6).
 //
 // The total order is chopped into contiguous SEGMENTS. The global tier is
-// an om::ConcurrentOrderList over one item per segment; the local tier
-// gives every element a 64-bit label inside its segment. x < y holds iff
+// an order-maintenance list over the segments themselves: each segment
+// carries a 64-bit global label, and the segments are linked in global
+// order. The local tier gives every element a 64-bit label inside its
+// segment. x < y holds iff
 //   segment(x) == segment(y) ? label(x) < label(y)
-//                            : segment(x) precedes segment(y) globally.
+//                            : glabel(segment(x)) < glabel(segment(y)).
 // This is correct for ANY contiguous segmentation of the sequence, which
 // is what makes the steal protocol simple to reason about: a steal only
 // has to cut the victim's segment at the stolen subtree's boundary items
@@ -19,11 +21,14 @@
 //    splits the same segment concurrently.
 //  - split_tail is called only on the steal path, serialized by a global
 //    mutex; it is the ONLY operation that inserts into the global tier,
-//    so global inserts arrive one at a time, at most 3 per steal.
+//    so global inserts arrive one at a time, at most 3 per steal. A new
+//    segment takes the midpoint of its neighbours' global labels; when
+//    there is no gap, every segment is relabeled evenly. Both happen
+//    inside the global seqlock write section the split already opens.
 //  - less(a, b) is lock-free: a global seqlock version guards segment
-//    reassignment (splits), a per-segment version guards local relabels,
-//    and the global tier has its own seqlock. All protected data is
-//    atomic, so the scheme is exact under ThreadSanitizer.
+//    reassignment and global labels (splits), and a per-segment version
+//    guards local relabels. All protected data is atomic, so the scheme
+//    is exact under ThreadSanitizer.
 
 #include <atomic>
 #include <cstddef>
@@ -32,14 +37,26 @@
 #include <mutex>
 #include <vector>
 
-#include "om/concurrent_om.hpp"
 #include "util/atomics.hpp"
 
 namespace spr::hybrid {
 
 class SegmentList {
  public:
-  using GlobalItem = om::ConcurrentOrderList::Item;
+  // The seqlock's data loads: every label read in less(). less() relies
+  // on these being ACQUIRE: reading a label written inside a relabel
+  // epoch synchronizes with the relabeler, which forces the validating
+  // re-read of the version to observe at least the epoch-opening odd
+  // increment and retry. The MC suite demotes them to relaxed
+  // (-DSPR_MC_SEED_BUG_SEQLOCK_RELAXED, MC builds only) to prove the
+  // checker catches the torn label pair.
+#if defined(SPR_MODEL_CHECK) && defined(SPR_MC_SEED_BUG_SEQLOCK_RELAXED)
+  static constexpr std::memory_order kLabelRead =
+      std::memory_order_relaxed;  // SEEDED BUG — never set outside MC
+#else
+  static constexpr std::memory_order kLabelRead = std::memory_order_acquire;
+#endif
+
   struct Segment;
 
   struct Item {
@@ -50,7 +67,8 @@ class SegmentList {
   };
 
   struct Segment {
-    GlobalItem* gitem = nullptr;
+    spr::atomic<std::uint64_t> glabel{0};  ///< global-tier label
+    Segment* gnext = nullptr;  ///< global-tier successor; guarded by split_mu_
     spr::atomic<std::uint64_t> lver{0};  ///< seqlock for local relabels
     spr::spin_lock lock;
     Item* head = nullptr;
@@ -59,8 +77,8 @@ class SegmentList {
   };
 
   SegmentList() {
-    Segment* s = new_segment(global_.base());
-    root_ = alloc_item();
+    Segment* s = new_segment();
+    root_ = new Item;
     root_->label.store(kMax / 2, std::memory_order_relaxed);
     root_->seg.store(s, std::memory_order_relaxed);
     s->head = s->tail = root_;
@@ -86,7 +104,7 @@ class SegmentList {
   /// Inserts a new element immediately after `x` in the total order.
   /// Caller must be the worker owning the region around `x`.
   Item* insert_after(Item* x) {
-    Item* item = alloc_item();
+    Item* item = new Item;
     for (;;) {
       Segment* s = x->seg.load(std::memory_order_acquire);
       s->lock.lock();
@@ -112,14 +130,15 @@ class SegmentList {
 
   /// Steal path only: moves the suffix [first .. tail] of first's segment
   /// into a fresh segment placed immediately after it in the global tier.
-  /// One global-tier insertion. Serialized by an internal mutex.
+  /// One global-tier insertion. Serialized by split_mu_.
   void split_tail(Item* first) {
     spr::lock_guard<spr::mutex> guard(split_mu_);
     Segment* src = first->seg.load(std::memory_order_relaxed);
     src->lock.lock();
     // Seqlock write section: queries retry while gver_ is odd.
     gver_.fetch_add(1, std::memory_order_acq_rel);
-    Segment* dst = new_segment(global_.insert_after(src->gitem));
+    Segment* dst = new_segment();
+    link_global_locked(src, dst);
     // Hold dst's lock across the whole move: the moment an item's seg
     // pointer is republished below, the owner's insert_after may target
     // dst, and it must block until the suffix is fully linked/relabeled.
@@ -163,11 +182,12 @@ class SegmentList {
       if (sa == sb) {
         const std::uint64_t l0 = sa->lver.load(std::memory_order_acquire);
         if (l0 & 1) continue;  // relabel in flight
-        const std::uint64_t la = a->label.load(std::memory_order_acquire);
-        const std::uint64_t lb = b->label.load(std::memory_order_acquire);
+        const std::uint64_t la = a->label.load(kLabelRead);
+        const std::uint64_t lb = b->label.load(kLabelRead);
         // The acquire label loads keep the validating re-checks below from
         // executing early; a torn read forces a new gver_/lver epoch to be
-        // visible here, so mismatched epochs always retry.
+        // visible here, so mismatched epochs always retry. No standalone
+        // fence — TSan does not model atomic_thread_fence.
         if (sa->lver.load(std::memory_order_relaxed) != l0 ||
             gver_.load(std::memory_order_relaxed) != g0) {
           retries_.fetch_add(1, std::memory_order_relaxed);
@@ -175,36 +195,55 @@ class SegmentList {
         }
         return la < lb;
       }
-      const bool r = global_.precedes(sa->gitem, sb->gitem);
+      // Global labels change only inside a gver_ write section.
+      const std::uint64_t ga = sa->glabel.load(kLabelRead);
+      const std::uint64_t gb = sb->glabel.load(kLabelRead);
       if (gver_.load(std::memory_order_relaxed) != g0) {
         retries_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      return r;
+      return ga < gb;
     }
   }
 
   /// Global-tier insertions so far: one per split_tail.
-  std::uint64_t global_inserts() const { return global_.size() - 1; }
+  std::uint64_t global_inserts() const { return segments_.size() - 1; }
   std::uint64_t query_retries() const {
-    return retries_.load(std::memory_order_relaxed) + global_.query_retries();
+    return retries_.load(std::memory_order_relaxed);
   }
   std::size_t segment_count() const { return segments_.size(); }
 
  private:
   static constexpr std::uint64_t kMax = ~0ULL;
 
-  static Item* alloc_item() { return new Item; }
+  /// Constructor or split_mu_ only.
+  Segment* new_segment() {
+    segments_.push_back(std::make_unique<Segment>());
+    return segments_.back().get();
+  }
 
-  Segment* new_segment(GlobalItem* gitem) {
-    auto seg = std::make_unique<Segment>();
-    seg->gitem = gitem;
-    Segment* raw = seg.get();
-    {
-      spr::lock_guard<spr::mutex> guard(segments_mu_);
-      segments_.push_back(std::move(seg));
+  /// Links `dst` right after `src` in the global tier, at the midpoint of
+  /// src's label gap, or relabels every segment evenly when there is no
+  /// gap. Caller holds split_mu_ inside a gver_ write section.
+  void link_global_locked(Segment* src, Segment* dst) {
+    const std::uint64_t lo = src->glabel.load(std::memory_order_relaxed);
+    const std::uint64_t hi =
+        src->gnext != nullptr
+            ? src->gnext->glabel.load(std::memory_order_relaxed)
+            : kMax;
+    dst->gnext = src->gnext;
+    src->gnext = dst;
+    if (hi - lo >= 2) {
+      dst->glabel.store(lo + (hi - lo) / 2, std::memory_order_release);
+      return;
     }
-    return raw;
+    // The root's segment is always first: splits only link after a source.
+    const std::uint64_t stride = kMax / (segments_.size() + 1);
+    std::uint64_t label = 0;
+    for (Segment* s = segments_.front().get(); s != nullptr; s = s->gnext) {
+      s->glabel.store(label, std::memory_order_release);
+      label += stride;
+    }
   }
 
   void link_after_locked(Segment* s, Item* x, Item* item) {
@@ -231,12 +270,10 @@ class SegmentList {
     s->lver.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  om::ConcurrentOrderList global_;
   spr::atomic<std::uint64_t> gver_{0};
   mutable spr::atomic<std::uint64_t> retries_{0};
   spr::mutex split_mu_;
-  spr::mutex segments_mu_;
-  std::vector<std::unique_ptr<Segment>> segments_;
+  std::vector<std::unique_ptr<Segment>> segments_;  ///< guarded by split_mu_
   Item* root_ = nullptr;
 };
 

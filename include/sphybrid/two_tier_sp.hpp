@@ -5,8 +5,8 @@
 // as a two-tier SegmentList so that:
 //  - every enter_internal performs two LOCAL (segment-internal) inserts
 //    per list, lock-free against queries, no global-tier traffic;
-//  - only a steal cuts segments and inserts into the global tier (an
-//    om::ConcurrentOrderList): one English cut and two Hebrew cuts, i.e.
+//  - only a steal cuts segments and inserts into the global tier (the
+//    order over segments): one English cut and two Hebrew cuts, i.e.
 //    exactly 3 global OM insertions per steal.
 // Queries answer with Theorem 4's characterization
 //   u < v  iff  Eng(u) < Eng(v) and Heb(u) < Heb(v),
@@ -114,15 +114,17 @@ class TwoTierSp {
 
   /// On-the-fly query: u completed (or a recorded accessor), v currently
   /// executing on the calling worker. Tries the same-trace SP-bags tier
-  /// first; falls back to the structural tier.
-  bool precedes_onthefly(tree::ThreadId u, tree::ThreadId v) {
+  /// first, bumping the caller's `fast_answers` when it answers; falls
+  /// back to the structural tier.
+  bool precedes_onthefly(tree::ThreadId u, tree::ThreadId v,
+                         std::uint64_t& fast_answers) {
     if (u == v) return false;
     switch (bags_.precedes_fast(u, v)) {
       case bags::TraceBags::Answer::kSerial:
-        fast_hits_.fetch_add(1, std::memory_order_relaxed);
+        ++fast_answers;
         return true;
       case bags::TraceBags::Answer::kParallel:
-        fast_hits_.fetch_add(1, std::memory_order_relaxed);
+        ++fast_answers;
         return false;
       case bags::TraceBags::Answer::kMiss:
         break;
@@ -135,9 +137,6 @@ class TwoTierSp {
   }
   std::uint64_t query_retries() const {
     return eng_.query_retries() + heb_.query_retries();
-  }
-  std::uint64_t fast_hits() const {
-    return fast_hits_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -162,7 +161,6 @@ class TwoTierSp {
   SegmentList heb_;
   std::vector<Slot> slots_;
   bags::TraceBags bags_;
-  spr::atomic<std::uint64_t> fast_hits_{0};
 };
 
 }  // namespace spr::hybrid

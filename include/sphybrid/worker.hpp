@@ -18,8 +18,8 @@
 // (the T_P baseline).
 //
 // Counters are measured, not modeled: steals/splits come from the deques,
-// om_inserts from the sizes of the OM lists that take locked insertions
-// (kHybrid's global tier, kNaive's shared pair), lock_wait_ns from time
+// om_inserts from the structures that take locked insertions (kHybrid's
+// segment counts, kNaive's shared OM pair), lock_wait_ns from time
 // spent in locked global sections, and `traces` from the trace ids the
 // engine minted, which Section 5 bounds by 4*steals + 1.
 
@@ -219,6 +219,7 @@ class WorkStealingEngine {
       r.steals += w->steals;
       r.splits += w->splits;
       r.queries += w->queries;
+      r.fast_queries += w->fast_queries;
       r.lock_wait_ns += w->lock_wait_ns;
       spin ^= w->spin_xor;
       digest += w->digest_sum;
@@ -229,7 +230,6 @@ class WorkStealingEngine {
     if (sp_ != nullptr) {
       r.om_inserts = sp_->global_inserts();
       r.query_retries = sp_->query_retries();
-      r.fast_queries = sp_->fast_hits();
     }
     if (naive_ != nullptr) r.om_inserts = naive_->inserts();
     util::do_not_optimize(r.checksum);
@@ -258,6 +258,7 @@ class WorkStealingEngine {
     std::uint64_t steals = 0;
     std::uint64_t splits = 0;
     std::uint64_t queries = 0;
+    std::uint64_t fast_queries = 0;  ///< answered by the SP-bags local tier
     std::uint64_t lock_wait_ns = 0;
     std::uint64_t spin_xor = 0;
     std::uint64_t digest_sum = 0;
@@ -297,7 +298,7 @@ class WorkStealingEngine {
   }
 
   bool answer(WorkerCtx& w, tree::ThreadId u, tree::ThreadId v) {
-    if (sp_ != nullptr) return sp_->precedes_onthefly(u, v);
+    if (sp_ != nullptr) return sp_->precedes_onthefly(u, v, w.fast_queries);
     const util::Stopwatch sw;
     std::lock_guard<std::mutex> lock(naive_mu_);
     w.lock_wait_ns += static_cast<std::uint64_t>(sw.elapsed_ns());

@@ -108,9 +108,7 @@ class Pool {
       free_ = free_->next;
     } else {
       mem = arena_.allocate(sizeof(Slot), alignof(Slot));
-      ++capacity_;
     }
-    ++live_;
     return new (mem) T(std::forward<Args>(args)...);
   }
 
@@ -119,11 +117,8 @@ class Pool {
     auto* s = reinterpret_cast<Slot*>(p);
     s->next = free_;
     free_ = s;
-    --live_;
   }
 
-  std::size_t live() const { return live_; }
-  std::size_t capacity() const { return capacity_; }
   std::size_t memory_bytes() const { return sizeof(*this) + arena_.memory_bytes(); }
 
  private:
@@ -134,8 +129,6 @@ class Pool {
 
   Arena arena_;
   Slot* free_ = nullptr;
-  std::size_t live_ = 0;
-  std::size_t capacity_ = 0;
 };
 
 }  // namespace spr::util

@@ -1,8 +1,8 @@
 #pragma once
 // Atomics policy layer: the single point where the lock-free core binds
 // to a memory model. Every concurrent structure in the library
-// (sphybrid/deque.hpp, sphybrid/segment_list.hpp, om/concurrent_om.hpp,
-// spbags/dsu.hpp, sphybrid/two_tier_sp.hpp, race/stream/shadow_shards.hpp)
+// (sphybrid/deque.hpp, sphybrid/segment_list.hpp, spbags/dsu.hpp,
+// sphybrid/two_tier_sp.hpp, race/stream/shadow_shards.hpp)
 // declares its shared state as spr::atomic<T> / spr::mutex /
 // spr::spin_lock and backs off in retry loops via spr::spin_pause(),
 // never touching <atomic> or <thread> directly.
@@ -44,7 +44,7 @@ inline void spin_pause(unsigned /*tries*/) { mc::yield(); }
 /// Standalone fence. The checker treats it as a scheduling point only —
 /// fence-induced synchronization is NOT modeled (the library deliberately
 /// carries all happens-before edges on atomic release/acquire pairs; see
-/// om/concurrent_om.hpp's seqlock comment).
+/// sphybrid/segment_list.hpp's seqlock comment).
 inline void atomic_thread_fence(std::memory_order mo) { mc::fence(mo); }
 
 }  // namespace spr

@@ -11,11 +11,11 @@
 //    happens-before edge to the slot write and can steal a stale slot
 //    value; the conservation oracle (stolen ∪ drained == pushed) trips.
 //  - mc_bug_seqlock_test (-DSPR_MC_SEED_BUG_SEQLOCK_RELAXED): demotes
-//    ConcurrentOrderList::precedes' label loads from acquire to
-//    relaxed. Reading a mid-relabel label no longer synchronizes with
-//    the relabeler, so the seqlock validation can re-read the stale
-//    even version and vouch for a torn (old, new) label pair, flipping
-//    an order verdict of tests/mc_seqlock_episode.hpp.
+//    SegmentList::kLabelRead, every label load of SegmentList::less,
+//    from acquire to relaxed. Reading a mid-relabel label no longer
+//    synchronizes with the relabeler, so the seqlock validation can
+//    re-read the stale even version and vouch for a torn (old, new)
+//    label pair, flipping an order verdict of tests/mc_seqlock_episode.hpp.
 //  - mc_bug_shardlock_test (-DSPR_MC_SEED_BUG_SHARD_LOCK_SPLIT): splits
 //    spr::spin_lock's acquire exchange into a load and a separate store.
 //    Two threads can both read the lock free before either sets it, so

@@ -1,46 +1,58 @@
 #pragma once
-// One model-check episode shared by mc_test (ConcurrentOmRelabelVsReader)
-// and its negative control mc_bug_seqlock_test: an insert_after that
-// relabels the WHOLE ConcurrentOrderList (SP-hybrid's global tier) races a
-// lock-free precedes() reader.
+// One model-check episode shared by mc_test (SegmentGlobalRelabelVsReader)
+// and its negative control mc_bug_seqlock_test: a SegmentList::split_tail
+// that finds no global gap and relabels EVERY segment races a lock-free
+// cross-segment less() reader.
 //
-// Setup narrows a's successor gap to 1, so the racing insert after a must
-// relabel. y and z = y->next are adjacent mid-chain items whose label
-// ranges CROSS between epochs: old labels sit near kMax/2, new labels are
-// small multiples of the relabel stride, so a torn read pairing y's old
-// label with z's new label inverts their comparison. The seqlock must
-// make every such read retry.
+// Setup cuts singleton tails off the root's segment until the global gap
+// after it is exhausted, so the racing cut must relabel. y and z sit in
+// the two segments right after the root's, whose global labels CROSS
+// between epochs: old labels are tiny (the halved gap), new ones are
+// multiples of the relabel stride, and y is relabeled before z, so a torn
+// read pairing y's new label with z's old one inverts their comparison.
+// The seqlock must make every such read retry.
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "mc/checker.hpp"
-#include "om/concurrent_om.hpp"
+#include "sphybrid/segment_list.hpp"
 
 namespace spr::mc_episodes {
 
 /// Runs the episode on `r`; returns the reader's failed seqlock
 /// validations (query_retries()), non-zero when the relabel tore a read.
 inline std::uint64_t seqlock_relabel_vs_reader(mc::Run& r) {
-  using om::ConcurrentOrderList;
-  ConcurrentOrderList om;
-  ConcurrentOrderList::Item* a = om.insert_after(om.base());
-  om.insert_after(a);  // initial successor; ends up last in the list
-  ConcurrentOrderList::Item* y = om.insert_after(a);
-  while (y->label.load(std::memory_order_relaxed) -
-             a->label.load(std::memory_order_relaxed) >=
-         2)
-    y = om.insert_after(a);
-  ConcurrentOrderList::Item* z = y->next;  // setup phase: links are stable
-  ConcurrentOrderList::Item* n = nullptr;
-  r.spawn([&] { n = om.insert_after(a); });  // triggers relabel_all_locked
+  using hybrid::SegmentList;
+  SegmentList sl;
+  SegmentList::Item* const root = sl.root();
+  const SegmentList::Segment* const first =
+      root->seg.load(std::memory_order_relaxed);
+  // root < items.back() < ... < items.front(): cutting items in index
+  // order takes one singleton tail each time, linked right after first.
+  std::vector<SegmentList::Item*> items;
+  for (int i = 0; i < 80; ++i) items.push_back(sl.insert_after(root));
+  std::size_t cuts = 0;
+  do {
+    sl.split_tail(items[cuts++]);
+  } while (first->gnext->glabel.load(std::memory_order_relaxed) -
+               first->glabel.load(std::memory_order_relaxed) >=
+           2);
+  SegmentList::Item* const x = items[cuts];      // root segment's tail
+  SegmentList::Item* const y = items[cuts - 1];  // first's successor
+  SegmentList::Item* const z = items[cuts - 2];  // y's successor
+  r.spawn([&] { sl.split_tail(x); });  // no gap after first: relabels all
   r.spawn([&] {
-    SPR_MC_ASSERT(om.precedes(y, z), "y < z must survive a concurrent relabel");
-    SPR_MC_ASSERT(!om.precedes(z, y), "z < y contradicts the maintained order");
+    SPR_MC_ASSERT(sl.less(y, z), "y < z must survive a concurrent relabel");
+    SPR_MC_ASSERT(!sl.less(z, y), "z < y contradicts the maintained order");
   });
   r.join_all();
-  SPR_MC_ASSERT(om.precedes(a, n) && om.precedes(n, y),
-                "the racing insert lands between a and y");
-  return om.query_retries();
+  SPR_MC_ASSERT(sl.less(root, x) && sl.less(x, y) && sl.less(y, z),
+                "a cut never changes the total order");
+  SPR_MC_ASSERT(sl.segment_count() == cuts + 2,
+                "the racing cut adds one segment");
+  return sl.query_retries();
 }
 
 }  // namespace spr::mc_episodes

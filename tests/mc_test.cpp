@@ -194,7 +194,7 @@ TEST(McSuite, SegmentInsertVsSeqlockReader) {
 // class (an insert targeting an item that is being MOVED to the new
 // segment must block on the destination lock or retry on the seg
 // pointer, never link into a half-moved suffix). A third thread reads
-// cross-segment order through the global tier's seqlock mid-split.
+// cross-segment order through the global seqlock mid-split.
 
 TEST(McSuite, SplitTailVsInsertAfter) {
   mc::Options o = base_options();
@@ -269,20 +269,20 @@ TEST(McSuite, DsuConcurrentFindVsUnite) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 6: ConcurrentOrderList (SP-hybrid's global tier) relabels the
-// whole list under its seqlock while a lock-free reader compares two
-// items whose labels cross between epochs. Oracle
-// (tests/mc_seqlock_episode.hpp): the reader's verdicts match the
+// Scenario 6: a split_tail finds no gap in SegmentList's global tier and
+// relabels every segment under the global seqlock while a lock-free
+// reader compares two items whose segments' labels cross between epochs.
+// Oracle (tests/mc_seqlock_episode.hpp): the reader's verdicts match the
 // maintained order on every schedule — and some schedule must tear a read
 // and force a seqlock retry.
 
-TEST(McSuite, ConcurrentOmRelabelVsReader) {
+TEST(McSuite, SegmentGlobalRelabelVsReader) {
   int retried = 0;
   const mc::Stats st = mc::explore(base_options(), [&](mc::Run& r) {
     if (spr::mc_episodes::seqlock_relabel_vs_reader(r) > 0) ++retried;
   });
   ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
-  report("concurrent_om_relabel", st);
+  report("segment_global_relabel", st);
   EXPECT_GT(retried, 0) << "no schedule made the reader's seqlock retry";
 }
 

@@ -71,6 +71,9 @@ TEST(Hybrid, SingleWorkerNeverStealsOrTouchesGlobalTier) {
   EXPECT_EQ(r.splits, 0u);
   EXPECT_EQ(r.om_inserts, 0u);
   EXPECT_EQ(r.traces, 1u);
+  // One trace: the SP-bags fast tier answers every query.
+  EXPECT_GT(r.queries, 0u);
+  EXPECT_EQ(r.fast_queries, r.queries);
 }
 
 TEST(Hybrid, WorkerCountIsValidated) {
