@@ -139,6 +139,12 @@ int main() {
                   spr::fj::lower_to_parse_tree(
                       spr::fj::make_balanced(15, 128))) &&
        ok;
+  // Nesting depth n: at P=1 the whole run is one segment, so this row
+  // measures the local tier's relabel cost under deep nesting.
+  ok = bench_tree("loop_spawn(2^15), 1 work/thread",
+                  spr::fj::lower_to_parse_tree(
+                      spr::fj::make_loop_spawn(1u << 15))) &&
+       ok;
   std::cout
       << "\nShape check (paper): hybrid overhead vs plain is a modest "
          "constant factor at\nfixed P (the lg n factor); measured steals "

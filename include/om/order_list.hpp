@@ -5,7 +5,8 @@
 //
 // Items live in buckets of at most kBucketCap elements. Each item carries
 // a 64-bit local label unique within its bucket; each bucket carries a
-// 64-bit top label maintained by density-based range relabeling. An order
+// 64-bit top label maintained by density-window relabeling
+// (om/list_labeling.hpp, shared with SP-hybrid's local tier). An order
 // query compares (bucket label, item label) lexicographically. Inserting
 // into a full bucket splits it; a split inserts one bucket label into the
 // top level, whose relabeling cost amortizes to O(lg n) per split, i.e.
@@ -24,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "om/list_labeling.hpp"
 #include "util/arena.hpp"
 
 namespace spr::om {
@@ -149,7 +151,6 @@ class OrderList {
         b->next->prev = b->prev;
       else
         tail_ = b->prev;
-      --buckets_;
       ++stats_.buckets_freed;
       bucket_pool_.destroy(b);
     }
@@ -181,7 +182,8 @@ class OrderList {
  private:
   static constexpr std::uint32_t kBucketCap = 64;
   static constexpr std::uint64_t kLocalMax = ~0ULL;
-  static constexpr std::uint64_t kTopMax = 1ULL << 62;  // top label universe
+  static constexpr int kTopLog = 62;
+  static constexpr std::uint64_t kTopMax = 1ULL << kTopLog;  // top labels
 
   Item* new_item(std::uint64_t label, Bucket* b) {
     Item* it = item_pool_.create();
@@ -194,7 +196,6 @@ class OrderList {
     Bucket* b = bucket_pool_.create();
     b->label = kTopMax / 2;
     head_ = tail_ = b;
-    ++buckets_;
     Item* item = new_item(kLocalMax / 2, b);
     b->first = b->last = item;
     b->count = 1;
@@ -219,7 +220,6 @@ class OrderList {
   void split(Bucket* b) {
     ++stats_.bucket_splits;
     Bucket* nb = bucket_pool_.create();
-    ++buckets_;
     // Move the latter half of b's items into nb (relinking only; item
     // nodes stay put so external pointers survive).
     const std::uint32_t keep = b->count / 2;
@@ -246,8 +246,9 @@ class OrderList {
     rebalance(nb);
   }
 
-  /// Gives the freshly linked `nb` (successor of `b`) a top label, doing a
-  /// density-based range relabel when the gap to the next bucket is gone.
+  /// Gives the freshly linked `nb` (successor of `b`) a top label: the
+  /// midpoint of the gap to the next bucket, or a density-window relabel
+  /// (om/list_labeling.hpp) when the gap is gone.
   void assign_top_label(Bucket* b, Bucket* nb) {
     const std::uint64_t lo = b->label;
     const std::uint64_t hi = nb->next != nullptr ? nb->next->label : kTopMax;
@@ -255,56 +256,15 @@ class OrderList {
       nb->label = lo + (hi - lo) / 2;
       return;
     }
-    // Find the smallest aligned window [base, base + 2^i) around b whose
-    // occupancy (including nb) is below the level's overflow threshold,
-    // then spread those buckets evenly across it. Thresholds decay
-    // geometrically with window size (tau = 2^(1/4)) — the classic
-    // list-labeling requirement that makes the relabeling cost amortize
-    // to O(lg n) per top-level insert instead of degrading quadratically
-    // under single-point insertion storms.
-    for (int i = 6; i <= 62; ++i) {
-      const std::uint64_t width = 1ULL << i;
-      const std::uint64_t base = lo & ~(width - 1);
-      Bucket* first = b;
-      std::uint64_t count = 2;  // b and nb
-      while (first->prev != nullptr && first->prev->label >= base) {
-        first = first->prev;
-        ++count;
-      }
-      Bucket* last = nb;
-      while (last->next != nullptr && last->next->label - base < width) {
-        last = last->next;
-        ++count;
-      }
-      if (count + 1 <= (width >> 1) && count <= (width >> (i / 4))) {
-        const std::uint64_t stride = width / (count + 1);
-        std::uint64_t label = base + stride;
-        for (Bucket* cur = first;; cur = cur->next) {
-          cur->label = label;
-          label += stride;
-          ++stats_.items_moved;
-          if (cur == last) break;
-        }
-        ++stats_.top_relabels;
-        return;
-      }
-    }
-    // Unreachable for any feasible list size (2^61 buckets); renumber all
-    // buckets as a last resort.
-    std::uint64_t label = 1;
-    const std::uint64_t stride = kTopMax / (buckets_ + 1);
-    for (Bucket* cur = head_; cur != nullptr; cur = cur->next) {
-      cur->label = label;
-      label += stride;
-      ++stats_.items_moved;
-    }
+    stats_.items_moved += relabel_window(
+        b, nb, kTopLog, [](const Bucket* x) { return x->label; },
+        [](Bucket* x, std::uint64_t l) { x->label = l; });
     ++stats_.top_relabels;
   }
 
   Bucket* head_ = nullptr;
   Bucket* tail_ = nullptr;
   std::size_t size_ = 0;
-  std::size_t buckets_ = 0;
   Stats stats_;
   util::Pool<Item> item_pool_;
   util::Pool<Bucket> bucket_pool_;

@@ -6,7 +6,10 @@
 // an order-maintenance list over the segments themselves: each segment
 // carries a 64-bit global label, and the segments are linked in global
 // order. The local tier gives every element a 64-bit label inside its
-// segment. x < y holds iff
+// segment; when a gap closes, insert_after relabels the smallest
+// sparse-enough window around the insertion point (om/list_labeling.hpp),
+// not the whole segment, so a P=1 run — one segment — stays at O(lg n)
+// amortized label writes per insert. x < y holds iff
 //   segment(x) == segment(y) ? label(x) < label(y)
 //                            : glabel(segment(x)) < glabel(segment(y)).
 // This is correct for ANY contiguous segmentation of the sequence, which
@@ -37,6 +40,7 @@
 #include <mutex>
 #include <vector>
 
+#include "om/list_labeling.hpp"
 #include "util/atomics.hpp"
 
 namespace spr::hybrid {
@@ -78,8 +82,7 @@ class SegmentList {
 
   SegmentList() {
     Segment* s = new_segment();
-    root_ = new Item;
-    root_->label.store(kMax / 2, std::memory_order_relaxed);
+    root_ = new Item;  // label 0: nothing is ever inserted before the root
     root_->seg.store(s, std::memory_order_relaxed);
     s->head = s->tail = root_;
     s->count = 1;
@@ -118,10 +121,20 @@ class SegmentList {
                              : kMax;
       item->seg.store(s, std::memory_order_relaxed);
       link_after_locked(s, x, item);
-      if (hi - lo < 2) {
-        relabel_locked(s);
-      } else {
+      if (hi - lo >= 2) {
         item->label.store(lo + (hi - lo) / 2, std::memory_order_release);
+      } else {
+        // Seqlock write section: concurrent readers retry, never tear.
+        s->lver.fetch_add(1, std::memory_order_acq_rel);
+        om::relabel_window(
+            x, item, kLocalLog,
+            [](const Item* it) {
+              return it->label.load(std::memory_order_relaxed);
+            },
+            [](Item* it, std::uint64_t l) {
+              it->label.store(l, std::memory_order_release);
+            });
+        s->lver.fetch_add(1, std::memory_order_acq_rel);
       }
       s->lock.unlock();
       return item;
@@ -212,9 +225,16 @@ class SegmentList {
     return retries_.load(std::memory_order_relaxed);
   }
   std::size_t segment_count() const { return segments_.size(); }
+  /// Items in the whole order. Quiescent only: reads every segment's count.
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const auto& s : segments_) n += s->count;
+    return n;
+  }
 
  private:
   static constexpr std::uint64_t kMax = ~0ULL;
+  static constexpr int kLocalLog = 63;  ///< widest local relabel window
 
   /// Constructor or split_mu_ only.
   Segment* new_segment() {
@@ -255,19 +275,6 @@ class SegmentList {
       s->tail = item;
     x->next = item;
     ++s->count;
-  }
-
-  /// Rewrites every label in `s` with uniform spacing, under the
-  /// segment's seqlock so concurrent readers retry instead of tearing.
-  void relabel_locked(Segment* s) {
-    s->lver.fetch_add(1, std::memory_order_acq_rel);
-    const std::uint64_t stride = kMax / (s->count + 2);
-    std::uint64_t label = stride;
-    for (Item* it = s->head; it != nullptr; it = it->next) {
-      it->label.store(label, std::memory_order_release);
-      label += stride;
-    }
-    s->lver.fetch_add(1, std::memory_order_acq_rel);
   }
 
   spr::atomic<std::uint64_t> gver_{0};

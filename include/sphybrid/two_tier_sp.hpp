@@ -1,8 +1,8 @@
 #pragma once
-// Two-tier SP maintenance for the parallel SP-hybrid executor
-// (Sections 4-6). The structural tier keeps the exact English and Hebrew
-// total orders of serial SP-order (sporder/sp_order.hpp), each represented
-// as a two-tier SegmentList so that:
+// Two-tier SP-order: the parallel engine's one per-node SP-order
+// (Sections 3-6). It keeps the exact English and Hebrew total orders of
+// serial SP-order (sporder/sp_order.hpp, whose split rule it calls), each
+// represented as a two-tier SegmentList so that:
 //  - every enter_internal performs two LOCAL (segment-internal) inserts
 //    per list, lock-free against queries, no global-tier traffic;
 //  - only a steal cuts segments and inserts into the global tier (the
@@ -11,8 +11,11 @@
 // Queries answer with Theorem 4's characterization
 //   u < v  iff  Eng(u) < Eng(v) and Heb(u) < Heb(v),
 // which is schedule-independent, so parallel runs agree with the serial
-// oracle bit-for-bit. The TraceBags fast tier answers same-trace
-// on-the-fly queries with one union-find find and no shared-order reads.
+// oracle bit-for-bit. SP-hybrid (Mode::kHybrid) asks the engine's
+// TraceBags fast tier first and this order only on a miss; the naive
+// parallel SP-order (Mode::kNaive) calls enter_internal and precedes
+// under one global mutex and never steal_split, so its orders stay one
+// segment each.
 //
 // Slot materialization: a node's (eng, heb) items are created when its
 // parent is entered. precedes() resolves a thread that has not yet
@@ -29,7 +32,7 @@
 #include "util/atomics.hpp"
 
 #include "sphybrid/segment_list.hpp"
-#include "spbags/trace_bags.hpp"
+#include "sporder/sp_order.hpp"
 #include "sptree/sp_maintenance.hpp"
 
 namespace spr::hybrid {
@@ -39,7 +42,7 @@ class TwoTierSp {
   using SegItem = SegmentList::Item;
 
   explicit TwoTierSp(const tree::ParseTree& t)
-      : tree_(t), slots_(t.node_count()), bags_(t.leaf_count()) {
+      : tree_(t), slots_(t.node_count()) {
     if (t.root() != tree::kNoNode) {
       Slot& root = slots_[static_cast<std::size_t>(t.root())];
       root.heb.store(heb_.root(), std::memory_order_relaxed);
@@ -52,23 +55,19 @@ class TwoTierSp {
   /// goes after the base, and the Hebrew item swaps sides at P-nodes.
   void enter_internal(const tree::Node& n) {
     const std::size_t id = static_cast<std::size_t>(n.id);
-    SegItem* e = slots_[id].eng.load(std::memory_order_acquire);
-    SegItem* h = slots_[id].heb.load(std::memory_order_relaxed);
-    SegItem* e_right = eng_.insert_after(e);
-    SegItem* h_new = heb_.insert_after(h);
+    const order::BasicSlot<SegItem> base{
+        slots_[id].eng.load(std::memory_order_acquire),
+        slots_[id].heb.load(std::memory_order_relaxed)};
+    const auto b = order::split(eng_, heb_, base,
+                                n.kind == tree::NodeKind::kSeries);
     Slot& left = slots_[static_cast<std::size_t>(n.left)];
     Slot& right = slots_[static_cast<std::size_t>(n.right)];
-    if (n.kind == tree::NodeKind::kSeries) {
-      left.heb.store(h, std::memory_order_relaxed);
-      right.heb.store(h_new, std::memory_order_relaxed);
-    } else {
-      right.heb.store(h, std::memory_order_relaxed);
-      left.heb.store(h_new, std::memory_order_relaxed);
-    }
+    left.heb.store(b.left.heb, std::memory_order_relaxed);
+    right.heb.store(b.right.heb, std::memory_order_relaxed);
     // Publishing the English item last (release) makes a slot "visible"
     // atomically: a resolver that acquires .eng also sees .heb.
-    left.eng.store(e, std::memory_order_release);
-    right.eng.store(e_right, std::memory_order_release);
+    left.eng.store(b.left.eng, std::memory_order_release);
+    right.eng.store(b.right.eng, std::memory_order_release);
   }
 
   /// Steal path: thread `stolen` is the right child of P-node X whose
@@ -88,17 +87,6 @@ class TwoTierSp {
     eng_.split_tail(slots_[rid].eng.load(std::memory_order_acquire));
   }
 
-  // ---- TraceBags hooks (forwarded so the executor has one facade) ----
-  void on_leaf(tree::ThreadId t, std::uint32_t trace_id) {
-    bags_.on_leaf(t, trace_id);
-  }
-  void classify(std::uint32_t set_member, bool serial) {
-    bags_.classify(set_member, serial);
-  }
-  std::uint32_t unite(std::uint32_t a, std::uint32_t b) {
-    return bags_.unite(a, b);
-  }
-
   /// Structural query, valid for any pair (including after the run).
   bool precedes(tree::ThreadId u, tree::ThreadId v) const {
     if (u == v) return false;
@@ -112,32 +100,14 @@ class TwoTierSp {
                      sv->heb.load(std::memory_order_relaxed));
   }
 
-  /// On-the-fly query: u completed (or a recorded accessor), v currently
-  /// executing on the calling worker. Tries the same-trace SP-bags tier
-  /// first, bumping the caller's `fast_answers` when it answers; falls
-  /// back to the structural tier.
-  bool precedes_onthefly(tree::ThreadId u, tree::ThreadId v,
-                         std::uint64_t& fast_answers) {
-    if (u == v) return false;
-    switch (bags_.precedes_fast(u, v)) {
-      case bags::TraceBags::Answer::kSerial:
-        ++fast_answers;
-        return true;
-      case bags::TraceBags::Answer::kParallel:
-        ++fast_answers;
-        return false;
-      case bags::TraceBags::Answer::kMiss:
-        break;
-    }
-    return precedes(u, v);
-  }
-
   std::uint64_t global_inserts() const {
     return eng_.global_inserts() + heb_.global_inserts();
   }
   std::uint64_t query_retries() const {
     return eng_.query_retries() + heb_.query_retries();
   }
+  /// Items in both orders. Quiescent only.
+  std::uint64_t items() const { return eng_.size() + heb_.size(); }
 
  private:
   struct Slot {
@@ -160,7 +130,6 @@ class TwoTierSp {
   SegmentList eng_;
   SegmentList heb_;
   std::vector<Slot> slots_;
-  bags::TraceBags bags_;
 };
 
 }  // namespace spr::hybrid

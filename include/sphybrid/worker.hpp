@@ -13,13 +13,14 @@
 // A successful steal takes the OLDEST continuation (deque top), performs
 // the two-tier segment split (3 global OM insertions), and starts a new
 // trace; every other SP-maintenance operation is trace-local. Mode::kNaive
-// instead shares one serial SP-order behind a global mutex (Section 3's
-// straw man) and Mode::kPlain runs the scheduler with no SP maintenance
-// (the T_P baseline).
+// runs the same TwoTierSp with no fast tier and no splits, taking one
+// global mutex around every insertion and every query (Section 3's straw
+// man), and Mode::kPlain runs the scheduler with no SP maintenance (the
+// T_P baseline).
 //
 // Counters are measured, not modeled: steals/splits come from the deques,
 // om_inserts from the structures that take locked insertions (kHybrid's
-// segment counts, kNaive's shared OM pair), lock_wait_ns from time
+// segment counts, kNaive's item counts), lock_wait_ns from time
 // spent in locked global sections, and `traces` from the trace ids the
 // engine minted, which Section 5 bounds by 4*steals + 1.
 
@@ -33,9 +34,9 @@
 
 #include "race/shadow_protocol.hpp"
 #include "race/stream/shadow_shards.hpp"
+#include "spbags/trace_bags.hpp"
 #include "sphybrid/deque.hpp"
 #include "sphybrid/two_tier_sp.hpp"
-#include "sporder/sp_order.hpp"
 #include "sptree/sp_maintenance.hpp"
 #include "util/rng.hpp"
 #include "util/timing.hpp"
@@ -105,69 +106,6 @@ inline std::uint64_t query_digest(tree::ThreadId u, tree::ThreadId v,
   return z ^ (z >> 31);
 }
 
-namespace detail {
-
-/// Serial SP-order extended for parallel schedules (Section 3's straw
-/// man). Nodes are entered out of English order, so the fork stack of
-/// sporder/sp_order.hpp does not apply: this is the one SP-order that
-/// keeps a slot per parse-tree node, filled by the same split rule. A
-/// random query target may not have executed yet, so it is resolved
-/// through its deepest slotted ancestor (whose whole subtree relates
-/// uniformly to any thread outside it — the same argument as
-/// TwoTierSp::resolve). The caller holds the engine's global naive-mode
-/// mutex for every method.
-class NaiveSpOrder {
- public:
-  explicit NaiveSpOrder(const tree::ParseTree& t)
-      : tree_(t), node_slots_(t.node_count()) {
-    if (t.root() == tree::kNoNode) return;
-    order::Slot& root = node_slots_[static_cast<std::size_t>(t.root())];
-    root.eng = english_.insert_front();
-    root.heb = hebrew_.insert_front();
-  }
-
-  /// Locked OM insertions so far: both lists' items minus the two roots.
-  std::uint64_t inserts() const {
-    const std::size_t items = english_.size() + hebrew_.size();
-    return items == 0 ? 0 : items - 2;
-  }
-
-  void enter(const tree::Node& n) {
-    const order::Branches b =
-        order::split(english_, hebrew_, node_slots_[slot_index(n.id)],
-                     n.kind == tree::NodeKind::kSeries);
-    node_slots_[slot_index(n.left)] = b.left;
-    node_slots_[slot_index(n.right)] = b.right;
-  }
-
-  bool precedes_resolved(tree::ThreadId u, tree::ThreadId v) const {
-    if (u == v) return false;
-    const order::Slot& a = resolve(u);
-    const order::Slot& b = resolve(v);
-    if (a.eng == b.eng) return false;  // both below one unentered ancestor
-    return english_.precedes(a.eng, b.eng) && hebrew_.precedes(a.heb, b.heb);
-  }
-
- private:
-  static std::size_t slot_index(tree::NodeId id) {
-    return static_cast<std::size_t>(id);
-  }
-
-  const order::Slot& resolve(tree::ThreadId t) const {
-    tree::NodeId id = tree_.leaf(t).id;
-    while (node_slots_[slot_index(id)].eng == nullptr)
-      id = tree_.node(id).parent;
-    return node_slots_[slot_index(id)];
-  }
-
-  const tree::ParseTree& tree_;
-  om::OrderList english_;
-  om::OrderList hebrew_;
-  std::vector<order::Slot> node_slots_;  ///< per parse-tree node
-};
-
-}  // namespace detail
-
 /// The multi-worker engine. Construct, call run() once, then (for kNaive
 /// and kHybrid) precedes() remains valid for arbitrary post-run queries —
 /// the stress tests cross-check it pairwise against the LCA oracle.
@@ -184,10 +122,10 @@ class WorkStealingEngine {
       pending_[i].store(2, std::memory_order_relaxed);
       stolen_[i].store(0, std::memory_order_relaxed);
     }
-    if (opts_.mode == Mode::kHybrid)
+    if (opts_.mode == Mode::kHybrid || opts_.mode == Mode::kNaive)
       sp_ = std::make_unique<TwoTierSp>(tree_);
-    if (opts_.mode == Mode::kNaive)
-      naive_ = std::make_unique<detail::NaiveSpOrder>(tree_);
+    if (opts_.mode == Mode::kHybrid)
+      bags_ = std::make_unique<bags::TraceBags>(tree_.leaf_count());
     workers_.reserve(nworkers_);
     for (unsigned w = 0; w < nworkers_; ++w)
       workers_.push_back(std::make_unique<WorkerCtx>(w, opts_.seed));
@@ -228,22 +166,21 @@ class WorkStealingEngine {
     r.traces = next_trace_.load(std::memory_order_relaxed);
     r.race_count = race_count_.load(std::memory_order_relaxed);
     if (sp_ != nullptr) {
-      r.om_inserts = sp_->global_inserts();
+      // kNaive never splits: its locked insertions are every item but the
+      // two roots.
+      r.om_inserts = opts_.mode == Mode::kNaive ? sp_->items() - 2
+                                                : sp_->global_inserts();
       r.query_retries = sp_->query_retries();
     }
-    if (naive_ != nullptr) r.om_inserts = naive_->inserts();
     util::do_not_optimize(r.checksum);
     return r;
   }
 
   /// Post-run structural SP query (kHybrid / kNaive only).
-  bool precedes(tree::ThreadId u, tree::ThreadId v) {
-    if (sp_ != nullptr) return sp_->precedes(u, v);
-    if (naive_ != nullptr) {
-      std::lock_guard<std::mutex> lock(naive_mu_);
-      return naive_->precedes_resolved(u, v);
-    }
-    throw std::logic_error("precedes() requires kHybrid or kNaive");
+  bool precedes(tree::ThreadId u, tree::ThreadId v) const {
+    if (sp_ == nullptr)
+      throw std::logic_error("precedes() requires kHybrid or kNaive");
+    return sp_->precedes(u, v);
   }
 
  private:
@@ -271,19 +208,19 @@ class WorkStealingEngine {
   // ---- per-node walk hooks -------------------------------------------
 
   void enter_node(WorkerCtx& w, const tree::Node& n) {
-    if (sp_ != nullptr) {
-      sp_->enter_internal(n);
-    } else if (naive_ != nullptr) {
+    if (opts_.mode == Mode::kNaive) {
       const util::Stopwatch sw;
       std::lock_guard<std::mutex> lock(naive_mu_);
       w.lock_wait_ns += static_cast<std::uint64_t>(sw.elapsed_ns());
-      naive_->enter(n);  // Section 3: every OM insertion is locked
+      sp_->enter_internal(n);  // Section 3: every OM insertion is locked
+    } else if (sp_ != nullptr) {
+      sp_->enter_internal(n);
     }
   }
 
   void do_leaf(WorkerCtx& w, const tree::Node& n) {
     const tree::ThreadId v = n.thread;
-    if (sp_ != nullptr) sp_->on_leaf(v, w.cur_trace);
+    if (bags_ != nullptr) bags_->on_leaf(v, w.cur_trace);
     w.spin_xor ^= util::spin_work(n.work);
     if (opts_.queries_per_leaf > 0) {
       util::Xoshiro256 rng = leaf_query_rng(opts_.seed, v);
@@ -297,12 +234,19 @@ class WorkStealingEngine {
     if (opts_.detect_races && opts_.mode != Mode::kPlain) detect(w, v);
   }
 
+  /// On-the-fly query: u completed (or a recorded accessor), v executing
+  /// on `w`. kHybrid tries the same-trace SP-bags tier first.
   bool answer(WorkerCtx& w, tree::ThreadId u, tree::ThreadId v) {
-    if (sp_ != nullptr) return sp_->precedes_onthefly(u, v, w.fast_queries);
-    const util::Stopwatch sw;
-    std::lock_guard<std::mutex> lock(naive_mu_);
-    w.lock_wait_ns += static_cast<std::uint64_t>(sw.elapsed_ns());
-    return naive_->precedes_resolved(u, v);
+    if (opts_.mode == Mode::kNaive) {
+      const util::Stopwatch sw;
+      std::lock_guard<std::mutex> lock(naive_mu_);
+      w.lock_wait_ns += static_cast<std::uint64_t>(sw.elapsed_ns());
+      return sp_->precedes(u, v);
+    }
+    const bags::TraceBags::Answer fast = bags_->precedes_fast(u, v);
+    if (fast == bags::TraceBags::Answer::kMiss) return sp_->precedes(u, v);
+    ++w.fast_queries;
+    return fast == bags::TraceBags::Answer::kSerial;
   }
 
   void detect(WorkerCtx& w, tree::ThreadId v) {
@@ -349,14 +293,14 @@ class WorkStealingEngine {
         left_root_[pi].store(carry, std::memory_order_relaxed);
         if (pn.kind == tree::NodeKind::kSeries) {
           // between_children(S): the left subtree precedes the rest.
-          if (sp_ != nullptr) sp_->classify(carry, /*serial=*/true);
+          if (bags_ != nullptr) bags_->classify(carry, /*serial=*/true);
           return pn.right;  // continue serially, same trace
         }
-        if (sp_ != nullptr) sp_->classify(carry, /*serial=*/false);
+        if (bags_ != nullptr) bags_->classify(carry, /*serial=*/false);
       } else {
         if (pn.kind == tree::NodeKind::kSeries) {
-          if (sp_ != nullptr)
-            carry = sp_->unite(
+          if (bags_ != nullptr)
+            carry = bags_->unite(
                 left_root_[pi].load(std::memory_order_relaxed), carry);
           c = p;
           continue;
@@ -369,8 +313,8 @@ class WorkStealingEngine {
         w.last_abandoned = p;
         return tree::kNoNode;  // other side still running
       }
-      if (sp_ != nullptr)
-        carry = sp_->unite(left_root_[pi].load(std::memory_order_relaxed),
+      if (bags_ != nullptr)
+        carry = bags_->unite(left_root_[pi].load(std::memory_order_relaxed),
                            right_root_[pi].load(std::memory_order_relaxed));
       if (stolen_[pi].load(std::memory_order_relaxed) != 0) {
         // Continuing past a stolen join starts a new execution trace
@@ -433,7 +377,7 @@ class WorkStealingEngine {
       ++w.steals;
       const std::size_t pi = static_cast<std::size_t>(tree_.node(task).parent);
       stolen_[pi].store(1, std::memory_order_relaxed);
-      if (sp_ != nullptr) {
+      if (opts_.mode == Mode::kHybrid) {
         // The only global-tier work in the whole hybrid scheme.
         const util::Stopwatch sw;
         sp_->steal_split(task);
@@ -454,9 +398,9 @@ class WorkStealingEngine {
   std::unique_ptr<std::atomic<std::uint8_t>[]> stolen_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> left_root_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> right_root_;
-  std::unique_ptr<TwoTierSp> sp_;
-  std::unique_ptr<detail::NaiveSpOrder> naive_;
-  std::mutex naive_mu_;
+  std::unique_ptr<TwoTierSp> sp_;        ///< kHybrid and kNaive
+  std::unique_ptr<bags::TraceBags> bags_;  ///< kHybrid's fast tier
+  std::mutex naive_mu_;                    ///< kNaive's global SP lock
   std::vector<std::unique_ptr<WorkerCtx>> workers_;
   race::stream::DeterminacyShadow shadow_{kShardsPerWorker * nworkers_};
   std::atomic<std::uint64_t> race_count_{0};

@@ -21,7 +21,9 @@
 // Events arrive in English order, so the only per-fork state is a stack
 // of pending right-branch slots: Theta(1) work per event, Theta(1) state
 // per open fork, and no requirement that the program is ever materialized
-// as a tree.
+// as a tree. The parallel engine's TwoTierSp (sphybrid/two_tier_sp.hpp)
+// applies the same split() to nodes entered out of English order, so it
+// keeps one slot per parse-tree node instead.
 //
 // Query (Theorem 4's characterization): for threads u != v,
 //   u precedes v  iff  Eng(u) < Eng(v) and Heb(u) < Heb(v);
@@ -36,22 +38,29 @@
 namespace spr::order {
 
 /// A subtree's pair of items: its place in the English and Hebrew lists.
-struct Slot {
-  om::OrderList::Item* eng = nullptr;
-  om::OrderList::Item* heb = nullptr;
+template <class Item>
+struct BasicSlot {
+  Item* eng = nullptr;
+  Item* heb = nullptr;
 };
 
-struct Branches {
-  Slot left;
-  Slot right;
+template <class Item>
+struct BasicBranches {
+  BasicSlot<Item> left;
+  BasicSlot<Item> right;
 };
+
+using Slot = BasicSlot<om::OrderList::Item>;
+using Branches = BasicBranches<om::OrderList::Item>;
 
 /// The English/Hebrew split rule: mints one item after `base` in each
-/// list and hands the fork's two branches their slots.
-inline Branches split(om::OrderList& english, om::OrderList& hebrew,
-                      Slot base, bool series) {
-  om::OrderList::Item* e = english.insert_after(base.eng);
-  om::OrderList::Item* h = hebrew.insert_after(base.heb);
+/// list and hands the fork's two branches their slots. The serial
+/// SP-orders split OrderLists; SP-hybrid's TwoTierSp splits SegmentLists.
+template <class List, class Item>
+BasicBranches<Item> split(List& english, List& hebrew, BasicSlot<Item> base,
+                          bool series) {
+  Item* e = english.insert_after(base.eng);
+  Item* h = hebrew.insert_after(base.heb);
   if (series) return {base, {e, h}};
   return {{base.eng, h}, {e, base.heb}};
 }

@@ -155,35 +155,40 @@ TEST(McSuite, DequeGrowDuringSteal) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 3: SegmentList::insert_after (relabeling under the segment
-// seqlock) vs. a concurrent lock-free less() reader. Setup narrows the
-// gap after the root so the racing insert triggers relabel_locked; the
-// reader's answers about PRE-EXISTING items are schedule-independent
-// truths, so any torn label read shows up immediately.
+// Scenario 3: SegmentList::insert_after (a window relabel under the
+// segment seqlock) vs. a concurrent lock-free less() reader. Setup packs
+// the labels right after the root so the racing insert after the root
+// relabels the window holding the root and the packed items; the reader
+// compares two of them, so any torn label read shows up immediately.
 
 TEST(McSuite, SegmentInsertVsSeqlockReader) {
   mc::Options o = base_options();
   const mc::Stats st = mc::explore(o, [&](mc::Run& r) {
     SegmentList sl;
     SegmentList::Item* root = sl.root();
-    // i1 < i2 in order (i2 inserted right after root, pushing i1 right).
-    SegmentList::Item* i2 = sl.insert_after(root);
-    SegmentList::Item* i1 = sl.insert_after(root);
     // Narrow root->next's label gap to force a relabel on the next insert.
-    while (sl.root()->next->label.load(std::memory_order_relaxed) -
-               sl.root()->label.load(std::memory_order_relaxed) >=
+    sl.insert_after(root);
+    while (root->next->label.load(std::memory_order_relaxed) -
+               root->label.load(std::memory_order_relaxed) >=
            2)
       sl.insert_after(root);
-    r.spawn([&] { sl.insert_after(root); });  // relabels the segment
+    SegmentList::Item* const next = root->next;
+    const std::uint64_t root_label =
+        root->label.load(std::memory_order_relaxed);
+    const std::uint64_t next_label =
+        next->label.load(std::memory_order_relaxed);
+    r.spawn([&] { sl.insert_after(root); });  // relabels root's window
     r.spawn([&] {
-      const bool a = sl.less(root, i1);
-      const bool b = sl.less(i1, i2);
-      const bool c = sl.less(i2, root);
-      SPR_MC_ASSERT(a, "root < i1 must survive a concurrent relabel");
-      SPR_MC_ASSERT(b, "i1 < i2 must survive a concurrent relabel");
-      SPR_MC_ASSERT(!c, "i2 < root contradicts the maintained order");
+      const bool a = sl.less(root, next);
+      const bool b = sl.less(next, root);
+      SPR_MC_ASSERT(a, "root < next must survive a concurrent relabel");
+      SPR_MC_ASSERT(!b, "next < root contradicts the maintained order");
     });
     r.join_all();
+    SPR_MC_ASSERT(
+        root->label.load(std::memory_order_relaxed) != root_label &&
+            next->label.load(std::memory_order_relaxed) != next_label,
+        "the racing insert must relabel both labels the reader compares");
   });
   ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
   report("segment_insert_vs_reader", st);

@@ -1,6 +1,7 @@
 // SegmentList, one of SP-hybrid's two-tier total orders: local inserts
 // plus split_tail cuts must order items exactly like a sequential mirror,
-// including across full relabels of the global tier; owners inserting
+// including across full relabels of the global tier; a local relabel
+// rewrites only a window around the insertion point; owners inserting
 // and cutting their own segments concurrently must keep every region in
 // place while a reader queries (the TSan leg's meat); and concurrent cuts
 // of one segment must leave the total order untouched.
@@ -65,6 +66,29 @@ TEST(SegmentList, RepeatedCutsAfterRootSegmentRelabelGlobalTier) {
   std::vector<Item*> mirror{sl.root()};
   mirror.insert(mirror.end(), items.rbegin(), items.rend());
   expect_order_matches(sl, mirror);
+}
+
+TEST(SegmentList, ChainInsertsRelabelWindowNotSegment) {
+  // Every insert goes after the newest item, so the gap at the end of
+  // the one segment keeps closing. Each relabel must stay in a window at
+  // the crowded end and never reach the root.
+  SegmentList sl;
+  std::vector<Item*> mirror{sl.root()};
+  std::uint64_t root_label = sl.root()->label.load(std::memory_order_relaxed);
+  int root_rewrites = 0;
+  for (int i = 0; i < 4096; ++i) {
+    mirror.push_back(sl.insert_after(mirror.back()));
+    const std::uint64_t now = sl.root()->label.load(std::memory_order_relaxed);
+    if (now != root_label) ++root_rewrites;
+    root_label = now;
+  }
+  EXPECT_EQ(root_rewrites, 0);
+  // One segment: less() compares local labels, so ordered neighbours
+  // imply the whole order.
+  for (std::size_t i = 0; i + 1 < mirror.size(); ++i) {
+    ASSERT_TRUE(sl.less(mirror[i], mirror[i + 1])) << i;
+    ASSERT_FALSE(sl.less(mirror[i + 1], mirror[i])) << i;
+  }
 }
 
 // Disjoint-owner concurrent stress: each of T writer threads owns the

@@ -1,10 +1,10 @@
 // Parallel-executor stress tests: randomized fork-join programs run on
 // the real work-stealing engine at 1, 2, and 4 workers, then every
-// ordered thread pair's SP relation is checked against the brute-force
-// LCA oracle, and the run checksum (order-independent digest of all
-// per-leaf query answers plus the leaf work) is compared against the
-// serial reference executor. The paper's counter claims are asserted
-// against MEASURED counts:
+// ordered thread pair's SP relation (SP-hybrid's and the naive locked
+// SP-order's) is checked against the brute-force LCA oracle, and the run
+// checksum (order-independent digest of all per-leaf query answers plus
+// the leaf work) is compared against the serial reference executor. The
+// paper's counter claims are asserted against MEASURED counts:
 //   om_inserts == 3 * splits       (two-tier orders: 3 global cuts per split)
 //   traces     <= 4 * steals + 1   (Section 5's bound on execution traces)
 // The race-detection protocol must stay deterministic: an injected
@@ -43,20 +43,25 @@ TEST(SpHybridParallel, PairwiseMatchesLcaOracleAfterParallelRun) {
     const auto t = spr::fj::lower_to_parse_tree(
         spr::fj::make_random_program(seed, 120, 500));
     const spr::testutil::Oracle oracle(t);
-    for (const unsigned workers : kWorkerCounts) {
-      ExecOptions o = base_options(seed);
-      o.mode = Mode::kHybrid;
-      o.workers = workers;
-      WorkStealingEngine engine(t, o);
-      const ExecResult r = engine.run();
-      EXPECT_EQ(r.om_inserts, 3 * r.splits);
-      EXPECT_LE(r.traces, 4 * r.steals + 1);
-      const spr::tree::ThreadId n = t.leaf_count();
-      for (spr::tree::ThreadId u = 0; u < n; ++u) {
-        for (spr::tree::ThreadId v = 0; v < n; ++v) {
-          ASSERT_EQ(engine.precedes(u, v), oracle.precedes(u, v))
-              << "seed=" << seed << " workers=" << workers << " precedes("
-              << u << ", " << v << ")";
+    for (const Mode mode : {Mode::kHybrid, Mode::kNaive}) {
+      for (const unsigned workers : kWorkerCounts) {
+        ExecOptions o = base_options(seed);
+        o.mode = mode;
+        o.workers = workers;
+        WorkStealingEngine engine(t, o);
+        const ExecResult r = engine.run();
+        if (mode == Mode::kHybrid) {
+          EXPECT_EQ(r.om_inserts, 3 * r.splits);
+          EXPECT_LE(r.traces, 4 * r.steals + 1);
+        }
+        const spr::tree::ThreadId n = t.leaf_count();
+        for (spr::tree::ThreadId u = 0; u < n; ++u) {
+          for (spr::tree::ThreadId v = 0; v < n; ++v) {
+            ASSERT_EQ(engine.precedes(u, v), oracle.precedes(u, v))
+                << "seed=" << seed << " mode=" << static_cast<int>(mode)
+                << " workers=" << workers << " precedes(" << u << ", " << v
+                << ")";
+          }
         }
       }
     }
