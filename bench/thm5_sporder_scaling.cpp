@@ -44,7 +44,7 @@ double median_walk_s(const ParseTree& t, int reps) {
 template <typename List>
 double adversarial_moved_per_insert(int n) {
   List list;
-  auto* pivot = list.insert_front();
+  auto* pivot = list.root();
   for (int i = 1; i < n; ++i) list.insert_after(pivot);
   return static_cast<double>(list.stats().items_moved) /
          static_cast<double>(list.stats().inserts);

@@ -24,9 +24,8 @@
 //  - seq_cst is approximated as acq_rel plus a per-location floor: a
 //    seq_cst load never observes anything older than the last seq_cst
 //    store to that location. The global S order is not modeled beyond
-//    this, and standalone fences do not synchronize (mc::fence is a
-//    scheduling point only) — the library carries every needed edge on
-//    the accesses themselves for exactly this reason (and for TSan).
+//    this, and there are no standalone fences: the library carries every
+//    needed edge on the accesses themselves, for this reason and TSan's.
 //
 // The kept history is a small ring (kHistory entries): staleness older
 // than that is not explored. This bounds the model, it does not unsound
@@ -283,11 +282,5 @@ class mutex {
   unsigned waiters_ = 0;
   VectorClock vc_;
 };
-
-/// Standalone fence: scheduling point only; does NOT synchronize (see
-/// the header comment — the library never relies on fences).
-inline void fence(std::memory_order) {
-  if (Run* r = Run::current()) r->sched_point(PointKind::kOp);
-}
 
 }  // namespace spr::mc

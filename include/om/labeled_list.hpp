@@ -1,10 +1,13 @@
 #pragma once
 // One-level labeled list: the naive order-maintenance baseline the
 // two-level OrderList is benchmarked against. Every item carries a single
-// 64-bit label; inserts take the midpoint of the neighboring labels and a
-// gap collision relabels the entire list evenly. Queries are one integer
-// compare; adversarial insertion patterns degrade inserts toward O(n)
-// items moved each, the contrast bench/thm5_sporder_scaling.cpp reports.
+// 64-bit label; the list starts from one root item and grows only by
+// insert_after, like OrderList. Inserts take the midpoint of the
+// neighboring labels, and a gap collision relabels the entire list
+// evenly: this baseline deliberately skips om/list_labeling.hpp's window
+// rule. Queries are one integer compare; adversarial insertion patterns
+// degrade inserts toward O(n) items moved each, the contrast
+// bench/thm5_sporder_scaling.cpp reports.
 
 #include <cstddef>
 #include <cstdint>
@@ -25,7 +28,9 @@ class LabeledList {
     Item* next = nullptr;
   };
 
-  LabeledList() = default;
+  /// Creates the list with its one root item; every other item is
+  /// inserted after it, directly or transitively.
+  LabeledList() : head_(new_item(kMax / 2)) { finish_insert(); }
   LabeledList(const LabeledList&) = delete;
   LabeledList& operator=(const LabeledList&) = delete;
 
@@ -38,21 +43,8 @@ class LabeledList {
     }
   }
 
-  Item* insert_front() {
-    if (head_ == nullptr) {
-      Item* item = new_item(kMax / 2);
-      head_ = tail_ = item;
-      finish_insert();
-      return item;
-    }
-    if (head_->label < 2) relabel_all(size_ + 1);
-    Item* item = new_item(head_->label / 2);
-    item->next = head_;
-    head_->prev = item;
-    head_ = item;
-    finish_insert();
-    return item;
-  }
+  /// The first item, created with the list.
+  Item* root() const { return head_; }
 
   Item* insert_after(Item* x) {
     const std::uint64_t hi = x->next != nullptr ? x->next->label : kMax;
@@ -61,18 +53,10 @@ class LabeledList {
     Item* item = new_item(x->label + (hi2 - x->label) / 2);
     item->prev = x;
     item->next = x->next;
-    if (x->next != nullptr)
-      x->next->prev = item;
-    else
-      tail_ = item;
+    if (x->next != nullptr) x->next->prev = item;
     x->next = item;
     finish_insert();
     return item;
-  }
-
-  Item* insert_before(Item* x) {
-    if (x->prev != nullptr) return insert_after(x->prev);
-    return insert_front();
   }
 
   bool precedes(const Item* a, const Item* b) const {
@@ -81,8 +65,6 @@ class LabeledList {
 
   std::size_t size() const { return size_; }
   const Stats& stats() const { return stats_; }
-  Item* front() const { return head_; }
-  static Item* successor(Item* x) { return x->next; }
 
   std::size_t memory_bytes() const {
     return sizeof(*this) + size_ * sizeof(Item);
@@ -113,8 +95,7 @@ class LabeledList {
     ++stats_.full_relabels;
   }
 
-  Item* head_ = nullptr;
-  Item* tail_ = nullptr;
+  Item* head_ = nullptr;  ///< the root; nothing is inserted before it
   std::size_t size_ = 0;
   Stats stats_;
 };

@@ -1,7 +1,10 @@
 #pragma once
-// Density-window relabeling: the one list-labeling rule of every OM tier
-// that keeps per-node labels (OrderList's top level, SegmentList's local
-// tier). `fresh` has just been linked right after `prev`, unlabeled. The
+// Density-window relabeling: the one gap rule of every OM tier with no
+// size bound (OrderList's top level, SegmentList's local and global
+// tiers). Only OrderList's <= 64-item bucket rebalance and LabeledList's
+// baseline relabel_all renumber a whole list instead.
+//
+// `fresh` has just been linked right after `prev`, unlabeled. The
 // smallest aligned window [base, base + 2^i) around prev's label whose
 // occupancy (fresh included) is below the level's overflow threshold is
 // spread evenly; nodes outside it keep their labels. Thresholds decay

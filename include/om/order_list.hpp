@@ -3,6 +3,10 @@
 // worst-case order queries (Bender et al. style; Section 2 of the paper
 // uses this as the substrate for SP-order).
 //
+// Like every OM list in this repo (LabeledList, SegmentList), the list is
+// born holding one root item and grows only by insert_after: an SP-order
+// starts from one item and every split mints its items after a base.
+//
 // Items live in buckets of at most kBucketCap elements. Each item carries
 // a 64-bit local label unique within its bucket; each bucket carries a
 // 64-bit top label maintained by density-window relabeling
@@ -59,35 +63,25 @@ class OrderList {
     std::uint32_t count = 0;
   };
 
-  OrderList() = default;
+  /// Creates the list with its one root item; every other item is
+  /// inserted after it, directly or transitively.
+  OrderList() {
+    Bucket* b = bucket_pool_.create();
+    b->label = kTopMax / 2;
+    root_ = new_item(kLocalMax / 2, b);
+    b->first = b->last = root_;
+    b->count = 1;
+    size_ = 1;
+    stats_.inserts = 1;
+  }
   OrderList(const OrderList&) = delete;
   OrderList& operator=(const OrderList&) = delete;
 
   // Pools reclaim every node in bulk; no per-node teardown needed.
   ~OrderList() = default;
 
-  /// Inserts a new first item.
-  Item* insert_front() {
-    if (head_ == nullptr) return insert_into_empty();
-    Bucket* b = head_;
-    if (b->count >= kBucketCap) {
-      split(b);
-      b = head_;
-    }
-    Item* f = b->first;
-    if (f->label < 2) {
-      rebalance(b);
-      f = b->first;
-    }
-    Item* item = new_item(f->label / 2, b);
-    item->next = f;
-    f->prev = item;
-    b->first = item;
-    ++b->count;
-    ++size_;
-    ++stats_.inserts;
-    return item;
-  }
+  /// The first item, created with the list (dangles once erased).
+  Item* root() const { return root_; }
 
   /// Inserts a new item immediately after `x`.
   Item* insert_after(Item* x) {
@@ -117,14 +111,6 @@ class OrderList {
     return item;
   }
 
-  /// Inserts a new item immediately before `x`.
-  Item* insert_before(Item* x) {
-    if (x->prev != nullptr) return insert_after(x->prev);
-    Bucket* pb = x->bucket->prev;
-    if (pb != nullptr) return insert_after(pb->last);
-    return insert_front();
-  }
-
   /// Erases `x`, reclaiming its node (and its bucket, if emptied). The
   /// caller must not dereference `x` afterward. Deletion never perturbs
   /// labels, so every other Item pointer and all orderings survive.
@@ -143,14 +129,8 @@ class OrderList {
     ++stats_.erases;
     item_pool_.destroy(x);
     if (b->count == 0) {
-      if (b->prev != nullptr)
-        b->prev->next = b->next;
-      else
-        head_ = b->next;
-      if (b->next != nullptr)
-        b->next->prev = b->prev;
-      else
-        tail_ = b->prev;
+      if (b->prev != nullptr) b->prev->next = b->next;
+      if (b->next != nullptr) b->next->prev = b->prev;
       ++stats_.buckets_freed;
       bucket_pool_.destroy(b);
     }
@@ -164,15 +144,6 @@ class OrderList {
 
   std::size_t size() const { return size_; }
   const Stats& stats() const { return stats_; }
-
-  Item* front() const { return head_ != nullptr ? head_->first : nullptr; }
-
-  /// Global successor (crossing bucket boundaries); nullptr at the end.
-  static Item* successor(Item* x) {
-    if (x->next != nullptr) return x->next;
-    Bucket* nb = x->bucket->next;
-    return nb != nullptr ? nb->first : nullptr;
-  }
 
   std::size_t memory_bytes() const {
     return sizeof(*this) + item_pool_.memory_bytes() +
@@ -190,18 +161,6 @@ class OrderList {
     it->label = label;
     it->bucket = b;
     return it;
-  }
-
-  Item* insert_into_empty() {
-    Bucket* b = bucket_pool_.create();
-    b->label = kTopMax / 2;
-    head_ = tail_ = b;
-    Item* item = new_item(kLocalMax / 2, b);
-    b->first = b->last = item;
-    b->count = 1;
-    size_ = 1;
-    ++stats_.inserts;
-    return item;
   }
 
   /// Re-spaces all local labels of `b` evenly across the label universe.
@@ -236,10 +195,7 @@ class OrderList {
     // Link nb after b in the bucket list.
     nb->prev = b;
     nb->next = b->next;
-    if (b->next != nullptr)
-      b->next->prev = nb;
-    else
-      tail_ = nb;
+    if (b->next != nullptr) b->next->prev = nb;
     b->next = nb;
     assign_top_label(b, nb);
     rebalance(b);
@@ -262,8 +218,7 @@ class OrderList {
     ++stats_.top_relabels;
   }
 
-  Bucket* head_ = nullptr;
-  Bucket* tail_ = nullptr;
+  Item* root_ = nullptr;
   std::size_t size_ = 0;
   Stats stats_;
   util::Pool<Item> item_pool_;

@@ -6,10 +6,13 @@
 // an order-maintenance list over the segments themselves: each segment
 // carries a 64-bit global label, and the segments are linked in global
 // order. The local tier gives every element a 64-bit label inside its
-// segment; when a gap closes, insert_after relabels the smallest
-// sparse-enough window around the insertion point (om/list_labeling.hpp),
-// not the whole segment, so a P=1 run — one segment — stays at O(lg n)
-// amortized label writes per insert. x < y holds iff
+// segment. Both tiers close a label gap the same way: they relabel the
+// smallest sparse-enough window around the insertion point
+// (om/list_labeling.hpp), never the whole tier, so a P=1 run (one
+// segment) and a steal-heavy run (thousands of segments cut at one
+// hotspot) both stay at O(lg n) amortized label writes per insert. Like
+// the serial OM lists, the order starts from one root item and grows only
+// by insert_after. x < y holds iff
 //   segment(x) == segment(y) ? label(x) < label(y)
 //                            : glabel(segment(x)) < glabel(segment(y)).
 // This is correct for ANY contiguous segmentation of the sequence, which
@@ -25,8 +28,8 @@
 //  - split_tail is called only on the steal path, serialized by a global
 //    mutex; it is the ONLY operation that inserts into the global tier,
 //    so global inserts arrive one at a time, at most 3 per steal. A new
-//    segment takes the midpoint of its neighbours' global labels; when
-//    there is no gap, every segment is relabeled evenly. Both happen
+//    segment takes the midpoint of its neighbours' global labels, or
+//    else a window of segments around it is relabeled. Both happen
 //    inside the global seqlock write section the split already opens.
 //  - less(a, b) is lock-free: a global seqlock version guards segment
 //    reassignment and global labels (splits), and a per-segment version
@@ -72,7 +75,8 @@ class SegmentList {
 
   struct Segment {
     spr::atomic<std::uint64_t> glabel{0};  ///< global-tier label
-    Segment* gnext = nullptr;  ///< global-tier successor; guarded by split_mu_
+    Segment* prev = nullptr;  ///< global-tier links; guarded by split_mu_
+    Segment* next = nullptr;
     spr::atomic<std::uint64_t> lver{0};  ///< seqlock for local relabels
     spr::spin_lock lock;
     Item* head = nullptr;
@@ -127,7 +131,7 @@ class SegmentList {
         // Seqlock write section: concurrent readers retry, never tear.
         s->lver.fetch_add(1, std::memory_order_acq_rel);
         om::relabel_window(
-            x, item, kLocalLog,
+            x, item, kMaxLog,
             [](const Item* it) {
               return it->label.load(std::memory_order_relaxed);
             },
@@ -200,7 +204,7 @@ class SegmentList {
         // The acquire label loads keep the validating re-checks below from
         // executing early; a torn read forces a new gver_/lver epoch to be
         // visible here, so mismatched epochs always retry. No standalone
-        // fence — TSan does not model atomic_thread_fence.
+        // fence — TSan does not model std::atomic_thread_fence.
         if (sa->lver.load(std::memory_order_relaxed) != l0 ||
             gver_.load(std::memory_order_relaxed) != g0) {
           retries_.fetch_add(1, std::memory_order_relaxed);
@@ -219,12 +223,11 @@ class SegmentList {
     }
   }
 
-  /// Global-tier insertions so far: one per split_tail.
-  std::uint64_t global_inserts() const { return segments_.size() - 1; }
+  /// The root's segment plus one per split_tail (a global-tier insert).
+  std::size_t segment_count() const { return segments_.size(); }
   std::uint64_t query_retries() const {
     return retries_.load(std::memory_order_relaxed);
   }
-  std::size_t segment_count() const { return segments_.size(); }
   /// Items in the whole order. Quiescent only: reads every segment's count.
   std::size_t size() const {
     std::size_t n = 0;
@@ -234,7 +237,7 @@ class SegmentList {
 
  private:
   static constexpr std::uint64_t kMax = ~0ULL;
-  static constexpr int kLocalLog = 63;  ///< widest local relabel window
+  static constexpr int kMaxLog = 63;  ///< widest relabel window, either tier
 
   /// Constructor or split_mu_ only.
   Segment* new_segment() {
@@ -243,27 +246,30 @@ class SegmentList {
   }
 
   /// Links `dst` right after `src` in the global tier, at the midpoint of
-  /// src's label gap, or relabels every segment evenly when there is no
-  /// gap. Caller holds split_mu_ inside a gver_ write section.
+  /// src's label gap, or relabels a window of segments around it when
+  /// there is no gap. Caller holds split_mu_ inside a gver_ write section.
   void link_global_locked(Segment* src, Segment* dst) {
     const std::uint64_t lo = src->glabel.load(std::memory_order_relaxed);
     const std::uint64_t hi =
-        src->gnext != nullptr
-            ? src->gnext->glabel.load(std::memory_order_relaxed)
+        src->next != nullptr
+            ? src->next->glabel.load(std::memory_order_relaxed)
             : kMax;
-    dst->gnext = src->gnext;
-    src->gnext = dst;
+    dst->prev = src;
+    dst->next = src->next;
+    if (src->next != nullptr) src->next->prev = dst;
+    src->next = dst;
     if (hi - lo >= 2) {
       dst->glabel.store(lo + (hi - lo) / 2, std::memory_order_release);
       return;
     }
-    // The root's segment is always first: splits only link after a source.
-    const std::uint64_t stride = kMax / (segments_.size() + 1);
-    std::uint64_t label = 0;
-    for (Segment* s = segments_.front().get(); s != nullptr; s = s->gnext) {
-      s->glabel.store(label, std::memory_order_release);
-      label += stride;
-    }
+    om::relabel_window(
+        src, dst, kMaxLog,
+        [](const Segment* s) {
+          return s->glabel.load(std::memory_order_relaxed);
+        },
+        [](Segment* s, std::uint64_t l) {
+          s->glabel.store(l, std::memory_order_release);
+        });
   }
 
   void link_after_locked(Segment* s, Item* x, Item* item) {

@@ -100,8 +100,9 @@ class TwoTierSp {
                      sv->heb.load(std::memory_order_relaxed));
   }
 
+  /// Global-tier insertions: every segment but the two roots' is a cut.
   std::uint64_t global_inserts() const {
-    return eng_.global_inserts() + heb_.global_inserts();
+    return eng_.segment_count() + heb_.segment_count() - 2;
   }
   std::uint64_t query_retries() const {
     return eng_.query_retries() + heb_.query_retries();

@@ -72,8 +72,8 @@ class StreamingSpOrder {
  public:
   /// `threads` pre-sizes the per-thread table; it grows on demand.
   explicit StreamingSpOrder(std::size_t threads = 0) {
-    cur_.eng = english_.insert_front();
-    cur_.heb = hebrew_.insert_front();
+    cur_.eng = english_.root();
+    cur_.heb = hebrew_.root();
     thread_slots_.reserve(threads);
   }
 

@@ -36,8 +36,8 @@ class SpOrderCompact final : public tree::SpMaintenance {
  public:
   explicit SpOrderCompact(const tree::ParseTree& t)
       : sets_(t.leaf_count()), slots_(t.leaf_count()) {
-    cur_.eng = english_.insert_front();
-    cur_.heb = hebrew_.insert_front();
+    cur_.eng = english_.root();
+    cur_.heb = hebrew_.root();
   }
 
   void on_fork(bool series) override {

@@ -3,7 +3,10 @@
 // P-nesting depth, and the work/span quantities (T1, Tinf) the scaling
 // benches compare against Theorem 10's O((T1/P + P*Tinf) lg n) bound.
 // Each leaf costs work + 1 so trees of zero-work leaves still have
-// positive work and span.
+// positive work and span, and each internal node costs 1 in both: the
+// fork or sync step an executor takes there. The span thus counts
+// nesting depth: a spawn chain of n threads has Tinf > n, so the
+// O(P*Tinf) steal bound of Theorem 10 can be checked on its steals.
 
 #include <algorithm>
 #include <cstdint>
@@ -18,8 +21,8 @@ struct Metrics {
   std::uint64_t p_nodes = 0;      ///< f: number of forks (P-nodes)
   std::uint64_t s_nodes = 0;
   std::uint64_t max_p_depth = 0;  ///< d: deepest P-nesting
-  std::uint64_t work = 0;         ///< T1: total leaf cost
-  std::uint64_t span = 0;         ///< Tinf: critical-path leaf cost
+  std::uint64_t work = 0;         ///< T1: total node cost
+  std::uint64_t span = 0;         ///< Tinf: critical-path node cost
 };
 
 inline Metrics compute_metrics(const ParseTree& t) {
@@ -60,10 +63,10 @@ inline Metrics compute_metrics(const ParseTree& t) {
     }
     const auto l = static_cast<std::size_t>(node.left);
     const auto r = static_cast<std::size_t>(node.right);
-    work[idx] = work[l] + work[r];
-    span[idx] = node.kind == NodeKind::kParallel
-                    ? std::max(span[l], span[r])
-                    : span[l] + span[r];
+    work[idx] = work[l] + work[r] + 1;
+    span[idx] = 1 + (node.kind == NodeKind::kParallel
+                         ? std::max(span[l], span[r])
+                         : span[l] + span[r]);
   }
   const auto root = static_cast<std::size_t>(t.root());
   m.work = work[root];

@@ -17,7 +17,9 @@
 //    has the exploration driver; tests/mc_test.cpp the scenarios).
 //
 // Memory orders stay spelled as std::memory_order in client code; the
-// model checker consumes the same enum.
+// model checker consumes the same enum. There is no standalone fence:
+// every happens-before edge rides on an atomic access, which TSan and the
+// checker both model (sphybrid/segment_list.hpp's seqlock comment).
 //
 // spr::spin_lock is defined once, below both branches, on spr::atomic:
 // under the checker it is explored like any other atomic protocol, not
@@ -40,12 +42,6 @@ using lock_guard = std::lock_guard<M>;
 /// version without a switch cannot see it change, and would only burn
 /// the step budget.
 inline void spin_pause(unsigned /*tries*/) { mc::yield(); }
-
-/// Standalone fence. The checker treats it as a scheduling point only —
-/// fence-induced synchronization is NOT modeled (the library deliberately
-/// carries all happens-before edges on atomic release/acquire pairs; see
-/// sphybrid/segment_list.hpp's seqlock comment).
-inline void atomic_thread_fence(std::memory_order mo) { mc::fence(mo); }
 
 }  // namespace spr
 
@@ -78,10 +74,6 @@ inline void spin_pause(unsigned tries) {
   } else {
     std::this_thread::yield();
   }
-}
-
-inline void atomic_thread_fence(std::memory_order mo) {
-  std::atomic_thread_fence(mo);
 }
 
 }  // namespace spr

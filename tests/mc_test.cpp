@@ -275,8 +275,9 @@ TEST(McSuite, DsuConcurrentFindVsUnite) {
 
 // ---------------------------------------------------------------------
 // Scenario 6: a split_tail finds no gap in SegmentList's global tier and
-// relabels every segment under the global seqlock while a lock-free
-// reader compares two items whose segments' labels cross between epochs.
+// relabels a window of segments under the global seqlock while a
+// lock-free reader compares two items whose segments' labels cross
+// between epochs.
 // Oracle (tests/mc_seqlock_episode.hpp): the reader's verdicts match the
 // maintained order on every schedule — and some schedule must tear a read
 // and force a seqlock retry.

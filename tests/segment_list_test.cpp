@@ -1,7 +1,7 @@
 // SegmentList, one of SP-hybrid's two-tier total orders: local inserts
 // plus split_tail cuts must order items exactly like a sequential mirror,
-// including across full relabels of the global tier; a local relabel
-// rewrites only a window around the insertion point; owners inserting
+// including across relabels of the global tier; a relabel of either
+// tier rewrites only a window around the insertion point; owners inserting
 // and cutting their own segments concurrently must keep every region in
 // place while a reader queries (the TSan leg's meat); and concurrent cuts
 // of one segment must leave the total order untouched.
@@ -48,7 +48,6 @@ TEST(SegmentList, RandomizedInsertsAndCutsMatchSequentialOracle) {
       }
     }
     ASSERT_EQ(sl.segment_count(), 1 + cuts);
-    ASSERT_EQ(sl.global_inserts(), cuts);
     expect_order_matches(sl, mirror);
   }
 }
@@ -66,6 +65,46 @@ TEST(SegmentList, RepeatedCutsAfterRootSegmentRelabelGlobalTier) {
   std::vector<Item*> mirror{sl.root()};
   mirror.insert(mirror.end(), items.rbegin(), items.rend());
   expect_order_matches(sl, mirror);
+}
+
+TEST(SegmentList, HotspotCutRelabelsWindowNotGlobalTier) {
+  // ~4k cuts, each linking a singleton segment right after the root's,
+  // keep closing the same global gap. The cut that finds it closed must
+  // relabel a window of segments around the hotspot, not every segment.
+  constexpr std::size_t kMinCuts = 4000;
+  SegmentList sl;
+  const SegmentList::Segment* const first =
+      sl.root()->seg.load(std::memory_order_relaxed);
+  const auto gap_closed = [first] {
+    return first->next->glabel.load(std::memory_order_relaxed) -
+               first->glabel.load(std::memory_order_relaxed) <
+           2;
+  };
+  std::vector<Item*> items;  // root < items.back() < ... < items.front()
+  for (std::size_t i = 0; i < kMinCuts + 64; ++i)
+    items.push_back(sl.insert_after(sl.root()));
+  std::size_t cuts = 0;
+  while (cuts < kMinCuts || !gap_closed()) sl.split_tail(items[cuts++]);
+  ASSERT_LT(cuts, items.size());
+  const auto snapshot = [first] {
+    std::vector<std::uint64_t> labels;
+    for (const SegmentList::Segment* s = first; s != nullptr; s = s->next)
+      labels.push_back(s->glabel.load(std::memory_order_relaxed));
+    return labels;
+  };
+  const std::vector<std::uint64_t> before = snapshot();
+  ASSERT_EQ(before.size(), 1 + cuts);
+  sl.split_tail(items[cuts]);  // the gap-closing cut, right after `first`
+  std::vector<std::uint64_t> after = snapshot();
+  ASSERT_EQ(after.size(), before.size() + 1);
+  after.erase(after.begin() + 1);  // the new segment has no old label
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < before.size(); ++i)
+    if (after[i] != before[i]) ++changed;
+  EXPECT_GT(changed, 0u);
+  EXPECT_LT(changed, before.size() / 16) << "of " << before.size();
+  for (std::size_t i = 0; i + 1 < after.size(); ++i)
+    ASSERT_LT(after[i], after[i + 1]) << i;
 }
 
 TEST(SegmentList, ChainInsertsRelabelWindowNotSegment) {

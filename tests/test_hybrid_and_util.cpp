@@ -105,8 +105,19 @@ TEST(Metrics, BalancedTree) {
   EXPECT_EQ(m.threads, 16u);
   EXPECT_EQ(m.p_nodes, 15u);
   EXPECT_EQ(m.max_p_depth, 4u);
-  EXPECT_EQ(m.work, 32u);  // 16 leaves x (work 1 + 1)
-  EXPECT_EQ(m.span, 2u);   // all-parallel: one leaf on the critical path
+  EXPECT_EQ(m.work, 47u);  // 16 leaves x (work 1 + 1) + 15 forks x 1
+  EXPECT_EQ(m.span, 6u);   // one leaf (2) under 4 forks (1 each)
+}
+
+TEST(Metrics, SpawnChainSpanCountsNesting) {
+  // loop_spawn(n) nests n - 1 forks: the deepest leaf (2) sits under all
+  // of them, so Tinf = n + 1, not a constant.
+  constexpr std::uint32_t kN = 1000;
+  const auto t = spr::fj::lower_to_parse_tree(spr::fj::make_loop_spawn(kN));
+  const auto m = spr::tree::compute_metrics(t);
+  EXPECT_EQ(m.p_nodes, kN - 1);
+  EXPECT_EQ(m.span, kN + 1);
+  EXPECT_EQ(m.work, 2 * kN + (kN - 1));
 }
 
 TEST(Metrics, SeriesChainAddsSpans) {

@@ -1,7 +1,7 @@
-// Unit tests for the order-maintenance lists: insert-after/insert-before
-// order correctness against a mirror sequence, the relabel-storm
-// adversary (10^5 inserts at one point), pointer/iterator stability
-// across relabels, and the amortization counters.
+// Unit tests for the order-maintenance lists: insert_after order
+// correctness against a mirror sequence, the relabel-storm
+// adversary (10^5 inserts at one point), pointer stability across
+// relabels, and the amortization counters.
 
 #include <gtest/gtest.h>
 
@@ -34,7 +34,7 @@ template <typename List>
 void append_chain_test() {
   List list;
   std::vector<typename List::Item*> items;
-  items.push_back(list.insert_front());
+  items.push_back(list.root());
   for (int i = 1; i < 2000; ++i)
     items.push_back(list.insert_after(items.back()));
   ASSERT_EQ(list.size(), items.size());
@@ -50,35 +50,15 @@ TEST(OrderList, AppendChain) { append_chain_test<OrderList>(); }
 TEST(LabeledList, AppendChain) { append_chain_test<LabeledList>(); }
 
 template <typename List>
-void prepend_chain_test() {
-  List list;
-  std::vector<typename List::Item*> rev;
-  rev.push_back(list.insert_front());
-  for (int i = 1; i < 1000; ++i) rev.push_back(list.insert_front());
-  // rev is in reverse list order.
-  for (std::size_t i = 0; i + 1 < rev.size(); ++i)
-    ASSERT_TRUE(list.precedes(rev[i + 1], rev[i]));
-}
-
-TEST(OrderList, PrependChain) { prepend_chain_test<OrderList>(); }
-TEST(LabeledList, PrependChain) { prepend_chain_test<LabeledList>(); }
-
-template <typename List>
 void random_insert_mirror_test(std::uint64_t seed) {
   spr::util::Xoshiro256 rng(seed);
   List list;
   std::vector<typename List::Item*> mirror;
-  mirror.push_back(list.insert_front());
+  mirror.push_back(list.root());
   for (int i = 1; i < 500; ++i) {
     const std::size_t pos = rng.next_below(mirror.size());
-    if (rng.next_bool()) {
-      auto* item = list.insert_after(mirror[pos]);
-      mirror.insert(mirror.begin() + static_cast<std::ptrdiff_t>(pos) + 1,
-                    item);
-    } else {
-      auto* item = list.insert_before(mirror[pos]);
-      mirror.insert(mirror.begin() + static_cast<std::ptrdiff_t>(pos), item);
-    }
+    mirror.insert(mirror.begin() + static_cast<std::ptrdiff_t>(pos) + 1,
+                  list.insert_after(mirror[pos]));
   }
   ASSERT_EQ(list.size(), mirror.size());
   expect_order_matches(list, mirror);
@@ -96,7 +76,7 @@ TEST(LabeledList, RandomInsertsMatchMirror) {
 TEST(OrderList, RelabelStormAtOnePoint) {
   constexpr int kN = 100000;
   OrderList list;
-  OrderList::Item* pivot = list.insert_front();
+  OrderList::Item* pivot = list.root();
   std::vector<OrderList::Item*> items;
   items.reserve(kN);
   for (int i = 0; i < kN; ++i) items.push_back(list.insert_after(pivot));
@@ -122,7 +102,7 @@ TEST(OrderList, RelabelStormAtOnePoint) {
 
 TEST(OrderList, PointerStabilityAcrossRelabels) {
   OrderList list;
-  OrderList::Item* first = list.insert_front();
+  OrderList::Item* first = list.root();
   OrderList::Item* second = list.insert_after(first);
   // Storm between first and second forces splits and top relabels; the
   // original pointers must remain valid and correctly ordered.
@@ -134,29 +114,9 @@ TEST(OrderList, PointerStabilityAcrossRelabels) {
   EXPECT_EQ(list.size(), 50002u);
 }
 
-TEST(OrderList, TraversalVisitsAllInOrder) {
-  spr::util::Xoshiro256 rng(7);
-  OrderList list;
-  std::vector<OrderList::Item*> items;
-  items.push_back(list.insert_front());
-  for (int i = 1; i < 3000; ++i)
-    items.push_back(list.insert_after(items[rng.next_below(items.size())]));
-  std::size_t count = 0;
-  OrderList::Item* prev = nullptr;
-  for (OrderList::Item* it = list.front(); it != nullptr;
-       it = OrderList::successor(it)) {
-    if (prev != nullptr) {
-      ASSERT_TRUE(list.precedes(prev, it));
-    }
-    prev = it;
-    ++count;
-  }
-  EXPECT_EQ(count, list.size());
-}
-
 TEST(LabeledList, StormTriggersFullRelabels) {
   LabeledList list;
-  LabeledList::Item* pivot = list.insert_front();
+  LabeledList::Item* pivot = list.root();
   for (int i = 0; i < 20000; ++i) (void)list.insert_after(pivot);
   EXPECT_GT(list.stats().full_relabels, 0u);
   // One-level lists pay lots of label moves under the adversary — the
@@ -168,7 +128,7 @@ TEST(OrderList, EraseMatchesMirror) {
   spr::util::Xoshiro256 rng(11);
   OrderList list;
   std::vector<OrderList::Item*> mirror;
-  mirror.push_back(list.insert_front());
+  mirror.push_back(list.root());
   for (int i = 1; i < 400; ++i) {
     const std::size_t pos = rng.next_below(mirror.size());
     mirror.insert(mirror.begin() + static_cast<std::ptrdiff_t>(pos) + 1,
@@ -193,7 +153,7 @@ TEST(OrderList, ChurnDoesNotGrow) {
   spr::util::Xoshiro256 rng(23);
   OrderList list;
   std::vector<OrderList::Item*> mirror;
-  mirror.push_back(list.insert_front());
+  mirror.push_back(list.root());
   std::size_t peak_bytes = 0;
   for (int i = 0; i < kChurn; ++i) {
     const std::size_t pos = rng.next_below(mirror.size());
@@ -221,24 +181,9 @@ TEST(OrderList, ChurnDoesNotGrow) {
   EXPECT_GT(st.buckets_freed, 0u);
 }
 
-TEST(OrderList, EraseToEmptyThenReuse) {
-  OrderList list;
-  auto* a = list.insert_front();
-  auto* b = list.insert_after(a);
-  list.erase(a);
-  list.erase(b);
-  EXPECT_EQ(list.size(), 0u);
-  EXPECT_EQ(list.front(), nullptr);
-  // The list must come back to life after full drain.
-  auto* c = list.insert_front();
-  auto* d = list.insert_after(c);
-  EXPECT_TRUE(list.precedes(c, d));
-  EXPECT_EQ(list.size(), 2u);
-}
-
 TEST(OrderList, MemoryAccounting) {
   OrderList list;
-  auto* it = list.insert_front();
+  auto* it = list.root();
   for (int i = 0; i < 100; ++i) it = list.insert_after(it);
   EXPECT_GT(list.memory_bytes(), 100 * sizeof(OrderList::Item));
 }
