@@ -6,9 +6,13 @@
 // Chase-Lev deques, trace-local SP-bags, and global order-maintenance
 // insertions only on steals. Every reported quantity is measured from the
 // run (no modeled counters):
-//   steals/splits   from the deques' successful steal CASes,
+//   steals/splits   from the deques' successful steal CASes (P>1 cells
+//                   also give min/median/max steals over the repetitions,
+//                   so a repetition without a steal storm shows),
 //   OM ins          the segment counts (3 insertions per trace split),
-//   lock wait       time inside locked global sections,
+//   lock wait       time inside the thieves' locked split sections, also
+//                   per steal,
+//   walk/steal      S-ancestors a split visited while re-pointing sets,
 //   qry retries     failed lock-free seqlock query attempts,
 //   traces          trace ids the engine minted, checked against Section
 //                   5's bound of 4*steals + 1.
@@ -23,9 +27,11 @@
 // expect slowdown there, not speedup; the point of those rows is that
 // steals/splits/OM-inserts stay tiny and the answers stay exact.
 
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "fjprog/generators.hpp"
 #include "fjprog/lower.hpp"
@@ -40,26 +46,45 @@ using spr::hybrid::ExecOptions;
 using spr::hybrid::ExecResult;
 using spr::hybrid::Mode;
 
-ExecResult best_of(const spr::tree::ParseTree& t, const ExecOptions& opts,
-                   int reps) {
-  ExecResult best;
-  best.elapsed_s = 1e30;
+struct Cell {
+  ExecResult best;                   ///< the fastest repetition
+  std::vector<std::uint64_t> steals;  ///< every repetition's, sorted
+};
+
+Cell best_of(const spr::tree::ParseTree& t, const ExecOptions& opts,
+             int reps) {
+  Cell cell;
+  cell.best.elapsed_s = 1e30;
   for (int r = 0; r < reps; ++r) {
     ExecResult res = spr::hybrid::run_parallel(t, opts);
+    cell.steals.push_back(res.steals);
     // Keep the fastest run's timing but the SUM-like counters of that
     // same run, so every row is internally consistent.
-    if (res.elapsed_s < best.elapsed_s) best = res;
+    if (res.elapsed_s < cell.best.elapsed_s) cell.best = res;
   }
-  return best;
+  std::sort(cell.steals.begin(), cell.steals.end());
+  return cell;
+}
+
+double per_steal(std::uint64_t total, const ExecResult& r) {
+  return r.steals == 0 ? 0.0
+                       : static_cast<double>(total) /
+                             static_cast<double>(r.steals);
 }
 
 void metric_line(const std::string& bench, const std::string& name,
-                 unsigned workers, const ExecResult& r, bool checksum_ok) {
+                 unsigned workers, const Cell& c, bool checksum_ok) {
+  const ExecResult& r = c.best;
   std::cout << "#METRIC {\"bench\":\"" << bench << "\",\"tree\":\"" << name
             << "\",\"workers\":" << workers << ",\"elapsed_s\":" << r.elapsed_s
             << ",\"steals\":" << r.steals << ",\"splits\":" << r.splits
+            << ",\"steals_min\":" << c.steals.front()
+            << ",\"steals_median\":" << c.steals[c.steals.size() / 2]
+            << ",\"steals_max\":" << c.steals.back()
             << ",\"traces\":" << r.traces << ",\"om_inserts\":" << r.om_inserts
             << ",\"lock_wait_ns\":" << r.lock_wait_ns
+            << ",\"lock_wait_ns_per_steal\":" << per_steal(r.lock_wait_ns, r)
+            << ",\"repoint_walk_per_steal\":" << per_steal(r.repoint_walk, r)
             << ",\"query_retries\":" << r.query_retries
             << ",\"fast_queries\":" << r.fast_queries
             << ",\"queries\":" << r.queries
@@ -81,8 +106,9 @@ bool bench_tree(const std::string& name, const spr::tree::ParseTree& t) {
   const ExecResult serial = spr::hybrid::run_parallel(t, oracle);
 
   spr::util::Table table({"P", "plain T_P", "hybrid T_P", "overhead",
-                          "speedup(hybrid)", "steals", "P*Tinf",
-                          "traces(<=4s+1)", "OM ins(=3s)", "lock wait",
+                          "speedup(hybrid)", "steals", "min/med/max",
+                          "P*Tinf", "traces(<=4s+1)", "OM ins(=3s)",
+                          "lock wait", "wait/steal", "walk/steal",
                           "qry retries", "answers"});
   double hybrid_p1 = 0;
   bool all_ok = true;
@@ -90,13 +116,14 @@ bool bench_tree(const std::string& name, const spr::tree::ParseTree& t) {
     ExecOptions plain;
     plain.workers = workers;
     plain.mode = Mode::kPlain;
-    const ExecResult rp = best_of(t, plain, 3);
+    const ExecResult rp = best_of(t, plain, 3).best;
 
     ExecOptions hyb;
     hyb.workers = workers;
     hyb.mode = Mode::kHybrid;
     hyb.queries_per_leaf = 2;
-    const ExecResult rh = best_of(t, hyb, 3);
+    const Cell ch = best_of(t, hyb, 3);
+    const ExecResult& rh = ch.best;
     if (workers == 1) hybrid_p1 = rh.elapsed_s;
 
     const bool traces_ok = rh.traces <= 4 * rh.steals + 1;
@@ -109,13 +136,19 @@ bool bench_tree(const std::string& name, const spr::tree::ParseTree& t) {
          spr::util::fmt_double(rh.elapsed_s / rp.elapsed_s, 2) + "x",
          spr::util::fmt_double(hybrid_p1 / rh.elapsed_s, 2) + "x",
          std::to_string(rh.steals),
+         workers == 1 ? "-"
+                      : std::to_string(ch.steals.front()) + "/" +
+                            std::to_string(ch.steals[ch.steals.size() / 2]) +
+                            "/" + std::to_string(ch.steals.back()),
          std::to_string(workers * m.span),
          std::to_string(rh.traces) + (traces_ok ? "" : " VIOLATION"),
          std::to_string(rh.om_inserts) + (inserts_ok ? "" : " VIOLATION"),
          spr::util::fmt_ns(static_cast<double>(rh.lock_wait_ns)),
+         spr::util::fmt_ns(per_steal(rh.lock_wait_ns, rh)),
+         spr::util::fmt_double(per_steal(rh.repoint_walk, rh), 2),
          std::to_string(rh.query_retries),
          checksum_ok ? "match" : "MISMATCH"});
-    metric_line("thm10", name, workers, rh, checksum_ok);
+    metric_line("thm10", name, workers, ch, checksum_ok);
   }
   table.print(std::cout);
   return all_ok;
@@ -139,8 +172,8 @@ int main() {
                   spr::fj::lower_to_parse_tree(
                       spr::fj::make_balanced(15, 128))) &&
        ok;
-  // Nesting depth n: at P=1 the whole run is one segment, so this row
-  // measures the local tier's relabel cost under deep nesting.
+  // Nesting depth n: a spawn chain, so at P>1 thieves keep stealing from
+  // one trace and every split inserts at the same global-tier hotspot.
   ok = bench_tree("loop_spawn(2^15), 1 work/thread",
                   spr::fj::lower_to_parse_tree(
                       spr::fj::make_loop_spawn(1u << 15))) &&

@@ -1,7 +1,7 @@
 #pragma once
 // Density-window relabeling: the one gap rule of every OM tier with no
-// size bound (OrderList's top level, SegmentList's local and global
-// tiers). Only OrderList's <= 64-item bucket rebalance and LabeledList's
+// size bound (OrderList's top level, SP-hybrid's SegmentList). Only
+// OrderList's <= 64-item bucket rebalance and LabeledList's
 // baseline relabel_all renumber a whole list instead.
 //
 // `fresh` has just been linked right after `prev`, unlabeled. The

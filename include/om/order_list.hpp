@@ -3,14 +3,14 @@
 // worst-case order queries (Bender et al. style; Section 2 of the paper
 // uses this as the substrate for SP-order).
 //
-// Like every OM list in this repo (LabeledList, SegmentList), the list is
-// born holding one root item and grows only by insert_after: an SP-order
-// starts from one item and every split mints its items after a base.
+// Like LabeledList, the list is born holding one root item and grows
+// only by insert_after: an SP-order starts from one item and every split
+// mints its items after a base.
 //
 // Items live in buckets of at most kBucketCap elements. Each item carries
 // a 64-bit local label unique within its bucket; each bucket carries a
 // 64-bit top label maintained by density-window relabeling
-// (om/list_labeling.hpp, shared with SP-hybrid's local tier). An order
+// (om/list_labeling.hpp, shared with SP-hybrid's global tier). An order
 // query compares (bucket label, item label) lexicographically. Inserting
 // into a full bucket splits it; a split inserts one bucket label into the
 // top level, whose relabeling cost amortizes to O(lg n) per split, i.e.

@@ -1,22 +1,19 @@
 #pragma once
-// Trace-local SP-bags: the fast tier of SP-hybrid (Section 6). One shared
+// SP-bags over traces: SP-hybrid's local tier (Sections 5-6). One shared
 // union-find instance (AtomicDisjointSets: union by rank, read-only
 // acquire finds) spans all workers; every walk event is executed by
 // exactly one worker, and the scheduler's join protocol (acq_rel on the
 // join counter) orders the cross-worker hand-off of subtree set roots.
 //
-// The S/P flag of a completed set's root means "relative to the walk
-// position of the trace that wrote it". That makes the tier sound ONLY
-// for same-trace queries with v currently executing:
-//  - every walk event between two threads of one trace is executed by
-//    that trace's worker, serially, so the flag at find(u)'s root was
-//    written when the walk switched branches at LCA(u, v), exactly as in
-//    serial SP-bags;
-//  - an event owned by ANOTHER trace can only touch u's set once the
-//    enclosing subtree (which contains v) has completed, i.e. after v
-//    stopped being current — so it can never be observed by a valid query.
-// Cross-trace queries fall through to the structural two-tier SP-order
-// (sphybrid/two_tier_sp.hpp).
+// Each set root carries one atomic word: the S/P flag, the trace that
+// classified the set, and the index of a global-tier segment pair (that
+// trace's pair at classify time, or the pair a later steal re-pointed the
+// set to). For u != v, v running in trace t:
+//  - P, or never classified: u || v (this covers an unexecuted u);
+//  - S, classified by t itself: u precedes v;
+//  - S from another trace: the caller compares the word's segment pair
+//    with t's (Theorem 4 over trace segments; sphybrid/README.md proves
+//    that find(u)'s word is the one this rule needs).
 
 #include <atomic>
 #include <cstdint>
@@ -27,28 +24,20 @@
 
 namespace spr::bags {
 
-inline constexpr std::uint32_t kNoTrace = ~std::uint32_t{0};
-
 class TraceBags {
  public:
   explicit TraceBags(std::uint32_t leaf_count)
-      : dsu_(leaf_count), sflag_(leaf_count), trace_(leaf_count) {
-    for (auto& f : sflag_) f.store(0, std::memory_order_relaxed);
-    for (auto& t : trace_) t.store(kNoTrace, std::memory_order_relaxed);
-  }
-
-  /// Records that thread `t` executes inside trace `trace_id`. Called by
-  /// the executing worker before the leaf's work runs.
-  void on_leaf(tree::ThreadId t, std::uint32_t trace_id) {
-    trace_[t].store(trace_id, std::memory_order_release);
+      : dsu_(leaf_count), word_(leaf_count) {
+    for (auto& w : word_) w.store(0, std::memory_order_relaxed);
   }
 
   /// Classifies a completed subtree's set (between_children of the
-  /// enclosing node): serial (S-node) or parallel (P-node) relative to
-  /// the writing trace's walk position.
-  void classify(std::uint32_t set_member, bool serial) {
-    sflag_[dsu_.find(set_member)].store(serial ? 1 : 0,
-                                        std::memory_order_relaxed);
+  /// enclosing node), written by the trace `trace` whose own segment pair
+  /// is `pair`. A parallel set needs neither.
+  void classify(std::uint32_t set_member, bool serial, std::uint32_t trace,
+                std::uint32_t pair) {
+    word_[dsu_.find(set_member)].store(serial ? pack(trace, pair) : 0,
+                                       std::memory_order_release);
   }
 
   /// Merges two completed sibling subtrees (leave_internal); returns the
@@ -57,24 +46,45 @@ class TraceBags {
     return dsu_.unite(a, b);
   }
 
-  /// Fast-path query: valid only when v is currently executing on the
-  /// calling worker. Returns kMiss when u is not in v's trace (caller
-  /// must fall back to the structural tier).
+  /// Steal path: if the S-set of `set_member` still carries pair `from`,
+  /// it now carries `to`. Returns whether it did.
+  bool repoint(std::uint32_t set_member, std::uint32_t from,
+               std::uint32_t to) {
+    auto& w = word_[dsu_.find(set_member)];
+    const std::uint64_t old = w.load(std::memory_order_relaxed);
+    if ((old & kSerialBit) == 0 || pair_of(old) != from) return false;
+    w.store((old & ~kPairMask) | to, std::memory_order_release);
+    return true;
+  }
+
+  /// Query for any u != v, v running in trace `trace`. kMiss leaves the
+  /// word's pair index in `pair` for the caller's segment comparison.
   enum class Answer : std::uint8_t { kSerial, kParallel, kMiss };
-  Answer precedes_fast(tree::ThreadId u, tree::ThreadId v) {
-    const std::uint32_t tu = trace_[u].load(std::memory_order_acquire);
-    if (tu == kNoTrace) return Answer::kMiss;
-    const std::uint32_t tv = trace_[v].load(std::memory_order_relaxed);
-    if (tu != tv) return Answer::kMiss;
-    return sflag_[dsu_.find(u)].load(std::memory_order_relaxed) != 0
-               ? Answer::kSerial
-               : Answer::kParallel;
+  Answer precedes_fast(tree::ThreadId u, std::uint32_t trace,
+                       std::uint32_t& pair) const {
+    const std::uint64_t w = word_[dsu_.find(u)].load(std::memory_order_acquire);
+    if ((w & kSerialBit) == 0) return Answer::kParallel;
+    if (trace_of(w) == trace) return Answer::kSerial;
+    pair = pair_of(w);
+    return Answer::kMiss;
   }
 
  private:
+  static constexpr std::uint64_t kSerialBit = 1ULL << 63;
+  static constexpr std::uint64_t kPairMask = 0xffffffffULL;
+
+  static std::uint64_t pack(std::uint32_t trace, std::uint32_t pair) {
+    return kSerialBit | (std::uint64_t{trace} << 32) | pair;
+  }
+  static std::uint32_t trace_of(std::uint64_t w) {
+    return static_cast<std::uint32_t>((w & ~kSerialBit) >> 32);
+  }
+  static std::uint32_t pair_of(std::uint64_t w) {
+    return static_cast<std::uint32_t>(w & kPairMask);
+  }
+
   AtomicDisjointSets dsu_;
-  std::vector<std::atomic<std::uint8_t>> sflag_;  ///< per root: 1 = S-bag
-  std::vector<std::atomic<std::uint32_t>> trace_;  ///< per thread
+  std::vector<std::atomic<std::uint64_t>> word_;  ///< per root
 };
 
 }  // namespace spr::bags

@@ -5,7 +5,8 @@
 // a steal always takes the OLDEST pending continuation. That discipline is
 // load-bearing for SP-hybrid: the stolen node is the shallowest pending
 // fork of the victim, which is exactly what keeps the steal-time segment
-// split sound (see sphybrid/README.md).
+// split sound, as long as one victim's splits also run in steal order
+// (locked_steal below; see sphybrid/README.md).
 //
 // Memory-ordering notes: the published algorithm uses standalone fences;
 // this version strengthens the handoff edges to release/acquire pairs on
@@ -56,7 +57,7 @@ class ChaseLevDeque {
     if (b - t > static_cast<std::int64_t>(a->capacity) - 1) a = grow(a, t, b);
     a->put(b, value);
     // Release: publishes the slot write and everything the owner prepared
-    // for this task (SP slots, join counters) to any thief that acquires
+    // for this task (entry trace, join counters) to any thief that acquires
     // `bottom` or wins the steal CAS.
     bottom_.store(b + 1, kBottomPublish);
   }
@@ -150,5 +151,21 @@ class ChaseLevDeque {
   spr::atomic<Array*> array_;
   std::vector<std::unique_ptr<Array>> retired_;  ///< owner only
 };
+
+/// SP-hybrid's steal: try-locks the victim's `lock`, steals the victim's
+/// oldest task and runs `split(task)` before unlocking, so one victim's
+/// splits happen in the order of its steals (a shallower steal's global
+/// inserts land before a deeper one's). False if the lock was busy or
+/// nothing was stolen.
+template <typename T, typename Split>
+bool locked_steal(spr::spin_lock& lock, ChaseLevDeque<T>& d, T& out,
+                  Split&& split) {
+  if (!lock.try_lock()) return false;
+  const bool stolen =
+      d.steal(out) == ChaseLevDeque<T>::StealResult::kStolen;
+  if (stolen) split(out);
+  lock.unlock();
+  return stolen;
+}
 
 }  // namespace spr::hybrid

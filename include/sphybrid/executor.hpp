@@ -2,8 +2,8 @@
 // SP-hybrid execution harness (Sections 3-6). run_parallel() dispatches on
 // ExecOptions::mode:
 //   kPlain / kNaive / kHybrid run on the real work-stealing engine
-//     (sphybrid/worker.hpp): per-worker Chase-Lev deques, trace-local
-//     SP-bags, and global order-maintenance insertions only on steals.
+//     (sphybrid/worker.hpp): per-worker Chase-Lev deques, SP-bags over
+//     traces, and global order-maintenance insertions only on steals.
 //   kSerialReference keeps the old serial driver: it executes the program
 //     in English order on the calling thread with a full serial SP-order.
 //     It is the oracle the parallel tests compare against — per-leaf query

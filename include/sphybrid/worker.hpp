@@ -10,13 +10,17 @@
 //    serially, P-nodes join on an atomic counter, and the LAST side to
 //    finish continues past the join (the first abandons and goes back to
 //    pop/steal).
-// A successful steal takes the OLDEST continuation (deque top), performs
-// the two-tier segment split (3 global OM insertions), and starts a new
-// trace; every other SP-maintenance operation is trace-local. Mode::kNaive
-// runs the same TwoTierSp with no fast tier and no splits, taking one
-// global mutex around every insertion and every query (Section 3's straw
-// man), and Mode::kPlain runs the scheduler with no SP maintenance (the
-// T_P baseline).
+// Mode::kHybrid keeps SP-bags over traces (spbags/trace_bags.hpp) as the
+// local tier and one segment pair per trace in two SegmentLists as the
+// global tier. A trace is minted only by a steal: the thief takes the
+// OLDEST continuation (deque top) under the victim's steal lock and makes
+// exactly 3 global OM insertions; every other SP-maintenance operation is
+// trace-local and lock-free, and every join continuation resumes the
+// trace that entered the node (sphybrid/README.md has the rule and its
+// proof). Mode::kNaive keeps a per-node SP-order (order::split over two
+// OrderLists) under one global mutex around every insertion and every
+// query (Section 3's straw man), and Mode::kPlain runs the scheduler with
+// no SP maintenance (the T_P baseline).
 //
 // Counters are measured, not modeled: steals/splits come from the deques,
 // om_inserts from the structures that take locked insertions (kHybrid's
@@ -32,11 +36,13 @@
 #include <thread>
 #include <vector>
 
+#include "om/order_list.hpp"
 #include "race/shadow_protocol.hpp"
 #include "race/stream/shadow_shards.hpp"
 #include "spbags/trace_bags.hpp"
 #include "sphybrid/deque.hpp"
-#include "sphybrid/two_tier_sp.hpp"
+#include "sphybrid/segment_list.hpp"
+#include "sporder/sp_order.hpp"
 #include "sptree/sp_maintenance.hpp"
 #include "util/rng.hpp"
 #include "util/timing.hpp"
@@ -63,14 +69,15 @@ struct ExecResult {
   unsigned workers_used = 1;
   std::uint64_t steals = 0;
   std::uint64_t splits = 0;        ///< steals that split a trace
-  std::uint64_t traces = 1;        ///< traces started; <= 4*steals + 1
+  std::uint64_t traces = 1;        ///< traces minted: steals + 1
   std::uint64_t queries = 0;
-  std::uint64_t fast_queries = 0;  ///< answered by the SP-bags local tier
+  std::uint64_t fast_queries = 0;  ///< answered by SP-bags alone
   std::uint64_t om_inserts = 0;    ///< locked global-tier insertions
-  /// Time inside locked global-tier sections (and kNaive's SP lock);
+  /// Time inside the thieves' split sections (and kNaive's SP lock);
   /// shadow shard-lock waits are not counted.
   std::uint64_t lock_wait_ns = 0;
   std::uint64_t query_retries = 0;  ///< failed lock-free query attempts
+  std::uint64_t repoint_walk = 0;   ///< S-ancestors the splits visited
   std::uint64_t race_count = 0;
   std::uint64_t checksum = 0;
   bool has_race() const { return race_count > 0; }
@@ -106,26 +113,42 @@ inline std::uint64_t query_digest(tree::ThreadId u, tree::ThreadId v,
   return z ^ (z >> 31);
 }
 
-/// The multi-worker engine. Construct, call run() once, then (for kNaive
-/// and kHybrid) precedes() remains valid for arbitrary post-run queries —
-/// the stress tests cross-check it pairwise against the LCA oracle.
+/// The multi-worker engine. Construct, call run() once, then (for kNaive)
+/// precedes() remains valid for arbitrary post-run queries — the stress
+/// tests cross-check it pairwise against the LCA oracle. kHybrid answers
+/// only on the fly, where v is running and u is any other thread.
 class WorkStealingEngine {
  public:
   WorkStealingEngine(const tree::ParseTree& t, const ExecOptions& o)
       : tree_(t), opts_(o), nworkers_(resolve_workers(o.workers)) {
     const std::size_t nn = tree_.node_count();
     pending_ = std::make_unique<std::atomic<std::uint8_t>[]>(nn);
-    stolen_ = std::make_unique<std::atomic<std::uint8_t>[]>(nn);
     left_root_ = std::make_unique<std::atomic<std::uint32_t>[]>(nn);
     right_root_ = std::make_unique<std::atomic<std::uint32_t>[]>(nn);
-    for (std::size_t i = 0; i < nn; ++i) {
+    for (std::size_t i = 0; i < nn; ++i)
       pending_[i].store(2, std::memory_order_relaxed);
-      stolen_[i].store(0, std::memory_order_relaxed);
-    }
-    if (opts_.mode == Mode::kHybrid || opts_.mode == Mode::kNaive)
-      sp_ = std::make_unique<TwoTierSp>(tree_);
-    if (opts_.mode == Mode::kHybrid)
+    if (opts_.mode == Mode::kNaive) naive_ = std::make_unique<NaiveSp>(tree_);
+    if (opts_.mode == Mode::kHybrid && tree_.root() != tree::kNoNode) {
       bags_ = std::make_unique<bags::TraceBags>(tree_.leaf_count());
+      entry_trace_ = std::make_unique<std::atomic<std::uint32_t>[]>(nn);
+      // Written once per steal before anyone can read them: no zeroing.
+      pairs_ = std::make_unique_for_overwrite<Pair[]>(2 * nn);
+      pairs_[static_cast<std::size_t>(tree_.root())] = {eng_.root(),
+                                                         heb_.root()};
+      // Parents have larger ids than their children: one downward sweep.
+      s_above_ = std::make_unique_for_overwrite<tree::NodeId[]>(nn);
+      for (tree::NodeId id = static_cast<tree::NodeId>(nn); id-- > 0;) {
+        const tree::NodeId p = tree_.node(id).parent;
+        const auto i = static_cast<std::size_t>(id);
+        if (p == tree::kNoNode)
+          s_above_[i] = tree::kNoNode;
+        else if (tree_.node(p).kind == tree::NodeKind::kSeries &&
+                 tree_.node(p).right == id)
+          s_above_[i] = p;
+        else
+          s_above_[i] = s_above_[static_cast<std::size_t>(p)];
+      }
+    }
     workers_.reserve(nworkers_);
     for (unsigned w = 0; w < nworkers_; ++w)
       workers_.push_back(std::make_unique<WorkerCtx>(w, opts_.seed));
@@ -159,68 +182,117 @@ class WorkStealingEngine {
       r.queries += w->queries;
       r.fast_queries += w->fast_queries;
       r.lock_wait_ns += w->lock_wait_ns;
+      r.repoint_walk += w->repoint_walk;
       spin ^= w->spin_xor;
       digest += w->digest_sum;
     }
     r.checksum = spin + digest;
-    r.traces = next_trace_.load(std::memory_order_relaxed);
+    r.traces = traces_.load(std::memory_order_relaxed);
     r.race_count = race_count_.load(std::memory_order_relaxed);
-    if (sp_ != nullptr) {
-      // kNaive never splits: its locked insertions are every item but the
-      // two roots.
-      r.om_inserts = opts_.mode == Mode::kNaive ? sp_->items() - 2
-                                                : sp_->global_inserts();
-      r.query_retries = sp_->query_retries();
+    if (naive_ != nullptr) r.om_inserts = naive_->inserts();
+    if (bags_ != nullptr) {
+      // Every segment but the two roots is a global-tier insertion.
+      r.om_inserts = eng_.size() + heb_.size() - 2;
+      r.query_retries = eng_.query_retries() + heb_.query_retries();
     }
     util::do_not_optimize(r.checksum);
     return r;
   }
 
-  /// Post-run structural SP query (kHybrid / kNaive only).
+  /// Post-run structural SP query (kNaive only).
   bool precedes(tree::ThreadId u, tree::ThreadId v) const {
-    if (sp_ == nullptr)
-      throw std::logic_error("precedes() requires kHybrid or kNaive");
-    return sp_->precedes(u, v);
+    if (naive_ == nullptr)
+      throw std::logic_error("precedes() requires kNaive");
+    return naive_->precedes(u, v);
   }
 
  private:
+  using Segment = SegmentList::Segment;
+
+  /// A place in the global tier: an English and a Hebrew segment.
+  struct Pair {
+    Segment* eng;
+    Segment* heb;
+  };
+
+  /// kNaive's per-node SP-order: serial SP-order's split rule applied to
+  /// nodes entered out of English order, so every node keeps its slot.
+  /// Every call runs under naive_mu_ (or after the run).
+  class NaiveSp {
+   public:
+    explicit NaiveSp(const tree::ParseTree& t)
+        : tree_(t), slots_(t.node_count()) {
+      if (t.root() != tree::kNoNode)
+        slots_[static_cast<std::size_t>(t.root())] = {eng_.root(),
+                                                      heb_.root()};
+    }
+    void enter_internal(const tree::Node& n) {
+      const auto b = order::split(eng_, heb_,
+                                  slots_[static_cast<std::size_t>(n.id)],
+                                  n.kind == tree::NodeKind::kSeries);
+      slots_[static_cast<std::size_t>(n.left)] = b.left;
+      slots_[static_cast<std::size_t>(n.right)] = b.right;
+    }
+    /// Theorem 4. A thread whose parent was never entered has no slot;
+    /// it cannot precede the running thread, and it follows nothing yet.
+    bool precedes(tree::ThreadId u, tree::ThreadId v) const {
+      const order::Slot& a = slot(u);
+      const order::Slot& b = slot(v);
+      if (u == v || a.eng == nullptr || b.eng == nullptr) return false;
+      return eng_.precedes(a.eng, b.eng) && heb_.precedes(a.heb, b.heb);
+    }
+    /// Locked insertions: every item but the two roots.
+    std::uint64_t inserts() const { return eng_.size() + heb_.size() - 2; }
+
+   private:
+    const order::Slot& slot(tree::ThreadId t) const {
+      return slots_[static_cast<std::size_t>(tree_.leaf(t).id)];
+    }
+
+    const tree::ParseTree& tree_;
+    om::OrderList eng_;
+    om::OrderList heb_;
+    std::vector<order::Slot> slots_;
+  };
+
   struct WorkerCtx {
     WorkerCtx(unsigned id_, std::uint64_t seed)
         : id(id_), victim_rng(seed ^ (0xd1342543de82ef95ULL * (id_ + 1))) {}
     unsigned id;
     ChaseLevDeque<tree::NodeId> deque;
+    spr::spin_lock steal_lock;  ///< held by a thief around CAS + split
     util::Xoshiro256 victim_rng;
-    std::uint32_t cur_trace = bags::kNoTrace;
-    tree::NodeId last_abandoned = tree::kNoNode;
+    /// kHybrid: the running trace, named by the node it was minted at
+    /// (the stolen node, or the root); its pair is pairs_[cur_trace].
+    std::uint32_t cur_trace = 0;
     std::uint64_t steals = 0;
     std::uint64_t splits = 0;
     std::uint64_t queries = 0;
-    std::uint64_t fast_queries = 0;  ///< answered by the SP-bags local tier
+    std::uint64_t fast_queries = 0;  ///< answered by SP-bags alone
     std::uint64_t lock_wait_ns = 0;
+    std::uint64_t repoint_walk = 0;
     std::uint64_t spin_xor = 0;
     std::uint64_t digest_sum = 0;
   };
 
-  std::uint32_t mint_trace() {
-    return next_trace_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   // ---- per-node walk hooks -------------------------------------------
 
   void enter_node(WorkerCtx& w, const tree::Node& n) {
-    if (opts_.mode == Mode::kNaive) {
+    if (naive_ != nullptr) {
       const util::Stopwatch sw;
       std::lock_guard<std::mutex> lock(naive_mu_);
       w.lock_wait_ns += static_cast<std::uint64_t>(sw.elapsed_ns());
-      sp_->enter_internal(n);  // Section 3: every OM insertion is locked
-    } else if (sp_ != nullptr) {
-      sp_->enter_internal(n);
+      naive_->enter_internal(n);  // Section 3: every OM insertion is locked
+    } else if (bags_ != nullptr && n.kind == tree::NodeKind::kParallel) {
+      // The join continuation and a thief of n.right both need the trace
+      // that entered n; the push of n.right publishes it.
+      entry_trace_[static_cast<std::size_t>(n.id)].store(
+          w.cur_trace, std::memory_order_relaxed);
     }
   }
 
   void do_leaf(WorkerCtx& w, const tree::Node& n) {
     const tree::ThreadId v = n.thread;
-    if (bags_ != nullptr) bags_->on_leaf(v, w.cur_trace);
     w.spin_xor ^= util::spin_work(n.work);
     if (opts_.queries_per_leaf > 0) {
       util::Xoshiro256 rng = leaf_query_rng(opts_.seed, v);
@@ -234,19 +306,25 @@ class WorkStealingEngine {
     if (opts_.detect_races && opts_.mode != Mode::kPlain) detect(w, v);
   }
 
-  /// On-the-fly query: u completed (or a recorded accessor), v executing
-  /// on `w`. kHybrid tries the same-trace SP-bags tier first.
+  /// On-the-fly query: u any other thread (completed, running, a recorded
+  /// accessor or unexecuted), v executing on `w`. kHybrid asks SP-bags,
+  /// then the global tier with Theorem 4 over segment pairs.
   bool answer(WorkerCtx& w, tree::ThreadId u, tree::ThreadId v) {
-    if (opts_.mode == Mode::kNaive) {
+    if (naive_ != nullptr) {
       const util::Stopwatch sw;
       std::lock_guard<std::mutex> lock(naive_mu_);
       w.lock_wait_ns += static_cast<std::uint64_t>(sw.elapsed_ns());
-      return sp_->precedes(u, v);
+      return naive_->precedes(u, v);
     }
-    const bags::TraceBags::Answer fast = bags_->precedes_fast(u, v);
-    if (fast == bags::TraceBags::Answer::kMiss) return sp_->precedes(u, v);
-    ++w.fast_queries;
-    return fast == bags::TraceBags::Answer::kSerial;
+    std::uint32_t pair = 0;
+    const auto fast = bags_->precedes_fast(u, w.cur_trace, pair);
+    if (fast != bags::TraceBags::Answer::kMiss) {
+      ++w.fast_queries;
+      return fast == bags::TraceBags::Answer::kSerial;
+    }
+    const Pair& a = pairs_[pair];
+    const Pair& b = pairs_[w.cur_trace];
+    return eng_.less(a.eng, b.eng) && heb_.less(a.heb, b.heb);
   }
 
   void detect(WorkerCtx& w, tree::ThreadId v) {
@@ -289,16 +367,16 @@ class WorkStealingEngine {
       const tree::Node& pn = tree_.node(p);
       const std::size_t pi = static_cast<std::size_t>(p);
       const bool from_left = pn.left == c;
+      const bool series = pn.kind == tree::NodeKind::kSeries;
       if (from_left) {
         left_root_[pi].store(carry, std::memory_order_relaxed);
-        if (pn.kind == tree::NodeKind::kSeries) {
-          // between_children(S): the left subtree precedes the rest.
-          if (bags_ != nullptr) bags_->classify(carry, /*serial=*/true);
-          return pn.right;  // continue serially, same trace
-        }
-        if (bags_ != nullptr) bags_->classify(carry, /*serial=*/false);
+        // between_children: the left subtree precedes the rest (S) or
+        // runs beside it (P).
+        if (bags_ != nullptr)
+          bags_->classify(carry, series, w.cur_trace, w.cur_trace);
+        if (series) return pn.right;  // continue serially, same trace
       } else {
-        if (pn.kind == tree::NodeKind::kSeries) {
+        if (series) {
           if (bags_ != nullptr)
             carry = bags_->unite(
                 left_root_[pi].load(std::memory_order_relaxed), carry);
@@ -308,25 +386,22 @@ class WorkStealingEngine {
         right_root_[pi].store(carry, std::memory_order_relaxed);
       }
       // P-node join: the acq_rel RMW orders the two sides' root stores
-      // and the thief's stolen_ flag for whoever continues.
-      if (pending_[pi].fetch_sub(1, std::memory_order_acq_rel) == 2) {
-        w.last_abandoned = p;
+      // for whoever continues.
+      if (pending_[pi].fetch_sub(1, std::memory_order_acq_rel) == 2)
         return tree::kNoNode;  // other side still running
-      }
-      if (bags_ != nullptr)
+      if (bags_ != nullptr) {
         carry = bags_->unite(left_root_[pi].load(std::memory_order_relaxed),
-                           right_root_[pi].load(std::memory_order_relaxed));
-      if (stolen_[pi].load(std::memory_order_relaxed) != 0) {
-        // Continuing past a stolen join starts a new execution trace
-        // (the continuation is not English-contiguous for the victim).
-        w.cur_trace = mint_trace();
+                             right_root_[pi].load(std::memory_order_relaxed));
+        w.cur_trace = entry_trace_[pi].load(std::memory_order_relaxed);
       }
       c = p;
     }
   }
 
   /// Executes the region reachable from `start` without stealing:
-  /// descend / leaf / complete, then drain the local deque.
+  /// descend / leaf / complete, then drain the local deque. A pop after
+  /// an abandoned join returns that join's right child, which resumes
+  /// the trace that entered the join: the one this worker already runs.
   void run_region(WorkerCtx& w, tree::NodeId start) {
     tree::NodeId cur = start;
     for (;;) {
@@ -341,22 +416,54 @@ class WorkStealingEngine {
       }
       const tree::Node& leaf = tree_.node(cur);
       do_leaf(w, leaf);
-      w.last_abandoned = tree::kNoNode;
       cur = complete(w, cur, leaf.thread);
       if (cur != tree::kNoNode) continue;
-      tree::NodeId popped;
-      if (!w.deque.pop_bottom(popped)) return;
-      // A popped continuation is English-contiguous (same trace) only in
-      // the common case where it belongs to the join just abandoned.
-      if (tree_.node(popped).parent != w.last_abandoned)
-        w.cur_trace = mint_trace();
-      cur = popped;
+      if (!w.deque.pop_bottom(cur)) return;
     }
+  }
+
+  /// kHybrid's split, run by the thief of `stolen` = X.right under the
+  /// victim's steal lock: the thief's trace (named `stolen`) gets its
+  /// own English segment right after the victim trace's, and a Hebrew
+  /// segment right before it, behind a fresh `pre` segment. The S-sets
+  /// at X's ancestors that still carry the victim's pair move to
+  /// (victim English, pre). 3 global inserts.
+  void split(WorkerCtx& w, tree::NodeId stolen) {
+    const util::Stopwatch sw;
+    const tree::NodeId x = tree_.node(stolen).parent;
+    const std::size_t xi = static_cast<std::size_t>(x);
+    const std::uint32_t victim =
+        entry_trace_[xi].load(std::memory_order_relaxed);
+    const Pair v = pairs_[victim];
+    Segment* const r_eng = eng_.insert_after(v.eng);
+    Segment* const pre = heb_.insert_before(v.heb);
+    Segment* const r_heb = heb_.insert_before(v.heb);
+    const auto thief = static_cast<std::uint32_t>(stolen);
+    const auto repointed =
+        static_cast<std::uint32_t>(tree_.node_count() + xi);
+    pairs_[static_cast<std::size_t>(stolen)] = {r_eng, r_heb};
+    pairs_[repointed] = {v.eng, pre};
+    // Re-point the S-sets above X that still carry the victim's pair.
+    // They are the lowest ones on X's chain of S-ancestors that X lies
+    // right of, so the walk stops at the first set that does not.
+    for (tree::NodeId z = s_above_[xi]; z != tree::kNoNode;
+         z = s_above_[static_cast<std::size_t>(z)]) {
+      ++w.repoint_walk;
+      if (!bags_->repoint(
+              left_root_[static_cast<std::size_t>(z)].load(
+                  std::memory_order_relaxed),
+              victim, repointed))
+        break;
+    }
+    w.cur_trace = thief;
+    w.lock_wait_ns += static_cast<std::uint64_t>(sw.elapsed_ns());
+    ++w.splits;
   }
 
   void worker_main(WorkerCtx& w, tree::NodeId initial) {
     if (initial != tree::kNoNode) {
-      w.cur_trace = mint_trace();
+      traces_.fetch_add(1, std::memory_order_relaxed);
+      w.cur_trace = static_cast<std::uint32_t>(initial);
       run_region(w, initial);
     }
     if (nworkers_ == 1) return;
@@ -366,8 +473,14 @@ class WorkStealingEngine {
         const auto vi = static_cast<unsigned>(
             w.victim_rng.next_below(nworkers_));
         if (vi == w.id) continue;
-        const auto res = workers_[vi]->deque.steal(task);
-        if (res == ChaseLevDeque<tree::NodeId>::StealResult::kStolen) break;
+        WorkerCtx& victim = *workers_[vi];
+        const bool got =
+            bags_ != nullptr
+                ? locked_steal(victim.steal_lock, victim.deque, task,
+                               [this, &w](tree::NodeId t) { split(w, t); })
+                : victim.deque.steal(task) ==
+                      ChaseLevDeque<tree::NodeId>::StealResult::kStolen;
+        if (got) break;
         task = tree::kNoNode;
       }
       if (task == tree::kNoNode) {
@@ -375,16 +488,7 @@ class WorkStealingEngine {
         continue;
       }
       ++w.steals;
-      const std::size_t pi = static_cast<std::size_t>(tree_.node(task).parent);
-      stolen_[pi].store(1, std::memory_order_relaxed);
-      if (opts_.mode == Mode::kHybrid) {
-        // The only global-tier work in the whole hybrid scheme.
-        const util::Stopwatch sw;
-        sp_->steal_split(task);
-        w.lock_wait_ns += static_cast<std::uint64_t>(sw.elapsed_ns());
-        ++w.splits;
-      }
-      w.cur_trace = mint_trace();
+      traces_.fetch_add(1, std::memory_order_relaxed);
       run_region(w, task);
     }
   }
@@ -395,16 +499,24 @@ class WorkStealingEngine {
   const ExecOptions opts_;
   const unsigned nworkers_;
   std::unique_ptr<std::atomic<std::uint8_t>[]> pending_;
-  std::unique_ptr<std::atomic<std::uint8_t>[]> stolen_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> left_root_;
   std::unique_ptr<std::atomic<std::uint32_t>[]> right_root_;
-  std::unique_ptr<TwoTierSp> sp_;        ///< kHybrid and kNaive
-  std::unique_ptr<bags::TraceBags> bags_;  ///< kHybrid's fast tier
-  std::mutex naive_mu_;                    ///< kNaive's global SP lock
+  // kHybrid only: per P-node, the trace that entered it; per node, its
+  // nearest S-ancestor that it lies right of; pairs_[mint node] is a
+  // trace's pair and pairs_[node_count + X] the pair a steal at X
+  // re-pointed S-sets to.
+  std::unique_ptr<bags::TraceBags> bags_;
+  std::unique_ptr<std::atomic<std::uint32_t>[]> entry_trace_;
+  std::unique_ptr<tree::NodeId[]> s_above_;
+  std::unique_ptr<Pair[]> pairs_;
+  SegmentList eng_;
+  SegmentList heb_;
+  std::unique_ptr<NaiveSp> naive_;  ///< kNaive
+  std::mutex naive_mu_;             ///< kNaive's global SP lock
   std::vector<std::unique_ptr<WorkerCtx>> workers_;
   race::stream::DeterminacyShadow shadow_{kShardsPerWorker * nworkers_};
   std::atomic<std::uint64_t> race_count_{0};
-  std::atomic<std::uint32_t> next_trace_{0};
+  std::atomic<std::uint64_t> traces_{0};
   std::atomic<bool> done_{false};
 };
 

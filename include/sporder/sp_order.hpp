@@ -21,7 +21,7 @@
 // Events arrive in English order, so the only per-fork state is a stack
 // of pending right-branch slots: Theta(1) work per event, Theta(1) state
 // per open fork, and no requirement that the program is ever materialized
-// as a tree. The parallel engine's TwoTierSp (sphybrid/two_tier_sp.hpp)
+// as a tree. The parallel engine's naive mode (sphybrid/worker.hpp)
 // applies the same split() to nodes entered out of English order, so it
 // keeps one slot per parse-tree node instead.
 //
@@ -38,29 +38,22 @@
 namespace spr::order {
 
 /// A subtree's pair of items: its place in the English and Hebrew lists.
-template <class Item>
-struct BasicSlot {
-  Item* eng = nullptr;
-  Item* heb = nullptr;
+struct Slot {
+  om::OrderList::Item* eng = nullptr;
+  om::OrderList::Item* heb = nullptr;
 };
 
-template <class Item>
-struct BasicBranches {
-  BasicSlot<Item> left;
-  BasicSlot<Item> right;
+struct Branches {
+  Slot left;
+  Slot right;
 };
-
-using Slot = BasicSlot<om::OrderList::Item>;
-using Branches = BasicBranches<om::OrderList::Item>;
 
 /// The English/Hebrew split rule: mints one item after `base` in each
-/// list and hands the fork's two branches their slots. The serial
-/// SP-orders split OrderLists; SP-hybrid's TwoTierSp splits SegmentLists.
-template <class List, class Item>
-BasicBranches<Item> split(List& english, List& hebrew, BasicSlot<Item> base,
-                          bool series) {
-  Item* e = english.insert_after(base.eng);
-  Item* h = hebrew.insert_after(base.heb);
+/// list and hands the fork's two branches their slots.
+inline Branches split(om::OrderList& english, om::OrderList& hebrew,
+                      Slot base, bool series) {
+  om::OrderList::Item* e = english.insert_after(base.eng);
+  om::OrderList::Item* h = hebrew.insert_after(base.heb);
   if (series) return {base, {e, h}};
   return {{base.eng, h}, {e, base.heb}};
 }

@@ -2,7 +2,7 @@
 // Atomics policy layer: the single point where the lock-free core binds
 // to a memory model. Every concurrent structure in the library
 // (sphybrid/deque.hpp, sphybrid/segment_list.hpp, spbags/dsu.hpp,
-// sphybrid/two_tier_sp.hpp, race/stream/shadow_shards.hpp)
+// race/stream/shadow_shards.hpp)
 // declares its shared state as spr::atomic<T> / spr::mutex /
 // spr::spin_lock and backs off in retry loops via spr::spin_pause(),
 // never touching <atomic> or <thread> directly.
@@ -84,7 +84,7 @@ namespace spr {
 
 /// Test-and-test-and-set spin lock (BasicLockable) for critical sections
 /// of a few hundred nanoseconds: a shadow shard's cell update or an
-/// SP-hybrid segment's local insert. A std::mutex sleeps on its first
+/// SP-hybrid thief's steal and split. A std::mutex sleeps on its first
 /// collision, and the futex round trip costs far more than waiting out
 /// the holder. Waiters re-read the word
 /// relaxed, so the cache line stays shared until the holder's release
@@ -107,6 +107,12 @@ class spin_lock {
         spin_pause(tries++);
       } while (locked_.load(std::memory_order_relaxed));
     }
+  }
+
+  /// One attempt, no waiting: true iff the lock is now held.
+  bool try_lock() {
+    return !locked_.load(std::memory_order_relaxed) &&
+           !locked_.exchange(true, std::memory_order_acquire);
   }
 
   void unlock() { locked_.store(false, std::memory_order_release); }

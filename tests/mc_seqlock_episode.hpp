@@ -1,21 +1,20 @@
 #pragma once
-// One model-check episode shared by mc_test (SegmentGlobalRelabelVsReader)
-// and its negative control mc_bug_seqlock_test: a SegmentList::split_tail
-// that finds no global gap and relabels a window of segments races a
-// lock-free cross-segment less() reader.
+// One model-check episode shared by mc_test (SegmentRelabelVsReader) and
+// its negative control mc_bug_seqlock_test: a SegmentList insert that
+// finds no label gap and relabels a window of segments races a lock-free
+// less() reader.
 //
-// Setup cuts singleton tails off the root's segment until the global gap
-// after it is exhausted, so the racing cut must relabel. y and z sit in
-// the two segments right after the root's, inside the relabeled window
-// (which starts at the root's segment), and their global labels CROSS
-// between epochs: old labels are tiny (the halved gap), new ones are
-// multiples of the window's stride, and y is relabeled before z, so a
-// torn read pairing y's new label with z's old one inverts their
-// comparison. The seqlock must make every such read retry.
+// Setup inserts segments right after the root until the gap after it is
+// exhausted, so the racing insert must relabel. y and z sit right after
+// the root, inside the relabeled window (which starts at the root), and
+// their labels CROSS between epochs: old labels are tiny offsets from the
+// root's (the halved gap), new ones are multiples of the window's stride,
+// and y is relabeled before z, so a torn read pairing y's new label with
+// z's old one inverts their comparison. The seqlock must make every such
+// read retry.
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "mc/checker.hpp"
 #include "sphybrid/segment_list.hpp"
@@ -27,39 +26,31 @@ namespace spr::mc_episodes {
 inline std::uint64_t seqlock_relabel_vs_reader(mc::Run& r) {
   using hybrid::SegmentList;
   SegmentList sl;
-  SegmentList::Item* const root = sl.root();
-  const SegmentList::Segment* const first =
-      root->seg.load(std::memory_order_relaxed);
-  // root < items.back() < ... < items.front(): cutting items in index
-  // order takes one singleton tail each time, linked right after first.
-  std::vector<SegmentList::Item*> items;
-  for (int i = 0; i < 80; ++i) items.push_back(sl.insert_after(root));
-  std::size_t cuts = 0;
+  SegmentList::Segment* const root = sl.root();
+  // root < (newest) < ... < (oldest): each insert halves root's gap.
   do {
-    sl.split_tail(items[cuts++]);
-  } while (first->next->glabel.load(std::memory_order_relaxed) -
-               first->glabel.load(std::memory_order_relaxed) >=
+    sl.insert_after(root);
+  } while (root->next->label.load(std::memory_order_relaxed) -
+               root->label.load(std::memory_order_relaxed) >=
            2);
-  SegmentList::Item* const x = items[cuts];      // root segment's tail
-  SegmentList::Item* const y = items[cuts - 1];  // first's successor
-  SegmentList::Item* const z = items[cuts - 2];  // y's successor
-  const SegmentList::Segment* const sy = y->seg.load(std::memory_order_relaxed);
-  const SegmentList::Segment* const sz = z->seg.load(std::memory_order_relaxed);
-  const std::uint64_t y_label = sy->glabel.load(std::memory_order_relaxed);
-  const std::uint64_t z_label = sz->glabel.load(std::memory_order_relaxed);
-  r.spawn([&] { sl.split_tail(x); });  // no gap after first: relabels
+  const std::size_t before = sl.size();
+  SegmentList::Segment* const y = root->next;
+  SegmentList::Segment* const z = y->next;
+  const std::uint64_t y_label = y->label.load(std::memory_order_relaxed);
+  const std::uint64_t z_label = z->label.load(std::memory_order_relaxed);
+  SegmentList::Segment* x = nullptr;
+  r.spawn([&] { x = sl.insert_after(root); });  // no gap: relabels
   r.spawn([&] {
     SPR_MC_ASSERT(sl.less(y, z), "y < z must survive a concurrent relabel");
     SPR_MC_ASSERT(!sl.less(z, y), "z < y contradicts the maintained order");
   });
   r.join_all();
-  SPR_MC_ASSERT(sy->glabel.load(std::memory_order_relaxed) != y_label &&
-                    sz->glabel.load(std::memory_order_relaxed) != z_label,
-                "the racing cut must relabel both labels the reader compares");
+  SPR_MC_ASSERT(y->label.load(std::memory_order_relaxed) != y_label &&
+                    z->label.load(std::memory_order_relaxed) != z_label,
+                "the racing insert must relabel both compared labels");
   SPR_MC_ASSERT(sl.less(root, x) && sl.less(x, y) && sl.less(y, z),
-                "a cut never changes the total order");
-  SPR_MC_ASSERT(sl.segment_count() == cuts + 2,
-                "the racing cut adds one segment");
+                "an insert never reorders the segments around it");
+  SPR_MC_ASSERT(sl.size() == before + 1, "the racing insert adds one segment");
   return sl.query_retries();
 }
 

@@ -155,85 +155,52 @@ TEST(McSuite, DequeGrowDuringSteal) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 3: SegmentList::insert_after (a window relabel under the
-// segment seqlock) vs. a concurrent lock-free less() reader. Setup packs
-// the labels right after the root so the racing insert after the root
-// relabels the window holding the root and the packed items; the reader
-// compares two of them, so any torn label read shows up immediately.
+// Scenario 3: two thieves steal from one victim's deque at once. The
+// victim pushed X1.right, then X2.right for a fork X2 inside X1.left, so
+// in Hebrew order X1.right's segment must come before X2.right's (both
+// land right before the victim's segment). Each thief runs the engine's
+// locked_steal: try-lock the victim, CAS the deque top, split. Oracle:
+// whenever both steal, their Hebrew segments follow deque order, and the
+// deeper task is never stolen without the shallower one.
 
-TEST(McSuite, SegmentInsertVsSeqlockReader) {
-  mc::Options o = base_options();
-  const mc::Stats st = mc::explore(o, [&](mc::Run& r) {
-    SegmentList sl;
-    SegmentList::Item* root = sl.root();
-    // Narrow root->next's label gap to force a relabel on the next insert.
-    sl.insert_after(root);
-    while (root->next->label.load(std::memory_order_relaxed) -
-               root->label.load(std::memory_order_relaxed) >=
-           2)
-      sl.insert_after(root);
-    SegmentList::Item* const next = root->next;
-    const std::uint64_t root_label =
-        root->label.load(std::memory_order_relaxed);
-    const std::uint64_t next_label =
-        next->label.load(std::memory_order_relaxed);
-    r.spawn([&] { sl.insert_after(root); });  // relabels root's window
-    r.spawn([&] {
-      const bool a = sl.less(root, next);
-      const bool b = sl.less(next, root);
-      SPR_MC_ASSERT(a, "root < next must survive a concurrent relabel");
-      SPR_MC_ASSERT(!b, "next < root contradicts the maintained order");
-    });
+TEST(McSuite, TwoThievesSplitInDequeOrder) {
+  int both = 0;
+  const mc::Stats st = mc::explore(base_options(), [&](mc::Run& r) {
+    ChaseLevDeque<int> d;
+    spr::spin_lock victim_lock;
+    SegmentList heb;
+    SegmentList::Segment* const victim = heb.root();
+    d.push_bottom(1);  // X1.right: the shallower fork, pushed first
+    d.push_bottom(2);  // X2.right
+    SegmentList::Segment* thief_seg[3] = {};
+    const auto thief = [&] {
+      int task = 0;
+      spr::hybrid::locked_steal(victim_lock, d, task, [&](int t) {
+        heb.insert_before(victim);  // pre: the re-pointed ancestors' segment
+        thief_seg[t] = heb.insert_before(victim);
+      });
+    };
+    r.spawn(thief);
+    r.spawn(thief);
     r.join_all();
-    SPR_MC_ASSERT(
-        root->label.load(std::memory_order_relaxed) != root_label &&
-            next->label.load(std::memory_order_relaxed) != next_label,
-        "the racing insert must relabel both labels the reader compares");
+    SPR_MC_ASSERT(thief_seg[2] == nullptr || thief_seg[1] != nullptr,
+                  "the deeper continuation was stolen first");
+    if (thief_seg[2] != nullptr) {
+      ++both;
+      SPR_MC_ASSERT(heb.less(thief_seg[1], thief_seg[2]),
+                    "Hebrew order of the thieves' segments breaks deque order");
+    }
+    for (const SegmentList::Segment* s : {thief_seg[1], thief_seg[2]})
+      SPR_MC_ASSERT(s == nullptr || heb.less(s, victim),
+                    "a thief's Hebrew segment must precede the victim's");
   });
   ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
-  report("segment_insert_vs_reader", st);
+  report("two_thieves_split_order", st);
+  EXPECT_GT(both, 0) << "no schedule let both thieves steal";
 }
 
 // ---------------------------------------------------------------------
-// Scenario 4: split_tail vs. concurrent insert_after — the PR-2 race
-// class (an insert targeting an item that is being MOVED to the new
-// segment must block on the destination lock or retry on the seg
-// pointer, never link into a half-moved suffix). A third thread reads
-// cross-segment order through the global seqlock mid-split.
-
-TEST(McSuite, SplitTailVsInsertAfter) {
-  mc::Options o = base_options();
-  o.max_dfs_schedules = 3000;  // 3 threads: lean on the random phase more
-  const mc::Stats st = mc::explore(o, [&](mc::Run& r) {
-    SegmentList sl;
-    SegmentList::Item* root = sl.root();
-    SegmentList::Item* i4 = sl.insert_after(root);
-    SegmentList::Item* i3 = sl.insert_after(root);
-    SegmentList::Item* i2 = sl.insert_after(root);
-    SegmentList::Item* i1 = sl.insert_after(root);  // root<i1<i2<i3<i4
-    SegmentList::Item* nw = nullptr;
-    r.spawn([&] { sl.split_tail(i3); });     // [i3, i4] -> new segment
-    r.spawn([&] { nw = sl.insert_after(i3); });  // lands inside the move
-    r.spawn([&] {
-      const bool a = sl.less(i1, i4);
-      const bool b = sl.less(i4, i1);
-      SPR_MC_ASSERT(a && !b, "i1 < i4 must hold through the split");
-    });
-    r.join_all();
-    // Sequential oracle: the final total order, queried through less().
-    const SegmentList::Item* order[6] = {root, i1, i2, i3, nw, i4};
-    for (int x = 0; x < 6; ++x)
-      for (int y = 0; y < 6; ++y)
-        SPR_MC_ASSERT(sl.less(order[x], order[y]) == (x < y),
-                      "post-split total order disagrees with the oracle");
-    SPR_MC_ASSERT(sl.segment_count() == 2, "split must create one segment");
-  });
-  ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
-  report("split_vs_insert", st);
-}
-
-// ---------------------------------------------------------------------
-// Scenario 5: AtomicDisjointSets, the shipped rank-only protocol: two
+// Scenario 4: AtomicDisjointSets, the shipped rank-only protocol: two
 // read-only acquire finds race an owner-serialized unite that publishes
 // the new parent link with a release store. A find that reads the link
 // stale still ends at its own set's pre-union root; the oracle is that
@@ -274,26 +241,25 @@ TEST(McSuite, DsuConcurrentFindVsUnite) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 6: a split_tail finds no gap in SegmentList's global tier and
-// relabels a window of segments under the global seqlock while a
-// lock-free reader compares two items whose segments' labels cross
-// between epochs.
+// Scenario 5: a SegmentList insert finds no label gap and relabels a
+// window of segments under the seqlock while a lock-free reader compares
+// two segments whose labels cross between epochs.
 // Oracle (tests/mc_seqlock_episode.hpp): the reader's verdicts match the
 // maintained order on every schedule — and some schedule must tear a read
 // and force a seqlock retry.
 
-TEST(McSuite, SegmentGlobalRelabelVsReader) {
+TEST(McSuite, SegmentRelabelVsReader) {
   int retried = 0;
   const mc::Stats st = mc::explore(base_options(), [&](mc::Run& r) {
     if (spr::mc_episodes::seqlock_relabel_vs_reader(r) > 0) ++retried;
   });
   ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
-  report("segment_global_relabel", st);
+  report("segment_relabel_vs_reader", st);
   EXPECT_GT(retried, 0) << "no schedule made the reader's seqlock retry";
 }
 
 // ---------------------------------------------------------------------
-// Scenarios 7 and 8: the streaming service (race/stream/). Each stream
+// Scenarios 6 and 7: the streaming service (race/stream/). Each stream
 // owns its SP engine and shadow, guarded by the stream's spr::mutex; the
 // stream table's spr::mutex is the only state streams share.
 
@@ -322,7 +288,7 @@ bool exactly(const spr::race::RaceReport& r, std::uint64_t races) {
 
 }  // namespace
 
-// Scenario 7: two streams submit and finish concurrently, one racing on
+// Scenario 6: two streams submit and finish concurrently, one racing on
 // location 0 and the other on locations 0 and 1 — the same location in
 // both, so a stream that saw the other's cells would miscount. Oracle:
 // on every interleaving both batches ingest and each stream reports
@@ -360,7 +326,7 @@ TEST(McSuite, StreamsSubmitAndFinishConcurrently) {
   report("streams_submit_and_finish", st);
 }
 
-// Scenario 8: finish() frees a stream's shadow and SP engine while a
+// Scenario 7: finish() frees a stream's shadow and SP engine while a
 // second thread reads the stream through memory_bytes() and report().
 // Oracle: the reader sees the stream wholly open or wholly finished —
 // memory_bytes() is one of the two sums, and the report carries the
@@ -402,7 +368,7 @@ TEST(McSuite, FinishFreesWhileReaderReads) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 9: the per-access shard path SP-hybrid's workers take. Two
+// Scenario 8: the per-access shard path SP-hybrid's workers take. Two
 // threads call DeterminacyShadow::apply on one cell of a one-shard shadow,
 // so they hand the shard's spin lock back and forth; every failed try is a
 // scheduling point. Oracle (tests/mc_shard_lock_episode.hpp): never two

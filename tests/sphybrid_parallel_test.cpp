@@ -1,12 +1,15 @@
 // Parallel-executor stress tests: randomized fork-join programs run on
-// the real work-stealing engine at 1, 2, and 4 workers, then every
-// ordered thread pair's SP relation (SP-hybrid's and the naive locked
-// SP-order's) is checked against the brute-force LCA oracle, and the run
-// checksum (order-independent digest of all per-leaf query answers plus
-// the leaf work) is compared against the serial reference executor. The
-// paper's counter claims are asserted against MEASURED counts:
-//   om_inserts == 3 * splits       (two-tier orders: 3 global cuts per split)
-//   traces     <= 4 * steals + 1   (Section 5's bound on execution traces)
+// the real work-stealing engine at 1, 2, and 4 workers. The naive locked
+// SP-order keeps every node's slot, so after its run every ordered thread
+// pair is checked against the brute-force LCA oracle. SP-hybrid answers
+// only on the fly, so its runs ask at least as many queries as there are
+// ordered pairs (4 * n per thread), and the run checksum (order-independent
+// digest of all per-leaf query answers plus the leaf work) must equal the
+// serial reference executor's. The paper's counter claims are asserted
+// against MEASURED counts:
+//   om_inserts == 3 * splits       (3 global-tier inserts per steal)
+//   traces     <= 4 * steals + 1   (Section 5's bound on execution traces;
+//                                   the engine mints exactly steals + 1)
 // The race-detection protocol must stay deterministic: an injected
 // write-write race is reported at every worker count, and a clean
 // program never reports one.
@@ -43,28 +46,54 @@ TEST(SpHybridParallel, PairwiseMatchesLcaOracleAfterParallelRun) {
     const auto t = spr::fj::lower_to_parse_tree(
         spr::fj::make_random_program(seed, 120, 500));
     const spr::testutil::Oracle oracle(t);
-    for (const Mode mode : {Mode::kHybrid, Mode::kNaive}) {
-      for (const unsigned workers : kWorkerCounts) {
-        ExecOptions o = base_options(seed);
-        o.mode = mode;
-        o.workers = workers;
-        WorkStealingEngine engine(t, o);
-        const ExecResult r = engine.run();
-        if (mode == Mode::kHybrid) {
-          EXPECT_EQ(r.om_inserts, 3 * r.splits);
-          EXPECT_LE(r.traces, 4 * r.steals + 1);
-        }
-        const spr::tree::ThreadId n = t.leaf_count();
-        for (spr::tree::ThreadId u = 0; u < n; ++u) {
-          for (spr::tree::ThreadId v = 0; v < n; ++v) {
-            ASSERT_EQ(engine.precedes(u, v), oracle.precedes(u, v))
-                << "seed=" << seed << " mode=" << static_cast<int>(mode)
-                << " workers=" << workers << " precedes(" << u << ", " << v
-                << ")";
-          }
+    for (const unsigned workers : kWorkerCounts) {
+      ExecOptions o = base_options(seed);
+      o.mode = Mode::kNaive;
+      o.workers = workers;
+      WorkStealingEngine engine(t, o);
+      engine.run();
+      const spr::tree::ThreadId n = t.leaf_count();
+      for (spr::tree::ThreadId u = 0; u < n; ++u) {
+        for (spr::tree::ThreadId v = 0; v < n; ++v) {
+          ASSERT_EQ(engine.precedes(u, v), oracle.precedes(u, v))
+              << "seed=" << seed << " workers=" << workers << " precedes("
+              << u << ", " << v << ")";
         }
       }
     }
+  }
+}
+
+/// Runs `t` under kHybrid with 4 * n queries per thread (at least one per
+/// ordered pair on average) and checks the answers' digest against the
+/// serial reference, plus the counted steal identities.
+void expect_hybrid_on_the_fly_matches_serial(const spr::tree::ParseTree& t,
+                                             std::uint64_t seed,
+                                             unsigned workers,
+                                             const std::string& name) {
+  ExecOptions o = base_options(seed);
+  o.queries_per_leaf = 4 * t.leaf_count();
+  o.mode = Mode::kSerialReference;
+  const ExecResult serial = spr::hybrid::run_parallel(t, o);
+  o.mode = Mode::kHybrid;
+  o.workers = workers;
+  const ExecResult r = spr::hybrid::run_parallel(t, o);
+  EXPECT_EQ(r.checksum, serial.checksum) << name << " workers=" << workers;
+  EXPECT_EQ(r.queries, serial.queries) << name;
+  EXPECT_GE(r.queries, std::uint64_t{t.leaf_count() - 1} * t.leaf_count())
+      << name;
+  EXPECT_EQ(r.om_inserts, 3 * r.splits) << name;
+  EXPECT_EQ(r.traces, r.steals + 1) << name;
+  EXPECT_LE(r.traces, 4 * r.steals + 1) << name;
+}
+
+TEST(SpHybridParallel, HybridOnTheFlyMatchesSerialOnPairwiseSeeds) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto t = spr::fj::lower_to_parse_tree(
+        spr::fj::make_random_program(seed, 120, 500));
+    for (const unsigned workers : kWorkerCounts)
+      expect_hybrid_on_the_fly_matches_serial(
+          t, seed, workers, "seed=" + std::to_string(seed));
   }
 }
 
@@ -89,23 +118,36 @@ TEST(SpHybridParallel, ChecksumMatchesSerialOracleAtEveryWorkerCount) {
   }
 }
 
-TEST(SpHybridParallel, CorpusPairwiseAtFourWorkers) {
-  for (const auto& prog : spr::testutil::corpus()) {
-    const spr::testutil::Oracle oracle(prog.tree);
-    ExecOptions o = base_options(99);
-    o.mode = Mode::kHybrid;
-    o.workers = 4;
-    WorkStealingEngine engine(prog.tree, o);
-    const ExecResult r = engine.run();
-    EXPECT_EQ(r.om_inserts, 3 * r.splits) << prog.name;
-    const spr::tree::ThreadId n = prog.tree.leaf_count();
-    for (spr::tree::ThreadId u = 0; u < n; ++u) {
-      for (spr::tree::ThreadId v = 0; v < n; ++v) {
-        ASSERT_EQ(engine.precedes(u, v), oracle.precedes(u, v))
-            << prog.name << ": precedes(" << u << ", " << v << ")";
-      }
+TEST(SpHybridParallel, CorpusOnTheFlyAtFourWorkers) {
+  for (const auto& prog : spr::testutil::corpus())
+    expect_hybrid_on_the_fly_matches_serial(prog.tree, 99, 4, prog.name);
+}
+
+TEST(SpHybridParallel, SegmentTierMatchesSerialUnderSteals) {
+  // Programs big enough that thieves split traces often, so many answers
+  // come from the segment pairs rather than the set-root word alone.
+  std::uint64_t steals = 0, segment_answers = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto t = spr::fj::lower_to_parse_tree(
+        spr::fj::make_random_program(seed, 3000, 4000));
+    ExecOptions o = base_options(seed);
+    o.queries_per_leaf = 8;
+    o.mode = Mode::kSerialReference;
+    const ExecResult serial = spr::hybrid::run_parallel(t, o);
+    for (const unsigned workers : {2u, 4u}) {
+      o.mode = Mode::kHybrid;
+      o.workers = workers;
+      const ExecResult r = spr::hybrid::run_parallel(t, o);
+      EXPECT_EQ(r.checksum, serial.checksum)
+          << "seed=" << seed << " workers=" << workers;
+      EXPECT_EQ(r.om_inserts, 3 * r.splits);
+      EXPECT_EQ(r.traces, r.steals + 1);
+      steals += r.steals;
+      segment_answers += r.queries - r.fast_queries;
     }
   }
+  RecordProperty("steals", static_cast<int>(steals));
+  RecordProperty("segment_answers", static_cast<int>(segment_answers));
 }
 
 TEST(SpHybridParallel, RaceVerdictIsDeterministicAcrossWorkerCounts) {

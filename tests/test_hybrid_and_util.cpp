@@ -41,8 +41,8 @@ TEST(Hybrid, ModesRunAndCountersHold) {
       EXPECT_EQ(r.om_inserts,
                 2ull * (t.node_count() - t.leaf_count()));
     } else if (mode == Mode::kHybrid) {
-      // Hybrid pays locked insertions only on steals: the two-tier orders
-      // take exactly 3 global cuts per trace split (measured, not modeled).
+      // Hybrid pays locked insertions only on steals: exactly 3 global
+      // segment inserts per trace split (measured, not modeled).
       EXPECT_EQ(r.om_inserts, 3 * r.splits);
       EXPECT_GE(r.steals, r.splits);
     } else {

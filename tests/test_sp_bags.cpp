@@ -1,8 +1,9 @@
 // SP-bags tests: SP-bags must agree with SP-order and the LCA oracle on
 // the on-the-fly query pattern (completed thread vs current thread)
-// across the whole corpus, and both union-finds (the compressing serial
-// one and SP-hybrid's rank-only atomic one) must uphold their structural
-// invariants.
+// across the whole corpus, both union-finds (the compressing serial one
+// and SP-hybrid's rank-only atomic one) must uphold their structural
+// invariants, and SP-hybrid's trace bags must answer from the word of the
+// set root alone whenever that word decides.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "sp_test_util.hpp"
 #include "spbags/dsu.hpp"
 #include "spbags/sp_bags.hpp"
+#include "spbags/trace_bags.hpp"
 #include "sporder/sp_order.hpp"
 #include "util/rng.hpp"
 
@@ -20,6 +22,7 @@ namespace {
 
 using spr::bags::AtomicDisjointSets;
 using spr::bags::DisjointSets;
+using spr::bags::TraceBags;
 
 // At every leaf, queries every completed thread against the current one
 // and demands SP-bags and SP-order both agree with the oracle.
@@ -98,6 +101,40 @@ TEST(Dsu, AtomicMatchesSerialPartition) {
     ASSERT_EQ(serial.find(a) == serial.find(b),
               atomic.find(a) == atomic.find(b));
   }
+}
+
+// Leaves 0 and 1 ran in trace 7; the worker that completed their subtree
+// united them and classified the set S while running trace 3, then went
+// on to leaf 2. Leaf 2's query is answered by the word: the classifying
+// trace is the querying one. Leaf 3 never ran and leaf 4's set is
+// classified P, so both are parallel to leaf 2 without a segment query.
+TEST(TraceBags, SerialSetClassifiedByQueryingTraceAnswersFromWord) {
+  constexpr std::uint32_t kLeafTrace = 7, kJoinTrace = 3;
+  TraceBags bags(5);
+  bags.unite(0, 1);
+  bags.classify(1, /*serial=*/true, kJoinTrace, kJoinTrace);
+  bags.classify(4, /*serial=*/false, kLeafTrace, kLeafTrace);
+  std::uint32_t pair = ~0u;
+  for (const spr::tree::ThreadId u : {0u, 1u})
+    EXPECT_EQ(bags.precedes_fast(u, kJoinTrace, pair),
+              TraceBags::Answer::kSerial)
+        << "u=" << u;
+  EXPECT_EQ(bags.precedes_fast(3, kJoinTrace, pair),
+            TraceBags::Answer::kParallel);
+  EXPECT_EQ(bags.precedes_fast(4, kJoinTrace, pair),
+            TraceBags::Answer::kParallel);
+  EXPECT_EQ(pair, ~0u) << "decided answers leave the pair untouched";
+  // Another trace must compare segment pairs: the word hands it the
+  // classifying trace's pair, and a re-point replaces exactly that pair.
+  EXPECT_EQ(bags.precedes_fast(0, kLeafTrace, pair), TraceBags::Answer::kMiss);
+  EXPECT_EQ(pair, kJoinTrace);
+  EXPECT_FALSE(bags.repoint(0, /*from=*/kLeafTrace, /*to=*/40));
+  EXPECT_TRUE(bags.repoint(0, /*from=*/kJoinTrace, /*to=*/40));
+  EXPECT_FALSE(bags.repoint(4, /*from=*/kLeafTrace, /*to=*/40));
+  EXPECT_EQ(bags.precedes_fast(1, kLeafTrace, pair), TraceBags::Answer::kMiss);
+  EXPECT_EQ(pair, 40u);
+  EXPECT_EQ(bags.precedes_fast(1, kJoinTrace, pair),
+            TraceBags::Answer::kSerial);
 }
 
 TEST(SpBags, ExposesInstrumentedDsu) {
