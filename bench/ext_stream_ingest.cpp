@@ -3,14 +3,14 @@
 // streams and batch size. One fork-join trace (dnc_fill) is recorded once
 // and replayed by every client, so all work is ingestion: batch
 // validation, per-stream SP-order maintenance, and per-stream
-// shadow-memory application.
+// shadow-memory application. The timed region ends when every client has
+// submitted its last batch; live_bytes is the service's memory at that
+// point, before finish() frees each stream's engine and shadow.
 //
 // Expectations on a multi-core host: streams share no shadow state and
 // take no common lock per access, so aggregate throughput rises with
-// streams up to the core count. On a 1-core container the stream sweep
-// only measures oversubscription overhead — read S>1 rows as
-// correctness-under-concurrency, not scaling. Emits `#METRIC {...}` JSON
-// lines for scripts/bench.sh.
+// streams up to the core count. Emits `#METRIC {...}` JSON lines for
+// scripts/bench.sh.
 
 #include <cstdint>
 #include <iostream>
@@ -36,7 +36,7 @@ struct RunResult {
   double elapsed_s = 0;
   std::uint64_t events = 0;
   std::uint64_t races_per_stream = 0;
-  std::size_t memory_bytes = 0;
+  std::size_t live_bytes = 0;  ///< every stream open, trace fully applied
 };
 
 RunResult run(const std::vector<Event>& events, unsigned streams,
@@ -56,18 +56,19 @@ RunResult run(const std::vector<Event>& events, unsigned streams,
       threads.emplace_back([&svc, &batches, &sids, s] {
         for (const Batch& b : batches[s])
           if (!svc.submit(b).ok()) std::abort();  // recorded trace is valid
-        if (!svc.finish(sids[s]).ok()) std::abort();
       });
     for (auto& th : threads) th.join();
   }
   RunResult r;
   r.elapsed_s = sw.elapsed_s();
+  r.live_bytes = svc.memory_bytes();
+  for (const StreamId sid : sids)
+    if (!svc.finish(sid).ok()) std::abort();
   r.events = static_cast<std::uint64_t>(events.size()) * streams;
   r.races_per_stream = svc.report(sids[0]).races.race_count;
   for (unsigned s = 1; s < streams; ++s)
     if (svc.report(sids[s]).races.race_count != r.races_per_stream)
       std::abort();  // streams are independent: verdicts must agree
-  r.memory_bytes = svc.memory_bytes();
   return r;
 }
 
@@ -87,7 +88,7 @@ int main() {
             << " events, reference races = " << ref.race_count << "\n";
 
   spr::util::Table table({"streams", "batch", "total events", "elapsed",
-                          "Mev/s", "races/stream"});
+                          "Mev/s", "B/event", "races/stream"});
   for (unsigned streams : {1u, 2u, 4u}) {
     for (std::size_t batch : {std::size_t{256}, std::size_t{8192}}) {
       const RunResult r = run(events, streams, batch);
@@ -97,10 +98,13 @@ int main() {
       }
       const double evps =
           r.elapsed_s > 0 ? static_cast<double>(r.events) / r.elapsed_s : 0;
+      const double bytes_per_event = static_cast<double>(r.live_bytes) /
+                                     static_cast<double>(r.events);
       table.add_row({std::to_string(streams), std::to_string(batch),
                      std::to_string(r.events),
                      spr::util::fmt_double(r.elapsed_s, 3),
                      spr::util::fmt_double(evps / 1e6, 2),
+                     spr::util::fmt_double(bytes_per_event, 1),
                      std::to_string(r.races_per_stream)});
       std::cout << "#METRIC {\"bench\":\"ext_stream_ingest\",\"streams\":"
                 << streams << ",\"batch\":" << batch
@@ -108,7 +112,8 @@ int main() {
                 << ",\"elapsed_s\":" << r.elapsed_s
                 << ",\"events_per_s\":" << evps
                 << ",\"races_per_stream\":" << r.races_per_stream
-                << ",\"memory_bytes\":" << r.memory_bytes << "}\n";
+                << ",\"live_bytes\":" << r.live_bytes
+                << ",\"bytes_per_event\":" << bytes_per_event << "}\n";
     }
   }
   table.print(std::cout);

@@ -6,16 +6,22 @@
 //   SP-Bags          Theta(1)     Theta(alpha)      Theta(alpha)
 //   SP-Order         Theta(1)     Theta(1)          Theta(1)
 //
-// (*) the original schemes assign labels in O(1) by sharing; our
-// materialized labels pay the copy at creation — DESIGN.md section 1.3.
+// (*) the original schemes assign labels in O(1) by sharing prefixes
+// between parent and child. Ours keep one stack of the open forks' label
+// entries, which the walk rewrites as it moves on, so each thread copies
+// that stack into its own flat label when it starts and a query compares
+// two flat arrays. Creation thus pays Theta(f) (English-Hebrew) or
+// Theta(d) (offset-span) for the copy.
 //
 // The harness measures, per workload: ns per thread creation (walk time /
 // threads), ns per SP query (race-detector access pattern), bytes per
 // thread, and the maximum label length. The asymptotic *shape* to check:
 // label-based schemes explode on deep-spawn workloads (f large for
 // english-hebrew, d large for offset-span) while SP-bags and SP-order stay
-// flat; SP-order queries beat SP-bags queries.
+// flat; SP-order queries beat SP-bags queries. Emits one `#METRIC {...}`
+// JSON line per (workload, algorithm) for scripts/bench.sh.
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -58,27 +64,25 @@ std::unique_ptr<SpMaintenance> make_algo(int which, const ParseTree& t) {
   }
 }
 
-std::string label_info(int which, const ParseTree& t, SpMaintenance& algo) {
-  if (which == 0) {
-    auto& eh = static_cast<spr::label::EnglishHebrew&>(algo);
-    std::uint32_t mx = 0;
-    for (ThreadId u = 0; u < t.leaf_count(); ++u)
-      mx = std::max(mx, eh.label_bits(u));
-    return std::to_string(mx) + " bits";
+/// Longest label in bits (english-hebrew) or pairs (offset-span); 0 for
+/// the algorithms that keep no labels.
+std::uint32_t max_label(int which, const ParseTree& t, SpMaintenance& algo) {
+  std::uint32_t mx = 0;
+  for (ThreadId u = 0; u < t.leaf_count(); ++u) {
+    if (which == 0)
+      mx = std::max(
+          mx, static_cast<spr::label::EnglishHebrew&>(algo).label_bits(u));
+    if (which == 1)
+      mx = std::max(
+          mx, static_cast<spr::label::OffsetSpan&>(algo).label_pairs(u));
   }
-  if (which == 1) {
-    auto& os = static_cast<spr::label::OffsetSpan&>(algo);
-    std::uint32_t mx = 0;
-    for (ThreadId u = 0; u < t.leaf_count(); ++u)
-      mx = std::max(mx, os.label_pairs(u));
-    return std::to_string(mx) + " pairs";
-  }
-  return "-";
+  return mx;
 }
 
-void bench_workload(const std::string& wl_name, const ParseTree& t) {
+void bench_workload(const std::string& workload, const std::string& shape,
+                    const ParseTree& t) {
   const auto m = spr::tree::compute_metrics(t);
-  std::cout << "\n== " << wl_name << ": n=" << m.threads
+  std::cout << "\n== " << workload << " — " << shape << ": n=" << m.threads
             << " threads, f=" << m.p_nodes << " forks, d=" << m.max_p_depth
             << " nesting ==\n";
   static const AlgoSpec kSpecs[] = {
@@ -99,11 +103,21 @@ void bench_workload(const std::string& wl_name, const ParseTree& t) {
         spr::benchutil::time_walk_with_queries(t, *a2, 4, walk_s);
     const double space = static_cast<double>(a2->memory_bytes()) /
                          static_cast<double>(m.threads);
+    const std::uint32_t label = max_label(which, t, *a2);
     table.add_row({kSpecs[which].name, kSpecs[which].asymptotics,
                    spr::util::fmt_double(wt.ns_per_thread(), 1),
                    spr::util::fmt_double(wt.ns_per_query(), 1),
                    spr::util::fmt_double(space, 1),
-                   label_info(which, t, *a2)});
+                   which > 1 ? "-"
+                             : std::to_string(label) +
+                                   (which == 0 ? " bits" : " pairs")});
+    std::cout << "#METRIC {\"bench\":\"fig3\",\"workload\":\"" << workload
+              << "\",\"algorithm\":\"" << kSpecs[which].name
+              << "\",\"threads\":" << m.threads
+              << ",\"create_ns_per_thread\":" << wt.ns_per_thread()
+              << ",\"query_ns\":" << wt.ns_per_query()
+              << ",\"bytes_per_thread\":" << space
+              << ",\"max_label\":" << label << "}\n";
   }
   table.print(std::cout);
 }
@@ -114,15 +128,15 @@ int main() {
   std::cout << "Figure 3 — serial SP-maintenance algorithm comparison\n"
             << "(query pattern: 4 race-detector queries per thread against "
                "random prior threads)\n";
-  bench_workload("fib(20) — balanced recursion, d = Theta(lg f)",
+  bench_workload("fib(20)", "balanced recursion, d = Theta(lg f)",
                  spr::fj::lower_to_parse_tree(spr::fj::make_fib(20)));
-  bench_workload("balanced(14) — full binary spawn tree",
+  bench_workload("balanced(14)", "full binary spawn tree",
                  spr::fj::lower_to_parse_tree(spr::fj::make_balanced(14)));
   bench_workload(
-      "loop_spawn(1024) — one sync block, d = f (labels explode)",
+      "loop_spawn(1024)", "one sync block, d = f (labels explode)",
       spr::fj::lower_to_parse_tree(spr::fj::make_loop_spawn(1024)));
   bench_workload(
-      "loop_sync(20000, 8) — spawning loop, sync every 8 (d = 8)",
+      "loop_sync(20000, 8)", "spawning loop, sync every 8 (d = 8)",
       spr::fj::lower_to_parse_tree(spr::fj::make_loop_sync(20000, 8)));
   std::cout
       << "\nShape check (paper): english-hebrew/offset-span space and query "

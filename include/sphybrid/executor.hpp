@@ -87,8 +87,8 @@ class SerialDriver final
 /// Theorem 10 accounting counters (all measured; see worker.hpp).
 inline ExecResult run_parallel(const tree::ParseTree& t,
                                const ExecOptions& o) {
-  const unsigned workers = resolve_workers(o.workers);  // validates, throws
   if (o.mode == Mode::kSerialReference) {
+    resolve_workers(o.workers);  // validates, throws; the count is unused
     ExecResult r;
     order::StreamingSpOrder sp(t.leaf_count());
     detail::SerialDriver driver(t, o, r, sp);
@@ -101,7 +101,6 @@ inline ExecResult run_parallel(const tree::ParseTree& t,
     util::do_not_optimize(r.checksum);
     return r;
   }
-  (void)workers;  // the engine re-resolves from o.workers
   WorkStealingEngine engine(t, o);
   return engine.run();
 }

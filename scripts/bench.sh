@@ -50,7 +50,7 @@ while [[ -e "BENCH_${n}.json" ]]; do n=$((n + 1)); done
 OUT="BENCH_${n}.json"
 
 BENCHES=(fig3_serial_comparison thm5_sporder_scaling thm10_sphybrid_scaling
-         naive_vs_hybrid cor6_race_overhead ext_allsets ext_stream_ingest)
+         cor6_race_overhead ext_stream_ingest)
 
 LOGDIR=$(mktemp -d)
 trap 'rm -rf "${LOGDIR}"' EXIT
@@ -58,7 +58,7 @@ trap 'rm -rf "${LOGDIR}"' EXIT
 declare -A WALL PINNED
 for b in "${BENCHES[@]}"; do
   case "${b}" in
-    thm10_sphybrid_scaling | naive_vs_hybrid | ext_stream_ingest)
+    thm10_sphybrid_scaling | ext_stream_ingest)
       pin="" ;;  # starts worker threads: never pinned
     *) pin="${PIN}" ;;
   esac
