@@ -11,12 +11,14 @@
 //
 // The harness runs the access-carrying kernels at n = 1024*4^k, measures
 // plain execution (walk + work + touching every access) and detection
-// time per backend, and reports the slowdown factors. Every kernel is
-// race-free for its detector, and the locked accumulator draws the
-// verdict contrast: a determinacy race that is not a data race. Exits
-// non-zero if a race-free kernel reports a race, the contrast fails, or
-// sp-order and sp-bags disagree on the race or query count. Emits
-// `#METRIC {...}` JSON lines for scripts/bench.sh.
+// time per backend, and reports the slowdown factors. Each time is the
+// median of 5 interleaved repetitions: the smallest plain baselines are
+// 5-20 us, so one run per cell is mostly noise. Every kernel is race-free
+// for its detector, and the locked accumulator draws the verdict
+// contrast: a determinacy race that is not a data race. Exits non-zero if
+// any repetition of a race-free kernel reports a race, the contrast
+// fails, or sp-order and sp-bags disagree on the race or query count in
+// any repetition. Emits `#METRIC {...}` JSON lines for scripts/bench.sh.
 
 #include <cstdint>
 #include <iostream>
@@ -24,11 +26,11 @@
 
 #include "fjprog/generators.hpp"
 #include "fjprog/lower.hpp"
-#include "race/allsets.hpp"
 #include "race/detector.hpp"
 #include "spbags/sp_bags.hpp"
 #include "sporder/sp_order.hpp"
 #include "sptree/walk.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timing.hpp"
 
@@ -37,6 +39,9 @@ namespace {
 using spr::race::RaceReport;
 using spr::tree::Node;
 using spr::tree::ParseTree;
+using spr::util::Samples;
+
+constexpr int kReps = 5;
 
 /// Plain execution baseline: spin the work and read every access record,
 /// but no shadow memory and no SP maintenance.
@@ -64,23 +69,19 @@ RaceReport detect(const ParseTree& t, auto& backend, bool all_sets) {
                   : spr::race::detect_races(t, backend);
 }
 
-struct Detection {
-  RaceReport report;
-  double elapsed_s = 0;
-};
-
+/// One detection run with a fresh backend; adds its time to `secs`.
 template <typename Backend>
-Detection time_detect(const ParseTree& t, bool all_sets) {
+RaceReport time_detect(const ParseTree& t, bool all_sets, Samples& secs) {
   Backend backend(t);
   const spr::util::Stopwatch sw;
-  Detection d{detect(t, backend, all_sets)};
-  d.elapsed_s = sw.elapsed_s();
-  return d;
+  const RaceReport r = detect(t, backend, all_sets);
+  secs.add(sw.elapsed_s());
+  return r;
 }
 
-/// Prints one kernel's n-sweep under one detector; returns false if a run
-/// reports a race (every kernel here is race-free for its detector) or
-/// the two backends disagree.
+/// Prints one kernel's n-sweep under one detector; returns false if a
+/// repetition reports a race (every kernel here is race-free for its
+/// detector) or the two backends disagree in one.
 bool bench(const std::string& kernel, bool all_sets,
            ParseTree (*make)(std::uint64_t n)) {
   const char* detector = all_sets ? "all-sets" : "determinacy";
@@ -95,43 +96,51 @@ bool bench(const std::string& kernel, bool all_sets,
     std::uint64_t accesses = 0;
     for (spr::tree::ThreadId u = 0; u < t.leaf_count(); ++u)
       accesses += t.accesses(u).size();
-    const double plain = time_plain(t);
-    const Detection order = time_detect<spr::order::SpOrder>(t, all_sets);
-    const Detection bags = time_detect<spr::bags::SpBags>(t, all_sets);
-    if (order.report.has_race() || bags.report.has_race()) {
-      std::cerr << "cor6: " << kernel << " n=" << n << ": " << detector
-                << " detector reports a race on a race-free kernel\n";
-      ok = false;
+    Samples plain_s, order_s, bags_s;
+    RaceReport order, bags;
+    for (int rep = 0; rep < kReps; ++rep) {
+      plain_s.add(time_plain(t));
+      order = time_detect<spr::order::SpOrder>(t, all_sets, order_s);
+      bags = time_detect<spr::bags::SpBags>(t, all_sets, bags_s);
+      if (order.has_race() || bags.has_race()) {
+        std::cerr << "cor6: " << kernel << " n=" << n << " rep " << rep
+                  << ": " << detector
+                  << " detector reports a race on a race-free kernel\n";
+        ok = false;
+      }
+      if (order.race_count != bags.race_count ||
+          order.queries != bags.queries) {
+        std::cerr << "cor6: " << kernel << " n=" << n << " rep " << rep
+                  << ": sp-order and sp-bags disagree on races or "
+                     "queries\n";
+        ok = false;
+      }
     }
-    if (order.report.race_count != bags.report.race_count ||
-        order.report.queries != bags.report.queries) {
-      std::cerr << "cor6: " << kernel << " n=" << n
-                << ": sp-order and sp-bags disagree on races or queries\n";
-      ok = false;
-    }
+    const double plain = plain_s.median();
     table.add_row(
         {std::to_string(n), std::to_string(t.leaf_count()),
          spr::util::fmt_double(static_cast<double>(accesses) /
                                    static_cast<double>(t.leaf_count()),
                                1),
          spr::util::fmt_ns(plain * 1e9),
-         spr::util::fmt_ns(order.elapsed_s * 1e9),
-         spr::util::fmt_double(order.elapsed_s / plain, 2) + "x",
-         spr::util::fmt_ns(bags.elapsed_s * 1e9),
-         spr::util::fmt_double(bags.elapsed_s / plain, 2) + "x",
-         std::to_string(order.report.queries)});
-    const auto metric = [&](const char* backend, const Detection& d) {
+         spr::util::fmt_ns(order_s.median() * 1e9),
+         spr::util::fmt_double(order_s.median() / plain, 2) + "x",
+         spr::util::fmt_ns(bags_s.median() * 1e9),
+         spr::util::fmt_double(bags_s.median() / plain, 2) + "x",
+         std::to_string(order.queries)});
+    const auto metric = [&](const char* backend, const RaceReport& r,
+                            const Samples& secs) {
       std::cout << "#METRIC {\"bench\":\"cor6\",\"kernel\":\"" << kernel
                 << "\",\"n\":" << n << ",\"threads\":" << t.leaf_count()
                 << ",\"detector\":\"" << detector << "\",\"backend\":\""
                 << backend << "\",\"plain_s\":" << plain
-                << ",\"elapsed_s\":" << d.elapsed_s
-                << ",\"slowdown\":" << d.elapsed_s / plain
-                << ",\"queries\":" << d.report.queries
-                << ",\"race_count\":" << d.report.race_count << "}\n";
+                << ",\"elapsed_s\":" << secs.median()
+                << ",\"slowdown\":" << secs.median() / plain
+                << ",\"queries\":" << r.queries
+                << ",\"race_count\":" << r.race_count << "}\n";
     };
-    metric("sp-order", order);
-    metric("sp-bags", bags);
+    metric("sp-order", order, order_s);
+    metric("sp-bags", bags, bags_s);
   }
   table.print(std::cout);
   return ok;
@@ -145,7 +154,8 @@ ParseTree lower(const spr::fj::FjProg& p) {
 
 int main() {
   std::cout << "Corollary 6 — on-the-fly race detection in O(T1):\n"
-            << "detection slowdown must stay ~constant as n grows.\n";
+            << "detection slowdown must stay ~constant as n grows\n"
+            << "(each time the median of " << kReps << " runs).\n";
 
   // Every conflict in the locked accumulator holds lock #1, so its
   // nondeterministic order is a determinacy race but not a data race.

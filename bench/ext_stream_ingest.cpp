@@ -5,7 +5,9 @@
 // validation, per-stream SP-order maintenance, and per-stream
 // shadow-memory application. The timed region ends when every client has
 // submitted its last batch; live_bytes is the service's memory at that
-// point, before finish() frees each stream's engine and shadow.
+// point, before finish() frees each stream's engine and shadow. Each cell
+// is run 3 times and reports the median time; every run's verdicts are
+// checked.
 //
 // Expectations on a multi-core host: streams share no shadow state and
 // take no common lock per access, so aggregate throughput rises with
@@ -23,6 +25,7 @@
 #include "race/stream/service.hpp"
 #include "sporder/sp_order.hpp"
 #include "race/detector.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timing.hpp"
 
@@ -31,6 +34,8 @@ namespace {
 using spr::race::stream::Batch;
 using spr::race::stream::Event;
 using spr::race::stream::StreamId;
+
+constexpr int kReps = 3;
 
 struct RunResult {
   double elapsed_s = 0;
@@ -76,7 +81,8 @@ RunResult run(const std::vector<Event>& events, unsigned streams,
 
 int main() {
   std::cout << "Extension — streaming ingestion throughput "
-               "(events/s x streams x batch)\n";
+               "(events/s x streams x batch, median of "
+            << kReps << " runs)\n";
   const spr::tree::ParseTree t =
       spr::fj::lower_to_parse_tree(spr::fj::make_dnc_fill(65536, 4));
   const std::vector<Event> events = spr::fj::record_events(t);
@@ -91,11 +97,17 @@ int main() {
                           "Mev/s", "B/event", "races/stream"});
   for (unsigned streams : {1u, 2u, 4u}) {
     for (std::size_t batch : {std::size_t{256}, std::size_t{8192}}) {
-      const RunResult r = run(events, streams, batch);
-      if (r.races_per_stream != ref.race_count) {
-        std::cerr << "verdict mismatch vs in-process detector\n";
-        return 1;
+      spr::util::Samples secs;
+      RunResult r;
+      for (int rep = 0; rep < kReps; ++rep) {
+        r = run(events, streams, batch);
+        if (r.races_per_stream != ref.race_count) {
+          std::cerr << "verdict mismatch vs in-process detector\n";
+          return 1;
+        }
+        secs.add(r.elapsed_s);
       }
+      r.elapsed_s = secs.median();
       const double evps =
           r.elapsed_s > 0 ? static_cast<double>(r.events) / r.elapsed_s : 0;
       const double bytes_per_event = static_cast<double>(r.live_bytes) /

@@ -8,7 +8,9 @@
 // A closing table contrasts it with the one-level LabeledList baseline on
 // the adversarial pattern (every insert after one pivot): items moved per
 // insert stay ~3 for OrderList but reach hundreds for LabeledList. Emits
-// `#METRIC {...}` lines for scripts/bench.sh.
+// `#METRIC {...}` lines for scripts/bench.sh: one per (shape, n) with
+// ns/leaf and OM items moved per insert, one fit row per shape (slope,
+// intercept, R^2), and one per adversarial OM list.
 
 #include <iostream>
 #include <vector>
@@ -81,6 +83,11 @@ int main() {
                                      static_cast<double>(st.inserts);
       xs.push_back(n);
       ys.push_back(secs);
+      std::cout << "#METRIC {\"bench\":\"thm5_sporder_scaling\",\"shape\":\""
+                << shape << "\",\"n\":" << t.leaf_count()
+                << ",\"total_s\":" << secs
+                << ",\"ns_per_leaf\":" << secs * 1e9 / n
+                << ",\"moved_per_insert\":" << moved << "}\n";
       table.add_row({std::to_string(t.leaf_count()),
                      spr::util::fmt_ns(secs * 1e9),
                      spr::util::fmt_double(secs * 1e9 / n, 2),
@@ -93,6 +100,10 @@ int main() {
               << " + n * " << spr::util::fmt_double(fit.slope * 1e9, 2)
               << " ns,  R^2 = " << spr::util::fmt_double(fit.r_squared, 4)
               << "\n";
+    std::cout << "#METRIC {\"bench\":\"thm5_sporder_scaling\",\"shape\":\""
+              << shape << "\",\"fit\":\"linear\",\"slope_ns_per_leaf\":"
+              << fit.slope * 1e9 << ",\"intercept_s\":" << fit.intercept
+              << ",\"r_squared\":" << fit.r_squared << "}\n";
   }
 
   constexpr int kAdversarialN = 1 << 16;

@@ -9,10 +9,18 @@
 // which runs the same shadow tables and query accounting on event
 // streams and must report the same verdicts and query counts.
 //
-// The shadow protocol itself (last writer + recent reader + sticky
-// parallel reader) lives in race/shadow_protocol.hpp; its soundness and
-// completeness on serial replays is certified exhaustively by
-// tests/race_completeness_test.cpp.
+// Two detectors share this walker and differ only in their shadow
+// (race/stream/shadow_shards.hpp), as Corollary 6 and the abstract's
+// extension say:
+//   detect_races       determinacy races. The shadow protocol (last
+//                      writer + recent reader + sticky parallel reader)
+//                      lives in race/shadow_protocol.hpp; its soundness
+//                      and completeness on serial replays is certified
+//                      exhaustively by tests/race_completeness_test.cpp.
+//   detect_lock_races  ALL-SETS (Cheng et al.) lock-aware data races: an
+//                      access races with a history entry iff at least one
+//                      side writes, the locksets are disjoint, and the
+//                      threads are parallel.
 
 #include <cstdint>
 
@@ -56,7 +64,7 @@ class DetectVisitor final : public tree::MaintenanceDriver<SpAlgo> {
   Shadow shadow_;
 };
 
-/// Shared driver for the determinacy and ALL-SETS entry points.
+/// Shared driver for the two entry points below.
 template <typename Shadow, typename SpAlgo>
 inline RaceReport detect(const tree::ParseTree& t, SpAlgo& algo) {
   DetectVisitor<SpAlgo, Shadow> v(t, algo);
@@ -72,6 +80,13 @@ inline RaceReport detect(const tree::ParseTree& t, SpAlgo& algo) {
 template <typename SpAlgo>
 inline RaceReport detect_races(const tree::ParseTree& t, SpAlgo& algo) {
   return detail::detect<stream::OwnedDeterminacyShadow>(t, algo);
+}
+
+/// Runs ALL-SETS lock-aware data-race detection over `t` with a fresh
+/// SP-maintenance backend `algo`.
+template <typename SpAlgo>
+inline RaceReport detect_lock_races(const tree::ParseTree& t, SpAlgo& algo) {
+  return detail::detect<stream::OwnedAllSetsShadow>(t, algo);
 }
 
 }  // namespace spr::race

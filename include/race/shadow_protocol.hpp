@@ -3,8 +3,8 @@
 // accounting, shared verbatim by every consumer: the serial detector
 // (race/detector.hpp), the SP-hybrid engine and its serial reference
 // (sphybrid/), and the streaming service (race/stream/service.hpp), all
-// through the SoA shadow memory of race/stream/shadow_shards.hpp. One
-// definition, so the rule the completeness test certifies
+// on the ShadowCell values of race/stream/shadow_shards.hpp's cell table.
+// One definition, so the rule the completeness test certifies
 // (tests/race_completeness_test.cpp) is the rule every deployment runs.
 //
 // Shadow state (per location): the last writer plus two readers — the
@@ -50,13 +50,11 @@ inline auto counted_serial(PrecedesFn precedes, std::uint64_t& queries) {
 /// Applies one access by thread `v` to a shadow cell, bumping
 /// `race_count` per conflicting parallel accessor. `serial(u, v)` must
 /// return whether u is serial with v (treating "no thread" and u == v as
-/// serial; see counted_serial). `Cell` is anything with writer/reader1/
-/// reader2 thread-id members — the AoS ShadowCell above or the streaming
-/// service's SoA column reference — so the protocol cannot diverge
-/// between layouts.
-template <typename Cell, typename SerialFn>
-inline void shadow_apply(Cell& c, const tree::Access& a, tree::ThreadId v,
-                         SerialFn&& serial, std::uint64_t& race_count) {
+/// serial; see counted_serial).
+template <typename SerialFn>
+inline void shadow_apply(ShadowCell& c, const tree::Access& a,
+                         tree::ThreadId v, SerialFn&& serial,
+                         std::uint64_t& race_count) {
   if (a.write) {
     if (!serial(c.writer, v)) ++race_count;
     if (!serial(c.reader1, v)) ++race_count;

@@ -1,14 +1,28 @@
 #pragma once
 // Shadow memory for every race detector in the repo.
 //
-// One owner, no lock. OwnedDeterminacyShadow and OwnedAllSetsShadow keep
-// their cells in one table and take no lock, because exactly one thread
-// of control ever touches them: the serial detectors (race/detector.hpp,
-// race/allsets.hpp) and the serial reference (sphybrid/executor.hpp) own
-// one each, and every stream of the streaming service owns one, guarded
-// by the stream mutex its submitter already holds and freed by finish()
-// (race/stream/service.hpp). Cells are keyed by (stream, location), so a
-// table can also hold several streams' cells, as a shard below does.
+// One cell table. Every shadow finds a location's state in a CellTable:
+// an open-addressed, linear-probing table keyed by (stream, loc), whose
+// keys sit in two dense columns (loc, stream) beside one value column — a
+// ShadowCell for the determinacy protocol, a history-list head for
+// ALL-SETS. A probe reads only the key columns until it hits. There is
+// no per-cell allocation: a growth allocates three columns of twice the
+// size and frees the old ones, so a table holds only its live columns.
+//
+// One owner, no lock. OwnedDeterminacyShadow and OwnedAllSetsShadow each
+// hold one CellTable and take no lock, because exactly one thread of
+// control ever touches them: the serial detectors (race/detector.hpp) and
+// the serial reference (sphybrid/executor.hpp) own one each, and every
+// stream of the streaming service owns one, guarded by the stream mutex
+// its submitter already holds and freed by finish()
+// (race/stream/service.hpp). The stream is part of the key, so a table
+// can also hold several streams' cells, as a shard below does.
+//
+// OwnedAllSetsShadow is the lock-aware ALL-SETS protocol (Cheng et al.):
+// per (stream, location) a pruned history of (lockset, writer?) entries —
+// each remembering the most recent and one sticky parallel thread,
+// mirroring the determinacy protocol — with the entries drawn from a
+// free-list pool.
 //
 // Shared, sharded. DeterminacyShadow is for several threads applying
 // accesses at once — SP-hybrid's workers, which run one program and share
@@ -28,24 +42,11 @@
 // every key of shard k would start probing at a slot congruent to k
 // modulo the shard count S: only 1/S of each table would take probe
 // starts, and the linear-probe runs would grow with S.
-//
-// OwnedDeterminacyShadow keeps its cells in SoA columns (keys, writer,
-// reader1, reader2 as parallel arrays) in an open-addressed table whose
-// storage comes from its own util::Arena: the access hot path is one
-// hash probe over a dense key column plus three column writes — no
-// per-cell allocation, no pointer chasing, and the whole table frees in
-// O(#chunks).
-//
-// OwnedAllSetsShadow is the lock-aware ALL-SETS protocol (Cheng et al.):
-// per (stream, location) a pruned history of (lockset, writer?) entries —
-// each remembering the most recent and one sticky parallel thread,
-// mirroring the determinacy protocol — with the entries drawn from a
-// free-list pool.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "race/shadow_protocol.hpp"
@@ -85,19 +86,69 @@ inline std::uint32_t round_up_pow2(std::uint32_t x) {
   return p;
 }
 
-/// Reference to one logical cell held in SoA columns, shaped so
-/// race::shadow_apply runs on it unchanged.
-struct SoaCellRef {
-  tree::ThreadId& writer;
-  tree::ThreadId& reader1;
-  tree::ThreadId& reader2;
-};
-
 }  // namespace detail
 
-/// Determinacy shadow of one owner: an open-addressed (linear probing)
-/// SoA table keyed by (stream, loc), whose arrays live in its own arena
-/// and grow by doubling + rehash. Not thread-safe.
+/// Open-addressed (linear probing) table from (stream, loc) to a V, with
+/// the keys in their own columns. Grows by doubling at 3/4 load, freeing
+/// the old columns. Not thread-safe.
+template <typename V>
+class CellTable {
+ public:
+  static constexpr std::size_t kFirstCapacity = 64;
+
+  /// The value stored under (s, loc), value-initialised on first use.
+  /// The reference is valid until the next call.
+  V& find_or_insert(StreamId s, std::uint64_t loc) {
+    if (count_ * 4 >= cap_ * 3) grow();
+    std::size_t i = detail::home_slot(s, loc, cap_);
+    while (stream_[i] != kNoStream) {
+      if (stream_[i] == s && loc_[i] == loc) return value_[i];
+      i = (i + 1) & (cap_ - 1);
+    }
+    stream_[i] = s;
+    loc_[i] = loc;
+    value_[i] = V{};
+    ++count_;
+    return value_[i];
+  }
+
+  std::size_t size() const { return count_; }
+
+  std::size_t memory_bytes() const {
+    return sizeof(*this) +
+           cap_ * (sizeof(std::uint64_t) + sizeof(V) + sizeof(StreamId));
+  }
+
+ private:
+  void grow() {
+    const std::size_t ncap = cap_ == 0 ? kFirstCapacity : cap_ * 2;
+    auto nloc = std::make_unique_for_overwrite<std::uint64_t[]>(ncap);
+    auto nvalue = std::make_unique_for_overwrite<V[]>(ncap);
+    auto nstream = std::make_unique_for_overwrite<StreamId[]>(ncap);
+    std::fill_n(nstream.get(), ncap, kNoStream);
+    for (std::size_t i = 0; i < cap_; ++i) {
+      if (stream_[i] == kNoStream) continue;
+      std::size_t j = detail::home_slot(stream_[i], loc_[i], ncap);
+      while (nstream[j] != kNoStream) j = (j + 1) & (ncap - 1);
+      nloc[j] = loc_[i];
+      nstream[j] = stream_[i];
+      nvalue[j] = value_[i];
+    }
+    loc_ = std::move(nloc);
+    value_ = std::move(nvalue);
+    stream_ = std::move(nstream);
+    cap_ = ncap;
+  }
+
+  std::size_t cap_ = 0;
+  std::size_t count_ = 0;
+  std::unique_ptr<std::uint64_t[]> loc_;
+  std::unique_ptr<V[]> value_;
+  std::unique_ptr<StreamId[]> stream_;
+};
+
+/// Determinacy shadow of one owner: one ShadowCell per (stream, loc).
+/// Not thread-safe.
 class OwnedDeterminacyShadow {
  public:
   /// Applies access `a` by thread `v` (race::shadow_apply); `serial`
@@ -105,66 +156,14 @@ class OwnedDeterminacyShadow {
   template <typename SerialFn>
   void apply(StreamId s, const tree::Access& a, tree::ThreadId v,
              SerialFn&& serial, std::uint64_t& race_count) {
-    const std::size_t i = find_or_insert(s, a.loc);
-    detail::SoaCellRef cell{writer_[i], reader1_[i], reader2_[i]};
-    shadow_apply(cell, a, v, serial, race_count);
+    shadow_apply(cells_.find_or_insert(s, a.loc), a, v, serial, race_count);
   }
 
-  std::size_t cell_count() const { return count_; }
-
-  std::size_t memory_bytes() const {
-    return sizeof(*this) + arena_.memory_bytes();
-  }
+  std::size_t cell_count() const { return cells_.size(); }
+  std::size_t memory_bytes() const { return cells_.memory_bytes(); }
 
  private:
-  std::size_t find_or_insert(StreamId s, std::uint64_t loc) {
-    if (count_ * 4 >= cap_ * 3) grow();
-    std::size_t i = detail::home_slot(s, loc, cap_);
-    while (stream_[i] != kNoStream) {
-      if (stream_[i] == s && loc_[i] == loc) return i;
-      i = (i + 1) & (cap_ - 1);
-    }
-    stream_[i] = s;
-    loc_[i] = loc;
-    writer_[i] = reader1_[i] = reader2_[i] = tree::kNoThread;
-    ++count_;
-    return i;
-  }
-
-  void grow() {
-    const std::size_t ncap = cap_ == 0 ? 64 : cap_ * 2;
-    auto* nloc = arena_.alloc_array<std::uint64_t>(ncap);
-    auto* nstream = arena_.alloc_array<StreamId>(ncap);
-    auto* nwriter = arena_.alloc_array<tree::ThreadId>(ncap);
-    auto* nreader1 = arena_.alloc_array<tree::ThreadId>(ncap);
-    auto* nreader2 = arena_.alloc_array<tree::ThreadId>(ncap);
-    for (std::size_t i = 0; i < ncap; ++i) nstream[i] = kNoStream;
-    for (std::size_t i = 0; i < cap_; ++i) {
-      if (stream_[i] == kNoStream) continue;
-      std::size_t j = detail::home_slot(stream_[i], loc_[i], ncap);
-      while (nstream[j] != kNoStream) j = (j + 1) & (ncap - 1);
-      nloc[j] = loc_[i];
-      nstream[j] = stream_[i];
-      nwriter[j] = writer_[i];
-      nreader1[j] = reader1_[i];
-      nreader2[j] = reader2_[i];
-    }
-    loc_ = nloc;
-    stream_ = nstream;
-    writer_ = nwriter;
-    reader1_ = nreader1;
-    reader2_ = nreader2;
-    cap_ = ncap;
-  }
-
-  util::Arena arena_;
-  std::size_t cap_ = 0;
-  std::size_t count_ = 0;
-  std::uint64_t* loc_ = nullptr;
-  StreamId* stream_ = nullptr;
-  tree::ThreadId* writer_ = nullptr;
-  tree::ThreadId* reader1_ = nullptr;
-  tree::ThreadId* reader2_ = nullptr;
+  CellTable<ShadowCell> cells_;
 };
 
 /// ALL-SETS shadow of one owner. Not thread-safe.
@@ -178,7 +177,7 @@ class OwnedAllSetsShadow {
   template <typename SerialFn>
   void apply(StreamId s, const tree::Access& a, tree::ThreadId v,
              SerialFn&& serial, std::uint64_t& race_count) {
-    Entry*& head = histories_[Key{s, a.loc}];
+    Entry*& head = heads_.find_or_insert(s, a.loc);
     for (Entry* e = head; e != nullptr; e = e->next) {
       const bool conflicting = a.write || e->write;
       const bool unguarded = (e->locks & a.locks) == 0;
@@ -205,9 +204,9 @@ class OwnedAllSetsShadow {
     head = fresh;
   }
 
+  std::size_t cell_count() const { return heads_.size(); }
   std::size_t memory_bytes() const {
-    return sizeof(*this) + pool_.memory_bytes() +
-           histories_.size() * (sizeof(Key) + sizeof(Entry*));
+    return heads_.memory_bytes() + pool_.memory_bytes();
   }
 
  private:
@@ -219,20 +218,7 @@ class OwnedAllSetsShadow {
     Entry* next = nullptr;
   };
 
-  struct Key {
-    StreamId stream;
-    std::uint64_t loc;
-    bool operator==(const Key& o) const {
-      return stream == o.stream && loc == o.loc;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return static_cast<std::size_t>(detail::cell_hash(k.stream, k.loc));
-    }
-  };
-
-  std::unordered_map<Key, Entry*, KeyHash> histories_;
+  CellTable<Entry*> heads_;  ///< history list per (stream, loc)
   util::Pool<Entry> pool_;
 };
 

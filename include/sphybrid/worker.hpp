@@ -24,9 +24,9 @@
 //
 // Counters are measured, not modeled: steals/splits come from the deques,
 // om_inserts from the structures that take locked insertions (kHybrid's
-// segment counts, kNaive's item counts), lock_wait_ns from time
-// spent in locked global sections, and `traces` from the trace ids the
-// engine minted, which Section 5 bounds by 4*steals + 1.
+// segment counts, kNaive's item counts), and lock_wait_ns from time
+// spent in locked global sections. Since a steal mints the only new
+// trace, a run has steals + 1 traces, within Section 5's 4*steals + 1.
 
 #include <atomic>
 #include <cstdint>
@@ -69,7 +69,6 @@ struct ExecResult {
   unsigned workers_used = 1;
   std::uint64_t steals = 0;
   std::uint64_t splits = 0;        ///< steals that split a trace
-  std::uint64_t traces = 1;        ///< traces minted: steals + 1
   std::uint64_t queries = 0;
   std::uint64_t fast_queries = 0;  ///< answered by SP-bags alone
   std::uint64_t om_inserts = 0;    ///< locked global-tier insertions
@@ -187,7 +186,6 @@ class WorkStealingEngine {
       digest += w->digest_sum;
     }
     r.checksum = spin + digest;
-    r.traces = traces_.load(std::memory_order_relaxed);
     r.race_count = race_count_.load(std::memory_order_relaxed);
     if (naive_ != nullptr) r.om_inserts = naive_->inserts();
     if (bags_ != nullptr) {
@@ -462,7 +460,6 @@ class WorkStealingEngine {
 
   void worker_main(WorkerCtx& w, tree::NodeId initial) {
     if (initial != tree::kNoNode) {
-      traces_.fetch_add(1, std::memory_order_relaxed);
       w.cur_trace = static_cast<std::uint32_t>(initial);
       run_region(w, initial);
     }
@@ -488,7 +485,6 @@ class WorkStealingEngine {
         continue;
       }
       ++w.steals;
-      traces_.fetch_add(1, std::memory_order_relaxed);
       run_region(w, task);
     }
   }
@@ -516,7 +512,6 @@ class WorkStealingEngine {
   std::vector<std::unique_ptr<WorkerCtx>> workers_;
   race::stream::DeterminacyShadow shadow_{kShardsPerWorker * nworkers_};
   std::atomic<std::uint64_t> race_count_{0};
-  std::atomic<std::uint64_t> traces_{0};
   std::atomic<bool> done_{false};
 };
 

@@ -6,16 +6,20 @@
 //    determinacy and ALL-SETS shadow protocols — and SP-bags, strictly
 //    on the fly, serves as a stream's engine just as SP-order does;
 //  - batch-boundary invariance: replaying one trace at any batch size
-//    yields identical verdicts, and the sharded shadow's shard index and
-//    in-table home slot use independent hash bits;
+//    yields identical verdicts;
+//  - the cell table: the sharded shadow's shard index and in-table home
+//    slot use independent hash bits, keys of several streams and keys
+//    sharing a home slot keep distinct cells across growths, and both
+//    one-owner shadows count cells and bytes exactly;
 //  - bounded memory: finish() frees a stream's SP engine and shadow, so
 //    open/submit/finish churn grows the service by a fixed-size record
 //    per stream;
 //  - malformed-input robustness: truncated, reordered, and duplicate-id
 //    batches are rejected with typed errors, rejects are atomic (the
 //    stream state is untouched and the same epoch can be repaired and
-//    resubmitted), and randomly mutated traces never crash — the
-//    ASan/UBSan legs of the CI matrix run this file;
+//    resubmitted), and randomly mutated traces never crash under either
+//    shadow protocol — the ASan/UBSan legs of the CI matrix run this
+//    file;
 //  - concurrency smoke: many client streams ingesting in parallel produce
 //    the same verdicts as serial replays — the TSan leg runs this file.
 
@@ -27,7 +31,6 @@
 #include <vector>
 
 #include "fjprog/record.hpp"
-#include "race/allsets.hpp"
 #include "race/detector.hpp"
 #include "race/stream/service.hpp"
 #include "sp_test_util.hpp"
@@ -191,6 +194,88 @@ TEST(ShadowShards, SlotBitsIndependentOfShard) {
   }
 }
 
+// Several streams' keys in one table, as spbench's replay mixes them in
+// one DeterminacyShadow: every (stream, loc) keeps its own value through
+// many growths, and looking a key up again never adds a cell.
+TEST(ShadowShards, CellTableKeepsStreamsApartAcrossGrowths) {
+  stream::CellTable<std::uint64_t> table;
+  const auto key_id = [](StreamId s, std::uint64_t loc) {
+    return (std::uint64_t{s} << 32) | loc;
+  };
+  constexpr std::uint64_t kLocs = 1000;
+  const std::vector<StreamId> streams = {0u, 1u, 7u, 1u << 20};
+  // Past 3/4 of 8x the first capacity, so the table doubles >= 3 times.
+  static_assert(4 * kLocs >
+                6 * stream::CellTable<std::uint64_t>::kFirstCapacity);
+  for (std::uint64_t loc = 0; loc < kLocs; ++loc)
+    for (const StreamId s : streams) {
+      std::uint64_t& v = table.find_or_insert(s, loc);
+      EXPECT_EQ(v, 0u) << "fresh cell not value-initialised";
+      v = key_id(s, loc);
+    }
+  EXPECT_EQ(table.size(), streams.size() * kLocs);
+  for (std::uint64_t loc = 0; loc < kLocs; ++loc)
+    for (const StreamId s : streams)
+      ASSERT_EQ(table.find_or_insert(s, loc), key_id(s, loc))
+          << "stream " << s << " loc " << loc;
+  EXPECT_EQ(table.size(), streams.size() * kLocs);
+}
+
+// Keys whose home slots coincide probe past each other, including across
+// the wrap from the last slot to the first, and still get distinct cells.
+TEST(ShadowShards, CellTableSeparatesKeysSharingAHomeSlot) {
+  constexpr std::size_t kCap = stream::CellTable<int>::kFirstCapacity;
+  for (const std::size_t home : {std::size_t{5}, kCap - 1}) {
+    std::vector<std::pair<StreamId, std::uint64_t>> keys;
+    for (std::uint64_t loc = 0; keys.size() < 12; ++loc)
+      for (const StreamId s : {0u, 3u})
+        if (keys.size() < 12 &&
+            stream::detail::home_slot(s, loc, kCap) == home)
+          keys.emplace_back(s, loc);
+    // 12 keys stay under 3/4 of the first capacity: no growth separates
+    // them, so they really share one probe run.
+    stream::CellTable<int> table;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      table.find_or_insert(keys[i].first, keys[i].second) =
+          static_cast<int>(i) + 1;
+    EXPECT_EQ(table.size(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      EXPECT_EQ(table.find_or_insert(keys[i].first, keys[i].second),
+                static_cast<int>(i) + 1)
+          << "home " << home << " key " << i;
+    EXPECT_EQ(table.size(), keys.size());
+  }
+}
+
+// Both one-owner shadows count one cell per distinct (stream, loc), and
+// their memory covers at least a key and a value per cell.
+template <typename Shadow, std::size_t kValueBytes>
+void expect_exact_cells_and_bytes() {
+  Shadow shadow;
+  const auto serial = [](spr::tree::ThreadId, spr::tree::ThreadId) {
+    return true;
+  };
+  std::uint64_t races = 0;
+  std::size_t distinct = 0;
+  for (const StreamId s : {0u, 5u}) {
+    for (std::uint64_t loc = 0; loc < 700; ++loc, ++distinct)
+      for (const bool write : {true, false, true})
+        shadow.apply(s, spr::tree::Access{loc * 8, write, loc % 3}, 1,
+                     serial, races);
+  }
+  EXPECT_EQ(races, 0u);
+  EXPECT_EQ(shadow.cell_count(), distinct);
+  EXPECT_GE(shadow.memory_bytes(),
+            distinct * (sizeof(StreamId) + sizeof(std::uint64_t) +
+                        kValueBytes));
+}
+
+TEST(ShadowShards, OwnedShadowsCountCellsAndBytes) {
+  expect_exact_cells_and_bytes<stream::OwnedDeterminacyShadow,
+                               sizeof(spr::race::ShadowCell)>();
+  expect_exact_cells_and_bytes<stream::OwnedAllSetsShadow, sizeof(void*)>();
+}
+
 // ---------------------------------------------------------------------
 // Malformed input: every reject is typed, indexed, and atomic.
 
@@ -352,8 +437,9 @@ TEST(StreamService, RejectIsAtomicAndRepairable) {
 TEST(StreamService, FuzzedMutationsNeverCrash) {
   // Random single-event mutations (drop / duplicate / swap / retype) of a
   // real trace: every submit must either succeed or fail with a typed
-  // error, and nothing may crash or trip the sanitizers. Accepted mutants
-  // are legitimate alternative traces; only robustness is asserted.
+  // error, and nothing may crash or trip the sanitizers, under either
+  // shadow protocol. Accepted mutants are legitimate alternative traces;
+  // only robustness is asserted.
   const ParseTree t =
       spr::fj::lower_to_parse_tree(spr::fj::make_random_program(3, 60));
   const std::vector<Event> pristine = record_events(t);
@@ -382,19 +468,26 @@ TEST(StreamService, FuzzedMutationsNeverCrash) {
       }
       if (ev.empty()) break;
     }
-    stream::IngestService svc;
-    const StreamId s = svc.open_stream();
-    bool ok = true;
-    for (const Batch& b : make_batches(ev, s, 32)) {
-      const auto r = svc.submit(b);
-      if (!r.ok()) {
-        EXPECT_LT(r.event_index, b.events.size() == 0 ? 1 : b.events.size());
-        ok = false;
-        ++rejected;
-        break;
+    // Each mutant runs through both shadows. Validation does not depend
+    // on the shadow, so both services accept or reject it alike.
+    const auto accepted = [&ev](auto& svc) {
+      const StreamId s = svc.open_stream();
+      for (const Batch& b : make_batches(ev, s, 32)) {
+        const auto r = svc.submit(b);
+        if (!r.ok()) {
+          EXPECT_LT(r.event_index,
+                    b.events.size() == 0 ? 1 : b.events.size());
+          return false;
+        }
       }
-    }
-    if (ok && !svc.finish(s).ok()) ++rejected;
+      return svc.finish(s).ok();
+    };
+    stream::IngestService svc;
+    stream::Service<stream::StreamingSpOrder, stream::OwnedAllSetsShadow>
+        lock_svc;
+    const bool ok = accepted(svc);
+    EXPECT_EQ(accepted(lock_svc), ok) << "round " << round;
+    if (!ok) ++rejected;
   }
   EXPECT_GT(rejected, 0u) << "mutations never produced an invalid trace";
 }

@@ -8,7 +8,6 @@
 
 #include "fjprog/generators.hpp"
 #include "fjprog/lower.hpp"
-#include "race/allsets.hpp"
 #include "race/detector.hpp"
 #include "sp_test_util.hpp"
 #include "spbags/sp_bags.hpp"
