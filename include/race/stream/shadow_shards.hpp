@@ -6,8 +6,12 @@
 // keys sit in two dense columns (loc, stream) beside one value column — a
 // ShadowCell for the determinacy protocol, a history-list head for
 // ALL-SETS. A probe reads only the key columns until it hits. There is
-// no per-cell allocation: a growth allocates three columns of twice the
-// size and frees the old ones, so a table holds only its live columns.
+// no per-cell allocation: a growth takes three columns of twice the size
+// from the table's own util::Arena, which frees nothing until the table
+// dies. Superseded columns stay allocated (at most as many bytes as the
+// live ones), but a growth never returns memory mid-run, so SP-hybrid's
+// workers, growing shards on every thread at once, never contend on the
+// system allocator's locks or its trims.
 //
 // One owner, no lock. OwnedDeterminacyShadow and OwnedAllSetsShadow each
 // hold one CellTable and take no lock, because exactly one thread of
@@ -47,6 +51,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "race/shadow_protocol.hpp"
@@ -89,10 +94,13 @@ inline std::uint32_t round_up_pow2(std::uint32_t x) {
 }  // namespace detail
 
 /// Open-addressed (linear probing) table from (stream, loc) to a V, with
-/// the keys in their own columns. Grows by doubling at 3/4 load, freeing
-/// the old columns. Not thread-safe.
+/// the keys in their own columns. Grows by doubling at 3/4 load into
+/// fresh columns from the table's arena. Not thread-safe.
 template <typename V>
 class CellTable {
+  static_assert(std::is_trivially_copyable_v<V>,
+                "columns live in raw arena blocks");
+
  public:
   static constexpr std::size_t kFirstCapacity = 64;
 
@@ -115,17 +123,16 @@ class CellTable {
   std::size_t size() const { return count_; }
 
   std::size_t memory_bytes() const {
-    return sizeof(*this) +
-           cap_ * (sizeof(std::uint64_t) + sizeof(V) + sizeof(StreamId));
+    return sizeof(*this) + arena_.memory_bytes();
   }
 
  private:
   void grow() {
     const std::size_t ncap = cap_ == 0 ? kFirstCapacity : cap_ * 2;
-    auto nloc = std::make_unique_for_overwrite<std::uint64_t[]>(ncap);
-    auto nvalue = std::make_unique_for_overwrite<V[]>(ncap);
-    auto nstream = std::make_unique_for_overwrite<StreamId[]>(ncap);
-    std::fill_n(nstream.get(), ncap, kNoStream);
+    auto* nloc = arena_.alloc_array<std::uint64_t>(ncap);
+    auto* nvalue = arena_.alloc_array<V>(ncap);
+    auto* nstream = arena_.alloc_array<StreamId>(ncap);
+    std::fill_n(nstream, ncap, kNoStream);
     for (std::size_t i = 0; i < cap_; ++i) {
       if (stream_[i] == kNoStream) continue;
       std::size_t j = detail::home_slot(stream_[i], loc_[i], ncap);
@@ -134,17 +141,18 @@ class CellTable {
       nstream[j] = stream_[i];
       nvalue[j] = value_[i];
     }
-    loc_ = std::move(nloc);
-    value_ = std::move(nvalue);
-    stream_ = std::move(nstream);
+    loc_ = nloc;
+    value_ = nvalue;
+    stream_ = nstream;
     cap_ = ncap;
   }
 
+  util::Arena arena_;
   std::size_t cap_ = 0;
   std::size_t count_ = 0;
-  std::unique_ptr<std::uint64_t[]> loc_;
-  std::unique_ptr<V[]> value_;
-  std::unique_ptr<StreamId[]> stream_;
+  std::uint64_t* loc_ = nullptr;
+  V* value_ = nullptr;
+  StreamId* stream_ = nullptr;
 };
 
 /// Determinacy shadow of one owner: one ShadowCell per (stream, loc).

@@ -5,11 +5,11 @@
 //
 // Arena: allocations are O(1) pointer bumps into geometrically growing
 // malloc'd chunks; nothing is freed until the arena dies. That is exactly
-// the lifetime shape of a detection session (ALL-SETS history entries
-// and OM items live until the stream closes), and it removes the
-// per-item malloc/free traffic that made SP-order construction
-// super-linear at 640k threads (the thm5 bench's allocator cliff — see
-// BENCH_4.json).
+// the lifetime shape of a detection session (shadow cell tables, ALL-SETS
+// history entries and OM items live until the stream closes), and it
+// removes the per-item malloc/free traffic that made SP-order
+// construction super-linear at 640k threads (the thm5 bench's allocator
+// cliff — see BENCH_4.json).
 //
 // Pool<T>: a free list layered on an arena, so erase/insert churn (e.g.
 // the footnote-2 compact SP-order reclaiming completed subtrees) recycles
