@@ -23,11 +23,19 @@
 // its locked OM insertions (2 per internal node, so Theta(T1) of them)
 // and the time spent waiting for and holding that lock.
 //
+// A last table runs race detection (kHybrid with detect_races) on a racy
+// stencil, whose phases are right-deep P-chains of chunks: thieves keep
+// splitting one trace, so this is the row where most SP queries miss
+// SP-bags' set-root word and take the segment-pair path. Its rows give
+// T_P, kPlain's speedup from the same run, steals, queries and the share
+// answered by SP-bags alone; every repetition's race count must equal
+// the serial reference's.
+//
 // Every repetition's checksum is cross-checked against the serial
 // reference executor, so a scaling number from a wrong answer is
 // impossible. Exits non-zero if any repetition breaks its counter
-// identity or checksum. Emits machine-readable `#METRIC {...}` JSON lines
-// for scripts/bench.sh.
+// identity, checksum or race count. Emits machine-readable
+// `#METRIC {...}` JSON lines for scripts/bench.sh.
 
 #include <algorithm>
 #include <iostream>
@@ -55,11 +63,12 @@ struct Cell {
 
 template <typename Check>
 Cell best_of(const spr::tree::ParseTree& t, Mode mode, unsigned workers,
-             Check ok) {
+             Check ok, bool detect = false) {
   ExecOptions opts;
   opts.workers = workers;
   opts.mode = mode;
   opts.queries_per_leaf = mode == Mode::kPlain ? 0 : 2;
+  opts.detect_races = detect;
   Cell cell;
   cell.best.elapsed_s = 1e30;
   for (int r = 0; r < 3; ++r) {
@@ -215,6 +224,58 @@ bool bench_tree(const std::string& name, const spr::tree::ParseTree& t) {
   return all_ok;
 }
 
+/// Prints the detection table of one tree; returns false if any
+/// repetition lost checksum or race-count parity with the serial
+/// reference, or broke 3 OM inserts per split.
+bool bench_detection(const std::string& name, const spr::tree::ParseTree& t) {
+  ExecOptions oracle;
+  oracle.mode = Mode::kSerialReference;
+  oracle.queries_per_leaf = 2;
+  oracle.detect_races = true;
+  const ExecResult ref = spr::hybrid::run_parallel(t, oracle);
+  std::cout << "\n-- race detection, " << name << ": n=" << t.leaf_count()
+            << ", serial reference " << ref.race_count << " races --\n";
+  const auto ok = [&](const ExecResult& r) {
+    return r.checksum == ref.checksum && r.race_count == ref.race_count &&
+           r.om_inserts == 3 * r.splits;
+  };
+
+  spr::util::Table table({"P", "plain T_P", "detect T_P", "speedup(plain)",
+                          "steals", "queries", "fast/queries", "races",
+                          "answers"});
+  double plain_p1 = 0;
+  bool all_ok = true;
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    const ExecResult rp =
+        best_of(t, Mode::kPlain, workers, [](const ExecResult&) {
+          return true;
+        }).best;
+    const Cell cd = best_of(t, Mode::kHybrid, workers, ok, /*detect=*/true);
+    const ExecResult& rd = cd.best;
+    if (workers == 1) plain_p1 = rp.elapsed_s;
+    all_ok = report_cell(name, "detect", workers, cd) && all_ok;
+    const double plain_speedup = plain_p1 / rp.elapsed_s;
+    const double fast_ratio = ratio(rd.fast_queries, rd.queries);
+    table.add_row({std::to_string(workers),
+                   spr::util::fmt_ns(rp.elapsed_s * 1e9),
+                   spr::util::fmt_ns(rd.elapsed_s * 1e9),
+                   spr::util::fmt_double(plain_speedup, 2) + "x",
+                   std::to_string(rd.steals), std::to_string(rd.queries),
+                   spr::util::fmt_double(fast_ratio, 4),
+                   std::to_string(rd.race_count),
+                   cd.all_ok ? "match" : "MISMATCH"});
+    metric_head(name, "detect", workers, rd)
+        << ",\"splits\":" << rd.splits << ",\"queries\":" << rd.queries
+        << ",\"fast_queries\":" << rd.fast_queries
+        << ",\"fast_query_ratio\":" << fast_ratio
+        << ",\"race_count\":" << rd.race_count
+        << ",\"plain_speedup\":" << plain_speedup
+        << ",\"all_ok\":" << (cd.all_ok ? "true" : "false") << "}\n";
+  }
+  table.print(std::cout);
+  return all_ok;
+}
+
 }  // namespace
 
 int main() {
@@ -235,6 +296,10 @@ int main() {
   ok = bench_tree("loop_spawn(2^15), 1 work/thread",
                   spr::fj::lower_to_parse_tree(
                       spr::fj::make_loop_spawn(1u << 15))) &&
+       ok;
+  ok = bench_detection("stencil(2^17, 16), racy",
+                       spr::fj::lower_to_parse_tree(
+                           spr::fj::make_stencil(1u << 17, 16, true))) &&
        ok;
   std::cout
       << "\nShape check (paper): hybrid overhead vs plain is a modest "

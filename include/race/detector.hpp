@@ -37,13 +37,16 @@ namespace detail {
 /// Templated on the SP algorithm so detection can run over any backend
 /// (tree::SpMaintenance subclasses or a concrete SP-order) with
 /// statically bound calls, and on the shadow protocol
-/// (OwnedDeterminacyShadow or OwnedAllSetsShadow). Every query goes through
+/// (OwnedDeterminacyShadow or OwnedAllSetsShadow), whose table is sized
+/// once from the tree's footprint estimate. Every query goes through
 /// `sp.precedes`.
 template <typename SpAlgo, typename Shadow>
 class DetectVisitor final : public tree::MaintenanceDriver<SpAlgo> {
  public:
   DetectVisitor(const tree::ParseTree& t, SpAlgo& sp)
-      : tree::MaintenanceDriver<SpAlgo>(sp), tree_(t) {}
+      : tree::MaintenanceDriver<SpAlgo>(sp), tree_(t) {
+    shadow_.reserve(stream::estimate_footprint(t));
+  }
 
   void visit_leaf(const tree::Node& n) override {
     tree::MaintenanceDriver<SpAlgo>::visit_leaf(n);

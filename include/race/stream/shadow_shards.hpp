@@ -13,6 +13,19 @@
 // workers, growing shards on every thread at once, never contend on the
 // system allocator's locks or its trims.
 //
+// Sized once where the program is known. A shadow whose whole program is
+// a tree::ParseTree — the serial detectors, SP-hybrid's engine and its
+// serial reference — reserve()s its table before the run from
+// estimate_footprint(t), a HyperLogLog count of the distinct locations
+// the tree touches, so the table never doubles mid-run (each doubling
+// rehashes every cell, ~1.5 moves per final cell over a run). The
+// estimate is only a starting size: a table that gets more cells still
+// grows. The raw access count is not used: on read-sharing programs
+// (stencil makes 4 accesses per location) it sizes tables ~4x too large,
+// and the extra first-touch page faults cost more than the growth saved.
+// Service streams arrive event by event with no footprint known, so
+// their tables start at kFirstCapacity and double.
+//
 // One owner, no lock. OwnedDeterminacyShadow and OwnedAllSetsShadow each
 // hold one CellTable and take no lock, because exactly one thread of
 // control ever touches them: the serial detectors (race/detector.hpp) and
@@ -48,6 +61,9 @@
 // starts, and the linear-probe runs would grow with S.
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -93,9 +109,50 @@ inline std::uint32_t round_up_pow2(std::uint32_t x) {
 
 }  // namespace detail
 
+/// Estimated count of the distinct locations `t` accesses: one pass over
+/// every thread's accesses into a HyperLogLog sketch (Flajolet et al.)
+/// of 2^12 one-byte registers over mix64(loc), standard error ~1.6%,
+/// with linear counting for small counts (0 for no accesses, ~1 for one
+/// location). Meant for CellTable::reserve.
+inline std::size_t estimate_footprint(const tree::ParseTree& t) {
+  constexpr unsigned kBits = 12;
+  constexpr std::size_t kRegs = std::size_t{1} << kBits;
+  // 2^-r in integer units of 2^-51 (ranks above 51 count as 51; a
+  // register reaches them only after ~2^51 of its own locations).
+  const auto weight = [](unsigned r) {
+    return std::uint64_t{1} << (51 - std::min(r, 51u));
+  };
+  std::array<std::uint8_t, kRegs> reg{};
+  // The sum of weight(r) and the count of zero registers, kept up to
+  // date as registers rise, so no pass over the sketch follows the loop.
+  std::uint64_t inv_sum = std::uint64_t{kRegs} << 51;
+  std::size_t zeros = kRegs;
+  for (tree::ThreadId v = 0; v < t.leaf_count(); ++v)
+    for (const tree::Access& a : t.accesses(v)) {
+      const std::uint64_t h = detail::mix64(a.loc);
+      // Rank of the first set bit below the register index; the guard
+      // bit caps it at 64 - kBits + 1.
+      const auto rank = static_cast<std::uint8_t>(
+          std::countl_zero((h << kBits) | (std::uint64_t{1} << (kBits - 1))) +
+          1);
+      std::uint8_t& r = reg[h >> (64 - kBits)];
+      if (rank <= r) continue;
+      inv_sum -= weight(r) - weight(rank);
+      if (r == 0) --zeros;
+      r = rank;
+    }
+  constexpr double m = kRegs;
+  double e = 0.7213 / (1 + 1.079 / m) * m * m /
+             std::ldexp(static_cast<double>(inv_sum), -51);
+  if (e <= 2.5 * m && zeros > 0)
+    e = m * std::log(m / static_cast<double>(zeros));
+  return static_cast<std::size_t>(std::llround(e));
+}
+
 /// Open-addressed (linear probing) table from (stream, loc) to a V, with
 /// the keys in their own columns. Grows by doubling at 3/4 load into
-/// fresh columns from the table's arena. Not thread-safe.
+/// fresh columns from the table's arena; reserve() sizes it up front
+/// (see the header comment). Not thread-safe.
 template <typename V>
 class CellTable {
   static_assert(std::is_trivially_copyable_v<V>,
@@ -120,6 +177,16 @@ class CellTable {
     return value_[i];
   }
 
+  /// Moves the cells into the smallest power-of-two capacity (at least
+  /// kFirstCapacity) that holds `cells` at or below 3/4 load, so inserts
+  /// up to that many cells never grow the table. Never shrinks it;
+  /// reserve(0) does nothing.
+  void reserve(std::size_t cells) {
+    std::size_t ncap = kFirstCapacity;
+    while (ncap * 3 < cells * 4) ncap *= 2;
+    if (cells > 0 && ncap > cap_) rehash(ncap);
+  }
+
   std::size_t size() const { return count_; }
 
   std::size_t memory_bytes() const {
@@ -127,8 +194,9 @@ class CellTable {
   }
 
  private:
-  void grow() {
-    const std::size_t ncap = cap_ == 0 ? kFirstCapacity : cap_ * 2;
+  void grow() { rehash(cap_ == 0 ? kFirstCapacity : cap_ * 2); }
+
+  void rehash(std::size_t ncap) {
     auto* nloc = arena_.alloc_array<std::uint64_t>(ncap);
     auto* nvalue = arena_.alloc_array<V>(ncap);
     auto* nstream = arena_.alloc_array<StreamId>(ncap);
@@ -159,6 +227,9 @@ class CellTable {
 /// Not thread-safe.
 class OwnedDeterminacyShadow {
  public:
+  /// Sizes the table for `cells` cells (CellTable::reserve).
+  void reserve(std::size_t cells) { cells_.reserve(cells); }
+
   /// Applies access `a` by thread `v` (race::shadow_apply); `serial`
   /// answers SP queries.
   template <typename SerialFn>
@@ -212,6 +283,9 @@ class OwnedAllSetsShadow {
     head = fresh;
   }
 
+  /// Sizes the head table for `cells` locations (CellTable::reserve).
+  void reserve(std::size_t cells) { heads_.reserve(cells); }
+
   std::size_t cell_count() const { return heads_.size(); }
   std::size_t memory_bytes() const {
     return heads_.memory_bytes() + pool_.memory_bytes();
@@ -234,11 +308,17 @@ class OwnedAllSetsShadow {
 /// shards, each behind its own spin lock (see the header comment).
 class DeterminacyShadow {
  public:
-  explicit DeterminacyShadow(std::uint32_t shards)
+  /// `expected_cells` (0: unknown) sizes every shard once, to its share
+  /// plus 1/8 slack for uneven hashing; shards that get more still grow.
+  explicit DeterminacyShadow(std::uint32_t shards,
+                             std::size_t expected_cells = 0)
       : mask_(detail::round_up_pow2(shards == 0 ? 1 : shards) - 1) {
+    const std::size_t share = expected_cells / (mask_ + 1);
     shards_.reserve(mask_ + 1);
-    for (std::uint32_t i = 0; i <= mask_; ++i)
+    for (std::uint32_t i = 0; i <= mask_; ++i) {
       shards_.push_back(std::make_unique<Shard>());
+      shards_.back()->cells.reserve(share + share / 8);
+    }
   }
 
   /// Applies one access under the owning shard's lock; `serial` answers

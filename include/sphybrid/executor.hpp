@@ -34,13 +34,16 @@ namespace detail {
 
 /// Serial oracle driver: executes leaf work in English order, maintains a
 /// full serial SP-order, issues the same per-leaf query streams as the
-/// parallel engine, and (optionally) runs the shadow-memory protocol.
+/// parallel engine, and (optionally) runs the shadow-memory protocol on
+/// a one-owner shadow sized once from the tree's footprint estimate.
 class SerialDriver final
     : public tree::MaintenanceDriver<order::StreamingSpOrder> {
  public:
   SerialDriver(const tree::ParseTree& t, const ExecOptions& o, ExecResult& r,
                order::StreamingSpOrder& sp)
-      : MaintenanceDriver(sp), tree_(t), opts_(o), result_(r) {}
+      : MaintenanceDriver(sp), tree_(t), opts_(o), result_(r) {
+    if (o.detect_races) shadow_.reserve(race::stream::estimate_footprint(t));
+  }
 
   void visit_leaf(const tree::Node& n) override {
     MaintenanceDriver::visit_leaf(n);

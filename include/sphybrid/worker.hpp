@@ -333,12 +333,14 @@ class WorkStealingEngine {
         },
         w.queries);
     // The engine is one program == one stream, and the only shadow user
-    // with several threads: each shard is the one-owner SoA shadow the
-    // serial detectors and service streams use, behind a spin lock. Every
-    // worker applies its leaves' accesses one at a time to the one
-    // shared shadow, so the shard count is 64 per worker (64 at P=1, 256
-    // at P=4): the chance that two workers' accesses collide on a shard
-    // stays flat as P grows. Stream 0's cell hash is the shard hash, so
+    // with several threads: each shard is the one-owner
+    // OwnedDeterminacyShadow the serial detectors and service streams
+    // use, behind a spin lock. Every worker applies its leaves' accesses
+    // one at a time to the one shared shadow, so the shard count is 64
+    // per worker (64 at P=1, 256 at P=4): the chance that two workers'
+    // accesses collide on a shard stays flat as P grows. The constructor
+    // sizes every shard from the tree's footprint estimate, so no shard
+    // grows mid-run. Stream 0's cell hash is the shard hash, so
     // the shard takes its high bits and the table slot its low bits;
     // shared bits would start every probe in 1/S of each shard's table
     // (see shadow_shards.hpp). Shard-lock waits are not in lock_wait_ns,
@@ -510,7 +512,12 @@ class WorkStealingEngine {
   std::unique_ptr<NaiveSp> naive_;  ///< kNaive
   std::mutex naive_mu_;             ///< kNaive's global SP lock
   std::vector<std::unique_ptr<WorkerCtx>> workers_;
-  race::stream::DeterminacyShadow shadow_{kShardsPerWorker * nworkers_};
+  /// Sized once, before the run, when this mode detects races.
+  race::stream::DeterminacyShadow shadow_{
+      kShardsPerWorker * nworkers_,
+      opts_.detect_races && opts_.mode != Mode::kPlain
+          ? race::stream::estimate_footprint(tree_)
+          : 0};
   std::atomic<std::uint64_t> race_count_{0};
   std::atomic<bool> done_{false};
 };

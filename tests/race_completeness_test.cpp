@@ -13,8 +13,8 @@
 // decompose per location, so multi-location behavior is exactly the
 // product of single-location behaviors.
 //  - Phase A (L = 1..5): full streaming-service path (validator, batch,
-//    per-stream SoA shadow, native per-stream SP-order) AND the in-process
-//    serial detector, with patterns over TWO locations — 4^L
+//    per-stream OwnedDeterminacyShadow, native per-stream SP-order) AND
+//    the in-process serial detector, with patterns over TWO locations — 4^L
 //    combinations of {read,write} x {loc0,loc1}, plus a no-access letter
 //    at L <= 3 to cover empty-trace leaves.
 //  - Phase B (L = 6..7): every shape, {read,write}^L on one location,

@@ -9,8 +9,11 @@
 //    yields identical verdicts;
 //  - the cell table: the sharded shadow's shard index and in-table home
 //    slot use independent hash bits, keys of several streams and keys
-//    sharing a home slot keep distinct cells across growths, and both
-//    one-owner shadows count cells and bytes exactly;
+//    sharing a home slot keep distinct cells across growths, both
+//    one-owner shadows count cells and bytes exactly, a reserved table
+//    does not grow until it holds more cells than it reserved, the
+//    footprint estimate tracks exact distinct-location counts, and a
+//    sharded shadow's verdict does not depend on its sizing;
 //  - bounded memory: finish() frees a stream's SP engine and shadow, so
 //    open/submit/finish churn grows the service by a fixed-size record
 //    per stream;
@@ -28,6 +31,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "fjprog/record.hpp"
@@ -274,6 +278,109 @@ TEST(ShadowShards, OwnedShadowsCountCellsAndBytes) {
   expect_exact_cells_and_bytes<stream::OwnedDeterminacyShadow,
                                sizeof(spr::race::ShadowCell)>();
   expect_exact_cells_and_bytes<stream::OwnedAllSetsShadow, sizeof(void*)>();
+}
+
+// reserve(n) sizes the table once: n distinct inserts allocate nothing
+// after the first, and more inserts than reserved still grow it and keep
+// every value.
+TEST(ShadowShards, ReservedTableNeverGrows) {
+  constexpr std::uint64_t kCells = 5000;
+  stream::CellTable<std::uint64_t> table;
+  table.reserve(kCells);
+  table.find_or_insert(0, 0) = 1;
+  const std::size_t reserved = table.memory_bytes();
+  for (std::uint64_t loc = 1; loc < kCells; ++loc)
+    table.find_or_insert(0, loc) = loc + 1;
+  EXPECT_EQ(table.memory_bytes(), reserved);
+  EXPECT_EQ(table.size(), kCells);
+  for (std::uint64_t loc = kCells; loc < 5 * kCells; ++loc)
+    table.find_or_insert(0, loc) = loc + 1;
+  EXPECT_GT(table.memory_bytes(), reserved);
+  EXPECT_EQ(table.size(), 5 * kCells);
+  for (std::uint64_t loc = 0; loc < 5 * kCells; ++loc)
+    ASSERT_EQ(table.find_or_insert(0, loc), loc + 1) << "loc " << loc;
+}
+
+std::size_t exact_footprint(const ParseTree& t) {
+  std::unordered_set<std::uint64_t> locs;
+  for (spr::tree::ThreadId v = 0; v < t.leaf_count(); ++v)
+    for (const spr::tree::Access& a : t.accesses(v)) locs.insert(a.loc);
+  return locs.size();
+}
+
+// The estimate that sizes the tree-driven shadows is within 10% of the
+// exact distinct-location count, and stays small when there are few.
+TEST(ShadowShards, FootprintEstimateTracksDistinctLocations) {
+  ParseTree random =
+      spr::fj::lower_to_parse_tree(spr::fj::make_random_program(9, 4000));
+  spr::util::Xoshiro256 rng(17);
+  for (spr::tree::ThreadId v = 0; v < random.leaf_count(); ++v)
+    for (int i = 0; i < 8; ++i)
+      random.mutable_accesses(v).push_back(
+          {rng.next_below(20000), rng.next_bool(), 0});
+  const std::vector<std::pair<const char*, ParseTree>> trees = [&] {
+    std::vector<std::pair<const char*, ParseTree>> v;
+    v.emplace_back("dnc_fill", spr::fj::lower_to_parse_tree(
+                                   spr::fj::make_dnc_fill(1 << 15, 16, true)));
+    v.emplace_back("stencil", spr::fj::lower_to_parse_tree(
+                                  spr::fj::make_stencil(1 << 13, 16, true)));
+    v.emplace_back("reduce_sum",
+                   spr::fj::lower_to_parse_tree(
+                       spr::fj::make_reduce_sum(1 << 13, 16, false)));
+    v.emplace_back("random", std::move(random));
+    return v;
+  }();
+  for (const auto& [name, t] : trees) {
+    const double exact = static_cast<double>(exact_footprint(t));
+    const double est = static_cast<double>(stream::estimate_footprint(t));
+    EXPECT_NEAR(est, exact, 0.1 * exact) << name;
+  }
+
+  ParseTree empty = spr::fj::lower_to_parse_tree(spr::fj::make_fib(10));
+  EXPECT_EQ(stream::estimate_footprint(empty), 0u);
+  for (spr::tree::ThreadId v = 0; v < 10000; ++v)
+    empty.mutable_accesses(v % empty.leaf_count())
+        .push_back({42, v % 2 == 0, 0});
+  EXPECT_LE(stream::estimate_footprint(empty), 2u);
+}
+
+// The expected cell count only sizes the shards: too low, too high or
+// unknown, a sharded shadow reports the same races.
+TEST(ShadowShards, DeterminacyShadowVerdictIgnoresExpectedCells) {
+  const ParseTree t = spr::fj::lower_to_parse_tree(
+      spr::fj::make_stencil(1 << 12, 8, /*inject_race=*/true));
+  spr::order::SpOrder sp(t);
+  const auto ref = spr::race::detect_races(t, sp);
+  ASSERT_GT(ref.race_count, 0u);
+  const std::size_t exact = exact_footprint(t);
+  for (const std::size_t expected : {std::size_t{0}, exact / 10, exact * 10}) {
+    // English order with an oracle for SP: the same replay as the serial
+    // detector, through the sharded shadow.
+    stream::DeterminacyShadow shadow(16, expected);
+    spr::order::SpOrder order(t);
+    struct Replay final : spr::tree::MaintenanceDriver<spr::order::SpOrder> {
+      Replay(const ParseTree& tr, spr::order::SpOrder& o,
+             stream::DeterminacyShadow& sh)
+          : MaintenanceDriver(o), tree(tr), shadow(sh) {}
+      void visit_leaf(const spr::tree::Node& n) override {
+        MaintenanceDriver::visit_leaf(n);
+        const auto serial = spr::race::counted_serial(
+            [this](spr::tree::ThreadId u, spr::tree::ThreadId v) {
+              return sp_.precedes(u, v);
+            },
+            report.queries);
+        for (const spr::tree::Access& a : tree.accesses(n.thread))
+          shadow.apply(0, a, n.thread, serial, report.race_count);
+      }
+      const ParseTree& tree;
+      stream::DeterminacyShadow& shadow;
+      spr::race::RaceReport report;
+    } replay(t, order, shadow);
+    spr::tree::serial_walk(t, replay);
+    EXPECT_EQ(replay.report.race_count, ref.race_count) << expected;
+    EXPECT_EQ(replay.report.queries, ref.queries) << expected;
+    EXPECT_EQ(shadow.cell_count(), exact) << expected;
+  }
 }
 
 // ---------------------------------------------------------------------
