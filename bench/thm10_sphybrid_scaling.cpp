@@ -11,11 +11,12 @@
 //   steals/splits   from the deques' successful steal CASes (P>1 cells
 //                   also give min/median/max steals over the repetitions,
 //                   so a repetition without a steal storm shows),
-//   OM ins          the segment counts (3 insertions per trace split),
+//   OM ins          the global tier's item counts (3 insertions per
+//                   trace split),
 //   lock wait       time inside the thieves' locked split sections, also
 //                   per steal,
 //   walk/steal      S-ancestors a split visited while re-pointing sets,
-//   qry retries     failed lock-free seqlock query attempts.
+//   qry retries     failed global-tier seqlock validations.
 // A steal mints the only new trace, so a run has steals + 1 traces,
 // within Section 5's bound of 4*steals + 1.
 // Each row also carries its control, kPlain's speedup from the same run.
@@ -26,10 +27,10 @@
 // A last table runs race detection (kHybrid with detect_races) on a racy
 // stencil, whose phases are right-deep P-chains of chunks: thieves keep
 // splitting one trace, so this is the row where most SP queries miss
-// SP-bags' set-root word and take the segment-pair path. Its rows give
-// T_P, kPlain's speedup from the same run, steals, queries and the share
-// answered by SP-bags alone; every repetition's race count must equal
-// the serial reference's.
+// SP-bags' set-root word and take the item-pair path. Its rows give
+// T_P, kPlain's speedup from the same run, steals, split time, queries,
+// the share answered by SP-bags alone and failed seqlock validations;
+// every repetition's race count must equal the serial reference's.
 //
 // Every repetition's checksum is cross-checked against the serial
 // reference executor, so a scaling number from a wrong answer is
@@ -241,8 +242,8 @@ bool bench_detection(const std::string& name, const spr::tree::ParseTree& t) {
   };
 
   spr::util::Table table({"P", "plain T_P", "detect T_P", "speedup(plain)",
-                          "steals", "queries", "fast/queries", "races",
-                          "answers"});
+                          "steals", "lock wait", "queries", "fast/queries",
+                          "qry retries", "races", "answers"});
   double plain_p1 = 0;
   bool all_ok = true;
   for (const unsigned workers : {1u, 2u, 4u}) {
@@ -260,14 +261,18 @@ bool bench_detection(const std::string& name, const spr::tree::ParseTree& t) {
                    spr::util::fmt_ns(rp.elapsed_s * 1e9),
                    spr::util::fmt_ns(rd.elapsed_s * 1e9),
                    spr::util::fmt_double(plain_speedup, 2) + "x",
-                   std::to_string(rd.steals), std::to_string(rd.queries),
+                   std::to_string(rd.steals),
+                   spr::util::fmt_ns(static_cast<double>(rd.lock_wait_ns)),
+                   std::to_string(rd.queries),
                    spr::util::fmt_double(fast_ratio, 4),
+                   std::to_string(rd.query_retries),
                    std::to_string(rd.race_count),
                    cd.all_ok ? "match" : "MISMATCH"});
     metric_head(name, "detect", workers, rd)
         << ",\"splits\":" << rd.splits << ",\"queries\":" << rd.queries
         << ",\"fast_queries\":" << rd.fast_queries
         << ",\"fast_query_ratio\":" << fast_ratio
+        << ",\"query_retries\":" << rd.query_retries
         << ",\"race_count\":" << rd.race_count
         << ",\"plain_speedup\":" << plain_speedup
         << ",\"all_ok\":" << (cd.all_ok ? "true" : "false") << "}\n";

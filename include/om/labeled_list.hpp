@@ -4,7 +4,7 @@
 // 64-bit label; the list starts from one root item and grows only by
 // insert_after, like OrderList. Inserts take the midpoint of the
 // neighboring labels, and a gap collision relabels the entire list
-// evenly: this baseline deliberately skips om/list_labeling.hpp's window
+// evenly: this baseline deliberately skips OrderList's density-window
 // rule. Queries are one integer compare; adversarial insertion patterns
 // degrade inserts toward O(n) items moved each, the contrast
 // bench/thm5_sporder_scaling.cpp reports.

@@ -1,7 +1,8 @@
 #pragma once
 // Two-level order-maintenance list with amortized O(1) insert and O(1)
 // worst-case order queries (Bender et al. style; Section 2 of the paper
-// uses this as the substrate for SP-order).
+// uses this as the substrate for SP-order, and SP-hybrid's global tier,
+// sphybrid/global_tier.hpp, runs on two of them).
 //
 // Like LabeledList, the list is born holding one root item and grows
 // only by insert_after: an SP-order starts from one item and every split
@@ -10,15 +11,23 @@
 // Items live in buckets of at most kBucketCap elements. Each item carries
 // a 64-bit local label unique within its bucket; each bucket carries a
 // 64-bit top label maintained by density-window relabeling
-// (om/list_labeling.hpp, shared with SP-hybrid's global tier). An order
-// query compares (bucket label, item label) lexicographically. Inserting
-// into a full bucket splits it; a split inserts one bucket label into the
-// top level, whose relabeling cost amortizes to O(lg n) per split, i.e.
-// O(lg n / kBucketCap) = O(1) per item insert for any practical n.
+// (relabel_top). An order query compares (bucket label, item label)
+// lexicographically. Inserting into a full bucket splits it; a split
+// inserts one bucket label into the top level, whose relabeling cost
+// amortizes to O(lg n) per split, i.e. O(lg n / kBucketCap) = O(1) per
+// item insert for any practical n.
 //
 // Item pointers are stable until explicitly erased: relabeling rewrites
 // label fields and bucket links but never moves or frees nodes, and
 // erase() frees only the erased node (plus its bucket once empty).
+//
+// Concurrency: the list takes no lock and keeps no version. The three
+// fields precedes() reads (item label, bucket label, Item::bucket) are
+// spr::atomic, rewritten with release stores and loaded with kLabelRead
+// (acquire), so a caller can validate precedes() against concurrent
+// inserts with its own seqlock (sphybrid/global_tier.hpp). On x86 both
+// orders compile to plain moves; serial callers pay only for the
+// compiler ordering around them (1-2% on spbench's service workloads).
 //
 // Items and buckets come from per-list free-list pools (util/arena.hpp):
 // inserts are pointer bumps, erase/insert churn recycles slots, and the
@@ -29,13 +38,23 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "om/list_labeling.hpp"
 #include "util/arena.hpp"
+#include "util/atomics.hpp"
 
 namespace spr::om {
 
 class OrderList {
  public:
+  // Every load in precedes(). The MC suite demotes it to relaxed
+  // (-DSPR_MC_SEED_BUG_SEQLOCK_RELAXED, MC builds only) to prove the
+  // checker catches the torn label pair a seqlock reader then validates.
+#if defined(SPR_MODEL_CHECK) && defined(SPR_MC_SEED_BUG_SEQLOCK_RELAXED)
+  static constexpr std::memory_order kLabelRead =
+      std::memory_order_relaxed;  // SEEDED BUG — never set outside MC
+#else
+  static constexpr std::memory_order kLabelRead = std::memory_order_acquire;
+#endif
+
   struct Stats {
     std::uint64_t inserts = 0;        ///< items inserted
     std::uint64_t erases = 0;         ///< items reclaimed
@@ -48,14 +67,14 @@ class OrderList {
   struct Bucket;
 
   struct Item {
-    std::uint64_t label = 0;
+    spr::atomic<std::uint64_t> label{0};
     Item* prev = nullptr;  ///< within bucket
     Item* next = nullptr;  ///< within bucket
-    Bucket* bucket = nullptr;
+    spr::atomic<Bucket*> bucket{nullptr};
   };
 
   struct Bucket {
-    std::uint64_t label = 0;
+    spr::atomic<std::uint64_t> label{0};
     Bucket* prev = nullptr;
     Bucket* next = nullptr;
     Item* first = nullptr;
@@ -67,7 +86,7 @@ class OrderList {
   /// inserted after it, directly or transitively.
   OrderList() {
     Bucket* b = bucket_pool_.create();
-    b->label = kTopMax / 2;
+    b->label.store(kTopMax / 2, std::memory_order_relaxed);
     root_ = new_item(kLocalMax / 2, b);
     b->first = b->last = root_;
     b->count = 1;
@@ -85,19 +104,14 @@ class OrderList {
 
   /// Inserts a new item immediately after `x`.
   Item* insert_after(Item* x) {
-    Bucket* b = x->bucket;
+    Bucket* b = bucket_of(x);
     if (b->count >= kBucketCap) {
       split(b);
-      b = x->bucket;  // x may now live in the new right half
+      b = bucket_of(x);  // x may now live in the new right half
     }
-    Item* succ = x->next;
-    const std::uint64_t hi = succ != nullptr ? succ->label : kLocalMax;
-    if (hi - x->label < 2) {
-      rebalance(b);
-      succ = x->next;
-    }
-    const std::uint64_t hi2 = succ != nullptr ? succ->label : kLocalMax;
-    Item* item = new_item(x->label + (hi2 - x->label) / 2, b);
+    if (gap_after(x) < 2) rebalance(b);
+    Item* const succ = x->next;
+    Item* item = new_item(label_of(x) + gap_after(x) / 2, b);
     item->prev = x;
     item->next = succ;
     x->next = item;
@@ -115,7 +129,7 @@ class OrderList {
   /// caller must not dereference `x` afterward. Deletion never perturbs
   /// labels, so every other Item pointer and all orderings survive.
   void erase(Item* x) {
-    Bucket* b = x->bucket;
+    Bucket* b = bucket_of(x);
     if (x->prev != nullptr)
       x->prev->next = x->next;
     else
@@ -138,8 +152,11 @@ class OrderList {
 
   /// True iff `a` is strictly before `b` in the maintained order.
   bool precedes(const Item* a, const Item* b) const {
-    if (a->bucket != b->bucket) return a->bucket->label < b->bucket->label;
-    return a->label < b->label;
+    const Bucket* const ba = a->bucket.load(kLabelRead);
+    const Bucket* const bb = b->bucket.load(kLabelRead);
+    if (ba != bb)
+      return ba->label.load(kLabelRead) < bb->label.load(kLabelRead);
+    return a->label.load(kLabelRead) < b->label.load(kLabelRead);
   }
 
   std::size_t size() const { return size_; }
@@ -156,10 +173,28 @@ class OrderList {
   static constexpr int kTopLog = 62;
   static constexpr std::uint64_t kTopMax = 1ULL << kTopLog;  // top labels
 
+  // The writer's own reads: only the writer rewrites these fields.
+  static Bucket* bucket_of(const Item* x) {
+    return x->bucket.load(std::memory_order_relaxed);
+  }
+  static std::uint64_t label_of(const Item* x) {
+    return x->label.load(std::memory_order_relaxed);
+  }
+  static std::uint64_t label_of(const Bucket* b) {
+    return b->label.load(std::memory_order_relaxed);
+  }
+
+  /// Free local labels between `x` and its successor in the bucket.
+  static std::uint64_t gap_after(const Item* x) {
+    return (x->next != nullptr ? label_of(x->next) : kLocalMax) - label_of(x);
+  }
+
+  /// A fresh item: unreachable by any reader until the caller hands it
+  /// out, so its fields need no release.
   Item* new_item(std::uint64_t label, Bucket* b) {
     Item* it = item_pool_.create();
-    it->label = label;
-    it->bucket = b;
+    it->label.store(label, std::memory_order_relaxed);
+    it->bucket.store(b, std::memory_order_relaxed);
     return it;
   }
 
@@ -168,7 +203,7 @@ class OrderList {
     const std::uint64_t stride = kLocalMax / (b->count + 1);
     std::uint64_t label = stride;
     for (Item* it = b->first; it != nullptr; it = it->next) {
-      it->label = label;
+      it->label.store(label, std::memory_order_release);
       label += stride;
       ++stats_.items_moved;
     }
@@ -191,7 +226,8 @@ class OrderList {
     b->count = keep;
     it->next = nullptr;
     nb->first->prev = nullptr;
-    for (Item* m = nb->first; m != nullptr; m = m->next) m->bucket = nb;
+    for (Item* m = nb->first; m != nullptr; m = m->next)
+      m->bucket.store(nb, std::memory_order_release);
     // Link nb after b in the bucket list.
     nb->prev = b;
     nb->next = b->next;
@@ -203,19 +239,63 @@ class OrderList {
   }
 
   /// Gives the freshly linked `nb` (successor of `b`) a top label: the
-  /// midpoint of the gap to the next bucket, or a density-window relabel
-  /// (om/list_labeling.hpp) when the gap is gone.
+  /// midpoint of the gap to the next bucket, or relabel_top when the gap
+  /// is gone.
   void assign_top_label(Bucket* b, Bucket* nb) {
-    const std::uint64_t lo = b->label;
-    const std::uint64_t hi = nb->next != nullptr ? nb->next->label : kTopMax;
+    const std::uint64_t lo = label_of(b);
+    const std::uint64_t hi =
+        nb->next != nullptr ? label_of(nb->next) : kTopMax;
     if (hi - lo >= 2) {
-      nb->label = lo + (hi - lo) / 2;
+      nb->label.store(lo + (hi - lo) / 2, std::memory_order_release);
       return;
     }
-    stats_.items_moved += relabel_window(
-        b, nb, kTopLog, [](const Bucket* x) { return x->label; },
-        [](Bucket* x, std::uint64_t l) { x->label = l; });
+    stats_.items_moved += relabel_top(b, nb);
     ++stats_.top_relabels;
+  }
+
+  /// Density-window relabel of the top level (Bender et al.): `fresh`
+  /// has just been linked right after `prev`, unlabeled. The smallest
+  /// aligned window [base, base + 2^i) around prev's label whose
+  /// occupancy (fresh included) is below the level's overflow threshold
+  /// is spread evenly; buckets outside it keep their labels. Thresholds
+  /// decay geometrically with window size (tau = 2^(1/4)), so the cost
+  /// amortizes to O(lg n) label writes per bucket split instead of
+  /// degrading quadratically under single-point insertion storms.
+  /// Returns the number of labels written.
+  static std::uint64_t relabel_top(Bucket* prev, Bucket* fresh) {
+    const std::uint64_t lo = label_of(prev);
+    Bucket* first = prev;
+    Bucket* last = fresh;
+    std::uint64_t count = 2;  // prev and fresh
+    std::uint64_t base = 0;
+    std::uint64_t width = kTopMax;
+    // Windows nest, so each level widens the last one's [first, last].
+    // The widest, [0, kTopMax), holds every bucket: if no level passes
+    // (impossible below 2^(kTopLog - 1) buckets), the whole level is
+    // renumbered.
+    for (int i = 6; i <= kTopLog; ++i) {
+      const std::uint64_t w = 1ULL << i;
+      const std::uint64_t bw = lo & ~(w - 1);
+      while (first->prev != nullptr && label_of(first->prev) >= bw) {
+        first = first->prev;
+        ++count;
+      }
+      while (last->next != nullptr && label_of(last->next) - bw < w) {
+        last = last->next;
+        ++count;
+      }
+      if (count + 1 <= (w >> 1) && count <= (w >> (i / 4))) {
+        base = bw;
+        width = w;
+        break;
+      }
+    }
+    const std::uint64_t stride = width / (count + 1);
+    std::uint64_t l = base;
+    for (Bucket* cur = first;; cur = cur->next) {
+      cur->label.store(l += stride, std::memory_order_release);
+      if (cur == last) return count;
+    }
   }
 
   Item* root_ = nullptr;

@@ -6,13 +6,13 @@
 // join counter) orders the cross-worker hand-off of subtree set roots.
 //
 // Each set root carries one atomic word: the S/P flag, the trace that
-// classified the set, and the index of a global-tier segment pair (that
+// classified the set, and the index of a global-tier item pair (that
 // trace's pair at classify time, or the pair a later steal re-pointed the
 // set to). For u != v, v running in trace t:
 //  - P, or never classified: u || v (this covers an unexecuted u);
 //  - S, classified by t itself: u precedes v;
-//  - S from another trace: the caller compares the word's segment pair
-//    with t's (Theorem 4 over trace segments; sphybrid/README.md proves
+//  - S from another trace: the caller compares the word's item pair
+//    with t's (Theorem 4 over trace pairs; sphybrid/README.md proves
 //    that find(u)'s word is the one this rule needs).
 
 #include <atomic>
@@ -32,7 +32,7 @@ class TraceBags {
   }
 
   /// Classifies a completed subtree's set (between_children of the
-  /// enclosing node), written by the trace `trace` whose own segment pair
+  /// enclosing node), written by the trace `trace` whose own item pair
   /// is `pair`. A parallel set needs neither.
   void classify(std::uint32_t set_member, bool serial, std::uint32_t trace,
                 std::uint32_t pair) {
@@ -58,7 +58,7 @@ class TraceBags {
   }
 
   /// Query for any u != v, v running in trace `trace`. kMiss leaves the
-  /// word's pair index in `pair` for the caller's segment comparison.
+  /// word's pair index in `pair` for the caller's pair comparison.
   enum class Answer : std::uint8_t { kSerial, kParallel, kMiss };
   Answer precedes_fast(tree::ThreadId u, std::uint32_t trace,
                        std::uint32_t& pair) const {

@@ -4,7 +4,7 @@
 // The owner pushes and pops at the bottom; thieves steal from the top, so
 // a steal always takes the OLDEST pending continuation. That discipline is
 // load-bearing for SP-hybrid: the stolen node is the shallowest pending
-// fork of the victim, which is exactly what keeps the steal-time segment
+// fork of the victim, which is exactly what keeps the steal-time global-tier
 // split sound, as long as one victim's splits also run in steal order
 // (locked_steal below; see sphybrid/README.md).
 //

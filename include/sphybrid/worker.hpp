@@ -11,10 +11,13 @@
 //    finish continues past the join (the first abandons and goes back to
 //    pop/steal).
 // Mode::kHybrid keeps SP-bags over traces (spbags/trace_bags.hpp) as the
-// local tier and one segment pair per trace in two SegmentLists as the
-// global tier. A trace is minted only by a steal: the thief takes the
-// OLDEST continuation (deque top) under the victim's steal lock and makes
-// exactly 3 global OM insertions; every other SP-maintenance operation is
+// local tier and one item pair per trace in the global tier's two
+// OrderLists (sphybrid/global_tier.hpp). A trace is minted only by a
+// steal: the thief takes the OLDEST continuation (deque top) under the
+// victim's steal lock and makes exactly 3 global OM insertions inside the
+// tier's seqlock write section; every query that reaches the tier reads
+// both orders under one validated read, and each worker counts its own
+// failed validations. Every other SP-maintenance operation is
 // trace-local and lock-free, and every join continuation resumes the
 // trace that entered the node (sphybrid/README.md has the rule and its
 // proof). Mode::kNaive keeps a per-node SP-order (order::split over two
@@ -23,10 +26,11 @@
 // no SP maintenance (the T_P baseline).
 //
 // Counters are measured, not modeled: steals/splits come from the deques,
-// om_inserts from the structures that take locked insertions (kHybrid's
-// segment counts, kNaive's item counts), and lock_wait_ns from time
-// spent in locked global sections. Since a steal mints the only new
-// trace, a run has steals + 1 traces, within Section 5's 4*steals + 1.
+// om_inserts from the structures that take locked insertions (the item
+// counts of kHybrid's global tier and of kNaive's SP-order), and
+// lock_wait_ns from time spent in locked global sections. Since a steal
+// mints the only new trace, a run has steals + 1 traces, within Section
+// 5's 4*steals + 1.
 
 #include <atomic>
 #include <cstdint>
@@ -41,7 +45,7 @@
 #include "race/stream/shadow_shards.hpp"
 #include "spbags/trace_bags.hpp"
 #include "sphybrid/deque.hpp"
-#include "sphybrid/segment_list.hpp"
+#include "sphybrid/global_tier.hpp"
 #include "sporder/sp_order.hpp"
 #include "sptree/sp_maintenance.hpp"
 #include "util/rng.hpp"
@@ -75,7 +79,7 @@ struct ExecResult {
   /// Time inside the thieves' split sections (and kNaive's SP lock);
   /// shadow shard-lock waits are not counted.
   std::uint64_t lock_wait_ns = 0;
-  std::uint64_t query_retries = 0;  ///< failed lock-free query attempts
+  std::uint64_t query_retries = 0;  ///< failed global-tier validations
   std::uint64_t repoint_walk = 0;   ///< S-ancestors the splits visited
   std::uint64_t race_count = 0;
   std::uint64_t checksum = 0;
@@ -132,8 +136,7 @@ class WorkStealingEngine {
       entry_trace_ = std::make_unique<std::atomic<std::uint32_t>[]>(nn);
       // Written once per steal before anyone can read them: no zeroing.
       pairs_ = std::make_unique_for_overwrite<Pair[]>(2 * nn);
-      pairs_[static_cast<std::size_t>(tree_.root())] = {eng_.root(),
-                                                         heb_.root()};
+      pairs_[static_cast<std::size_t>(tree_.root())] = tier_.root();
       // Parents have larger ids than their children: one downward sweep.
       s_above_ = std::make_unique_for_overwrite<tree::NodeId[]>(nn);
       for (tree::NodeId id = static_cast<tree::NodeId>(nn); id-- > 0;) {
@@ -182,17 +185,14 @@ class WorkStealingEngine {
       r.fast_queries += w->fast_queries;
       r.lock_wait_ns += w->lock_wait_ns;
       r.repoint_walk += w->repoint_walk;
+      r.query_retries += w->query_retries;
       spin ^= w->spin_xor;
       digest += w->digest_sum;
     }
     r.checksum = spin + digest;
     r.race_count = race_count_.load(std::memory_order_relaxed);
     if (naive_ != nullptr) r.om_inserts = naive_->inserts();
-    if (bags_ != nullptr) {
-      // Every segment but the two roots is a global-tier insertion.
-      r.om_inserts = eng_.size() + heb_.size() - 2;
-      r.query_retries = eng_.query_retries() + heb_.query_retries();
-    }
+    if (bags_ != nullptr) r.om_inserts = tier_.inserts();
     util::do_not_optimize(r.checksum);
     return r;
   }
@@ -205,13 +205,7 @@ class WorkStealingEngine {
   }
 
  private:
-  using Segment = SegmentList::Segment;
-
-  /// A place in the global tier: an English and a Hebrew segment.
-  struct Pair {
-    Segment* eng;
-    Segment* heb;
-  };
+  using Pair = GlobalTier::Pair;
 
   /// kNaive's per-node SP-order: serial SP-order's split rule applied to
   /// nodes entered out of English order, so every node keeps its slot.
@@ -269,6 +263,7 @@ class WorkStealingEngine {
     std::uint64_t fast_queries = 0;  ///< answered by SP-bags alone
     std::uint64_t lock_wait_ns = 0;
     std::uint64_t repoint_walk = 0;
+    std::uint64_t query_retries = 0;
     std::uint64_t spin_xor = 0;
     std::uint64_t digest_sum = 0;
   };
@@ -306,7 +301,7 @@ class WorkStealingEngine {
 
   /// On-the-fly query: u any other thread (completed, running, a recorded
   /// accessor or unexecuted), v executing on `w`. kHybrid asks SP-bags,
-  /// then the global tier with Theorem 4 over segment pairs.
+  /// then the global tier with Theorem 4 over item pairs.
   bool answer(WorkerCtx& w, tree::ThreadId u, tree::ThreadId v) {
     if (naive_ != nullptr) {
       const util::Stopwatch sw;
@@ -320,9 +315,7 @@ class WorkStealingEngine {
       ++w.fast_queries;
       return fast == bags::TraceBags::Answer::kSerial;
     }
-    const Pair& a = pairs_[pair];
-    const Pair& b = pairs_[w.cur_trace];
-    return eng_.less(a.eng, b.eng) && heb_.less(a.heb, b.heb);
+    return tier_.precedes(pairs_[pair], pairs_[w.cur_trace], w.query_retries);
   }
 
   void detect(WorkerCtx& w, tree::ThreadId v) {
@@ -424,25 +417,22 @@ class WorkStealingEngine {
 
   /// kHybrid's split, run by the thief of `stolen` = X.right under the
   /// victim's steal lock: the thief's trace (named `stolen`) gets its
-  /// own English segment right after the victim trace's, and a Hebrew
-  /// segment right before it, behind a fresh `pre` segment. The S-sets
-  /// at X's ancestors that still carry the victim's pair move to
-  /// (victim English, pre). 3 global inserts.
+  /// own English item right after the victim trace's, and a Hebrew item
+  /// right before it, behind a fresh `pre` item. The S-sets at X's
+  /// ancestors that still carry the victim's pair move to (victim
+  /// English, pre). 3 global inserts.
   void split(WorkerCtx& w, tree::NodeId stolen) {
     const util::Stopwatch sw;
     const tree::NodeId x = tree_.node(stolen).parent;
     const std::size_t xi = static_cast<std::size_t>(x);
     const std::uint32_t victim =
         entry_trace_[xi].load(std::memory_order_relaxed);
-    const Pair v = pairs_[victim];
-    Segment* const r_eng = eng_.insert_after(v.eng);
-    Segment* const pre = heb_.insert_before(v.heb);
-    Segment* const r_heb = heb_.insert_before(v.heb);
+    const GlobalTier::Split s = tier_.split(pairs_[victim]);
     const auto thief = static_cast<std::uint32_t>(stolen);
     const auto repointed =
         static_cast<std::uint32_t>(tree_.node_count() + xi);
-    pairs_[static_cast<std::size_t>(stolen)] = {r_eng, r_heb};
-    pairs_[repointed] = {v.eng, pre};
+    pairs_[static_cast<std::size_t>(stolen)] = s.thief;
+    pairs_[repointed] = s.repointed;
     // Re-point the S-sets above X that still carry the victim's pair.
     // They are the lowest ones on X's chain of S-ancestors that X lies
     // right of, so the walk stops at the first set that does not.
@@ -507,8 +497,7 @@ class WorkStealingEngine {
   std::unique_ptr<std::atomic<std::uint32_t>[]> entry_trace_;
   std::unique_ptr<tree::NodeId[]> s_above_;
   std::unique_ptr<Pair[]> pairs_;
-  SegmentList eng_;
-  SegmentList heb_;
+  GlobalTier tier_;
   std::unique_ptr<NaiveSp> naive_;  ///< kNaive
   std::mutex naive_mu_;             ///< kNaive's global SP lock
   std::vector<std::unique_ptr<WorkerCtx>> workers_;

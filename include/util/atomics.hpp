@@ -1,8 +1,8 @@
 #pragma once
 // Atomics policy layer: the single point where the lock-free core binds
 // to a memory model. Every concurrent structure in the library
-// (sphybrid/deque.hpp, sphybrid/segment_list.hpp, spbags/dsu.hpp,
-// race/stream/shadow_shards.hpp)
+// (sphybrid/deque.hpp, sphybrid/global_tier.hpp and the om/order_list.hpp
+// fields its readers load, spbags/dsu.hpp, race/stream/shadow_shards.hpp)
 // declares its shared state as spr::atomic<T> / spr::mutex /
 // spr::spin_lock and backs off in retry loops via spr::spin_pause(),
 // never touching <atomic> or <thread> directly.
@@ -19,7 +19,7 @@
 // Memory orders stay spelled as std::memory_order in client code; the
 // model checker consumes the same enum. There is no standalone fence:
 // every happens-before edge rides on an atomic access, which TSan and the
-// checker both model (sphybrid/segment_list.hpp's seqlock comment).
+// checker both model (sphybrid/global_tier.hpp's seqlock comment).
 //
 // spr::spin_lock is defined once, below both branches, on spr::atomic:
 // under the checker it is explored like any other atomic protocol, not

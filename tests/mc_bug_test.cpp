@@ -11,11 +11,12 @@
 //    happens-before edge to the slot write and can steal a stale slot
 //    value; the conservation oracle (stolen ∪ drained == pushed) trips.
 //  - mc_bug_seqlock_test (-DSPR_MC_SEED_BUG_SEQLOCK_RELAXED): demotes
-//    SegmentList::kLabelRead, every label load of SegmentList::less,
-//    from acquire to relaxed. Reading a mid-relabel label no longer
-//    synchronizes with the relabeler, so the seqlock validation can
-//    re-read the stale even version and vouch for a torn (old, new)
-//    label pair, flipping an order verdict of tests/mc_seqlock_episode.hpp.
+//    OrderList::kLabelRead, every load of OrderList::precedes, from
+//    acquire to relaxed. Reading a label a bucket split rewrote no longer
+//    synchronizes with the splitting thief, so the global tier's seqlock
+//    validation can re-read the stale even version and vouch for a torn
+//    (old, new) label pair, flipping an order verdict of
+//    tests/mc_seqlock_episode.hpp.
 //  - mc_bug_shardlock_test (-DSPR_MC_SEED_BUG_SHARD_LOCK_SPLIT): splits
 //    spr::spin_lock's acquire exchange into a load and a separate store.
 //    Two threads can both read the lock free before either sets it, so
@@ -93,7 +94,7 @@ TEST(McSeededBug, SeqlockRelaxedLabelReadIsCaught) {
   o.random_schedules = 40000;
   o.stale_read_budget = 4;
   const mc::Episode episode = [](mc::Run& r) {
-    spr::mc_episodes::seqlock_relabel_vs_reader(r);
+    spr::mc_episodes::seqlock_split_vs_reader(r);
   };
   const mc::Stats st = mc::explore(o, episode);
   ASSERT_TRUE(st.failed)

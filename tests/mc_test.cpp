@@ -24,12 +24,12 @@
 #include "race/stream/service.hpp"
 #include "spbags/dsu.hpp"
 #include "sphybrid/deque.hpp"
-#include "sphybrid/segment_list.hpp"
+#include "sphybrid/global_tier.hpp"
 
 namespace mc = spr::mc;
 using spr::bags::AtomicDisjointSets;
 using spr::hybrid::ChaseLevDeque;
-using spr::hybrid::SegmentList;
+using spr::hybrid::GlobalTier;
 
 namespace {
 
@@ -157,42 +157,52 @@ TEST(McSuite, DequeGrowDuringSteal) {
 // ---------------------------------------------------------------------
 // Scenario 3: two thieves steal from one victim's deque at once. The
 // victim pushed X1.right, then X2.right for a fork X2 inside X1.left, so
-// in Hebrew order X1.right's segment must come before X2.right's (both
-// land right before the victim's segment). Each thief runs the engine's
-// locked_steal: try-lock the victim, CAS the deque top, split. Oracle:
-// whenever both steal, their Hebrew segments follow deque order, and the
-// deeper task is never stolen without the shallower one.
+// X1.right's split must come first: its `pre` item lands before X2.right's
+// thief item in Hebrew order, and X2.right's `pre` after X1.right's thief
+// item. Each thief runs the engine's locked_steal: try-lock the victim,
+// CAS the deque top, GlobalTier::split. Oracle: the deeper task is never
+// stolen without the shallower one; each thief runs parallel to the
+// victim and after its own re-pointed pair; and when both steal, the
+// S-sets above X1 precede X2.right's trace while those above X2 (inside
+// X1.left) run parallel to X1.right's.
 
 TEST(McSuite, TwoThievesSplitInDequeOrder) {
   int both = 0;
   const mc::Stats st = mc::explore(base_options(), [&](mc::Run& r) {
     ChaseLevDeque<int> d;
     spr::spin_lock victim_lock;
-    SegmentList heb;
-    SegmentList::Segment* const victim = heb.root();
+    GlobalTier tier;
+    const GlobalTier::Pair victim = tier.root();
     d.push_bottom(1);  // X1.right: the shallower fork, pushed first
     d.push_bottom(2);  // X2.right
-    SegmentList::Segment* thief_seg[3] = {};
+    GlobalTier::Split got[3] = {};
     const auto thief = [&] {
       int task = 0;
-      spr::hybrid::locked_steal(victim_lock, d, task, [&](int t) {
-        heb.insert_before(victim);  // pre: the re-pointed ancestors' segment
-        thief_seg[t] = heb.insert_before(victim);
-      });
+      spr::hybrid::locked_steal(victim_lock, d, task,
+                                [&](int t) { got[t] = tier.split(victim); });
     };
     r.spawn(thief);
     r.spawn(thief);
     r.join_all();
-    SPR_MC_ASSERT(thief_seg[2] == nullptr || thief_seg[1] != nullptr,
+    const bool stole1 = got[1].thief.eng != nullptr;
+    const bool stole2 = got[2].thief.eng != nullptr;
+    SPR_MC_ASSERT(!stole2 || stole1,
                   "the deeper continuation was stolen first");
-    if (thief_seg[2] != nullptr) {
-      ++both;
-      SPR_MC_ASSERT(heb.less(thief_seg[1], thief_seg[2]),
-                    "Hebrew order of the thieves' segments breaks deque order");
+    std::uint64_t retries = 0;
+    for (const int t : {1, 2}) {
+      if (got[t].thief.eng == nullptr) continue;
+      SPR_MC_ASSERT(!tier.precedes(got[t].thief, victim, retries) &&
+                        !tier.precedes(victim, got[t].thief, retries),
+                    "a thief's trace must run parallel to the victim's");
+      SPR_MC_ASSERT(tier.precedes(got[t].repointed, got[t].thief, retries),
+                    "the re-pointed S-sets must precede the thief's trace");
     }
-    for (const SegmentList::Segment* s : {thief_seg[1], thief_seg[2]})
-      SPR_MC_ASSERT(s == nullptr || heb.less(s, victim),
-                    "a thief's Hebrew segment must precede the victim's");
+    if (stole2) {
+      ++both;
+      SPR_MC_ASSERT(tier.precedes(got[1].repointed, got[2].thief, retries) &&
+                        !tier.precedes(got[2].repointed, got[1].thief, retries),
+                    "the thieves' splits break deque order");
+    }
   });
   ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
   report("two_thieves_split_order", st);
@@ -241,20 +251,21 @@ TEST(McSuite, DsuConcurrentFindVsUnite) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario 5: a SegmentList insert finds no label gap and relabels a
-// window of segments under the seqlock while a lock-free reader compares
-// two segments whose labels cross between epochs.
+// Scenario 5: a steal whose insert splits a full bucket of the reversed
+// Hebrew list, inside the global tier's seqlock write section, while a
+// lock-free GlobalTier::precedes() reader compares pairs whose items the
+// split relabels, with labels that cross between epochs.
 // Oracle (tests/mc_seqlock_episode.hpp): the reader's verdicts match the
 // maintained order on every schedule — and some schedule must tear a read
 // and force a seqlock retry.
 
-TEST(McSuite, SegmentRelabelVsReader) {
+TEST(McSuite, GlobalTierSplitVsReader) {
   int retried = 0;
   const mc::Stats st = mc::explore(base_options(), [&](mc::Run& r) {
-    if (spr::mc_episodes::seqlock_relabel_vs_reader(r) > 0) ++retried;
+    if (spr::mc_episodes::seqlock_split_vs_reader(r) > 0) ++retried;
   });
   ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
-  report("segment_relabel_vs_reader", st);
+  report("global_tier_split_vs_reader", st);
   EXPECT_GT(retried, 0) << "no schedule made the reader's seqlock retry";
 }
 

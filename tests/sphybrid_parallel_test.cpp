@@ -7,7 +7,7 @@
 // digest of all per-leaf query answers plus the leaf work) must equal the
 // serial reference executor's. The paper's counter claim is asserted
 // against MEASURED counts: om_inserts == 3 * splits (3 global-tier
-// inserts per steal, counted from the segment lists, not the deques).
+// inserts per steal, counted from the global tier's lists, not the deques).
 // The race-detection protocol must stay deterministic: an injected
 // write-write race is reported at every worker count, and a clean
 // program never reports one.
@@ -121,7 +121,7 @@ TEST(SpHybridParallel, CorpusOnTheFlyAtFourWorkers) {
 
 TEST(SpHybridParallel, SegmentTierMatchesSerialUnderSteals) {
   // Programs big enough that thieves split traces often, so many answers
-  // come from the segment pairs rather than the set-root word alone.
+  // come from the item pairs rather than the set-root word alone.
   std::uint64_t steals = 0, segment_answers = 0;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const auto t = spr::fj::lower_to_parse_tree(

@@ -41,7 +41,7 @@ TEST(Hybrid, ModesRunAndCountersHold) {
                 2ull * (t.node_count() - t.leaf_count()));
     } else if (mode == Mode::kHybrid) {
       // Hybrid pays locked insertions only on steals: exactly 3 global
-      // segment inserts per trace split (measured, not modeled).
+      // global-tier inserts per trace split (measured, not modeled).
       EXPECT_EQ(r.om_inserts, 3 * r.splits);
       EXPECT_GE(r.steals, r.splits);
     } else {
@@ -191,7 +191,7 @@ TEST(Util, TablePrintsAlignedColumns) {
   EXPECT_NE(out.find("-+-"), std::string::npos);
 }
 
-// The spin lock (shadow shards, SP-hybrid segments): a plain (non-atomic)
+// The spin lock (shadow shards, SP-hybrid steals): a plain (non-atomic)
 // counter stays exact only if lock/unlock exclude each other, and under
 // TSan a missing acquire or release shows up as a data race on the counter.
 TEST(Util, SpinLockCountsExactly) {

@@ -107,7 +107,7 @@ TEST(Dsu, AtomicMatchesSerialPartition) {
 // united them and classified the set S while running trace 3, then went
 // on to leaf 2. Leaf 2's query is answered by the word: the classifying
 // trace is the querying one. Leaf 3 never ran and leaf 4's set is
-// classified P, so both are parallel to leaf 2 without a segment query.
+// classified P, so both are parallel to leaf 2 without a pair query.
 TEST(TraceBags, SerialSetClassifiedByQueryingTraceAnswersFromWord) {
   constexpr std::uint32_t kLeafTrace = 7, kJoinTrace = 3;
   TraceBags bags(5);
@@ -124,7 +124,7 @@ TEST(TraceBags, SerialSetClassifiedByQueryingTraceAnswersFromWord) {
   EXPECT_EQ(bags.precedes_fast(4, kJoinTrace, pair),
             TraceBags::Answer::kParallel);
   EXPECT_EQ(pair, ~0u) << "decided answers leave the pair untouched";
-  // Another trace must compare segment pairs: the word hands it the
+  // Another trace must compare item pairs: the word hands it the
   // classifying trace's pair, and a re-point replaces exactly that pair.
   EXPECT_EQ(bags.precedes_fast(0, kLeafTrace, pair), TraceBags::Answer::kMiss);
   EXPECT_EQ(pair, kJoinTrace);
