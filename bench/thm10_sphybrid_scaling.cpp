@@ -24,12 +24,16 @@
 // its locked OM insertions (2 per internal node, so Theta(T1) of them)
 // and the time spent waiting for and holding that lock.
 //
-// A last table runs race detection (kHybrid with detect_races) on a racy
-// stencil, whose phases are right-deep P-chains of chunks: thieves keep
-// splitting one trace, so this is the row where most SP queries miss
-// SP-bags' set-root word and take the item-pair path. Its rows give
-// T_P, kPlain's speedup from the same run, steals, split time, queries,
-// the share answered by SP-bags alone and failed seqlock validations;
+// Two last tables run race detection (kHybrid with detect_races) on a
+// racy stencil. In the first, each phase is the right-deep P-chain of
+// chunks the lowering gives a parallel loop: thieves keep splitting one
+// trace, so this is the row where most SP queries miss SP-bags' set-root
+// word and take the item-pair path, and its parallelism T1/Tinf is ~18.
+// The second regroups each phase's chunks into a balanced binary tree of
+// pars (the shape a cilk_for lowers to), with ample parallelism. Their
+// rows give T_P, kPlain's speedup from the same run, steals, split time,
+// queries, the share answered by SP-bags alone, failed seqlock
+// validations, and the shadow's lost cell CASes and overflow accesses;
 // every repetition's race count must equal the serial reference's.
 //
 // Every repetition's checksum is cross-checked against the serial
@@ -234,16 +238,20 @@ bool bench_detection(const std::string& name, const spr::tree::ParseTree& t) {
   oracle.queries_per_leaf = 2;
   oracle.detect_races = true;
   const ExecResult ref = spr::hybrid::run_parallel(t, oracle);
-  std::cout << "\n-- race detection, " << name << ": n=" << t.leaf_count()
-            << ", serial reference " << ref.race_count << " races --\n";
+  const auto m = spr::tree::compute_metrics(t);
+  std::cout << "\n-- race detection, " << name << ": n=" << m.threads
+            << ", T1=" << m.work << ", Tinf=" << m.span
+            << ", T1/Tinf=" << m.work / m.span << ", serial reference "
+            << ref.race_count << " races --\n";
   const auto ok = [&](const ExecResult& r) {
     return r.checksum == ref.checksum && r.race_count == ref.race_count &&
            r.om_inserts == 3 * r.splits;
   };
 
-  spr::util::Table table({"P", "plain T_P", "detect T_P", "speedup(plain)",
-                          "steals", "lock wait", "queries", "fast/queries",
-                          "qry retries", "races", "answers"});
+  spr::util::Table table({"P", "T1/Tinf", "plain T_P", "detect T_P",
+                          "speedup(plain)", "steals", "lock wait", "queries",
+                          "fast/queries", "qry retries", "cell retries",
+                          "overflows", "races", "answers"});
   double plain_p1 = 0;
   bool all_ok = true;
   for (const unsigned workers : {1u, 2u, 4u}) {
@@ -258,6 +266,7 @@ bool bench_detection(const std::string& name, const spr::tree::ParseTree& t) {
     const double plain_speedup = plain_p1 / rp.elapsed_s;
     const double fast_ratio = ratio(rd.fast_queries, rd.queries);
     table.add_row({std::to_string(workers),
+                   std::to_string(m.work / m.span),
                    spr::util::fmt_ns(rp.elapsed_s * 1e9),
                    spr::util::fmt_ns(rd.elapsed_s * 1e9),
                    spr::util::fmt_double(plain_speedup, 2) + "x",
@@ -266,6 +275,8 @@ bool bench_detection(const std::string& name, const spr::tree::ParseTree& t) {
                    std::to_string(rd.queries),
                    spr::util::fmt_double(fast_ratio, 4),
                    std::to_string(rd.query_retries),
+                   std::to_string(rd.shadow_retries),
+                   std::to_string(rd.shadow_overflows),
                    std::to_string(rd.race_count),
                    cd.all_ok ? "match" : "MISMATCH"});
     metric_head(name, "detect", workers, rd)
@@ -273,6 +284,9 @@ bool bench_detection(const std::string& name, const spr::tree::ParseTree& t) {
         << ",\"fast_queries\":" << rd.fast_queries
         << ",\"fast_query_ratio\":" << fast_ratio
         << ",\"query_retries\":" << rd.query_retries
+        << ",\"shadow_retries\":" << rd.shadow_retries
+        << ",\"shadow_overflows\":" << rd.shadow_overflows
+        << ",\"work\":" << m.work << ",\"span\":" << m.span
         << ",\"race_count\":" << rd.race_count
         << ",\"plain_speedup\":" << plain_speedup
         << ",\"all_ok\":" << (cd.all_ok ? "true" : "false") << "}\n";
@@ -305,6 +319,10 @@ int main() {
   ok = bench_detection("stencil(2^17, 16), racy",
                        spr::fj::lower_to_parse_tree(
                            spr::fj::make_stencil(1u << 17, 16, true))) &&
+       ok;
+  ok = bench_detection("balanced stencil(2^17, 16), racy",
+                       spr::fj::lower_to_parse_tree(spr::fj::balance_parallel(
+                           spr::fj::make_stencil(1u << 17, 16, true)))) &&
        ok;
   std::cout
       << "\nShape check (paper): hybrid overhead vs plain is a modest "

@@ -286,6 +286,37 @@ inline FjProg make_stencil(std::uint64_t n, std::uint32_t grain,
   return {seq(std::move(phases))};
 }
 
+namespace detail {
+
+/// A balanced binary tree of pars over children [lo, hi), in order.
+inline FjNode balanced_par(std::vector<FjNode>& children, std::size_t lo,
+                           std::size_t hi) {
+  if (hi - lo == 1) return std::move(children[lo]);
+  const std::size_t mid = lo + (hi - lo) / 2;
+  std::vector<FjNode> halves;
+  halves.push_back(balanced_par(children, lo, mid));
+  halves.push_back(balanced_par(children, mid, hi));
+  return par(std::move(halves));
+}
+
+inline void balance_parallel(FjNode& n) {
+  for (FjNode& c : n.children) balance_parallel(c);
+  if (n.kind == FjKind::kPar && n.children.size() > 2)
+    n = balanced_par(n.children, 0, n.children.size());
+}
+
+}  // namespace detail
+
+/// `prog` with the children of every parallel composition regrouped into
+/// a balanced binary tree of pars, the shape a cilk_for lowers to: the
+/// same threads in the same English order, so the same races, but a
+/// span that grows with the log of a loop's length instead of with it
+/// (lowering binarizes an n-ary par into a right-deep chain).
+inline FjProg balance_parallel(FjProg prog) {
+  detail::balance_parallel(prog.root);
+  return prog;
+}
+
 /// Parallel accumulation into one shared cell. With `use_lock` every
 /// access holds lock #1: still a determinacy race (nondeterministic
 /// order), but not a data race — the verdict contrast the ALL-SETS bench

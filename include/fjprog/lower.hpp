@@ -23,8 +23,7 @@ inline tree::NodeId lower_node(const FjNode& n, tree::ParseTree& out) {
       const tree::NodeId id =
           out.add_node(tree::NodeKind::kLeaf, tree::kNoNode, tree::kNoNode,
                        n.work);
-      auto& acc = out.mutable_accesses(out.node(id).thread);
-      acc = n.accesses;
+      out.add_accesses(out.node(id).thread, n.accesses);
       return id;
     }
     default: {

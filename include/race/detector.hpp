@@ -45,7 +45,7 @@ class DetectVisitor final : public tree::MaintenanceDriver<SpAlgo> {
  public:
   DetectVisitor(const tree::ParseTree& t, SpAlgo& sp)
       : tree::MaintenanceDriver<SpAlgo>(sp), tree_(t) {
-    shadow_.reserve(stream::estimate_footprint(t));
+    shadow_.reserve(t.footprint());
   }
 
   void visit_leaf(const tree::Node& n) override {

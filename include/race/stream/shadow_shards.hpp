@@ -1,7 +1,8 @@
 #pragma once
 // Shadow memory for every race detector in the repo.
 //
-// One cell table. Every shadow finds a location's state in a CellTable:
+// One cell table. Every one-owner shadow finds a location's state in a
+// CellTable:
 // an open-addressed, linear-probing table keyed by (stream, loc), whose
 // keys sit in two dense columns (loc, stream) beside one value column — a
 // ShadowCell for the determinacy protocol, a history-list head for
@@ -9,22 +10,22 @@
 // no per-cell allocation: a growth takes three columns of twice the size
 // from the table's own util::Arena, which frees nothing until the table
 // dies. Superseded columns stay allocated (at most as many bytes as the
-// live ones), but a growth never returns memory mid-run, so SP-hybrid's
-// workers, growing shards on every thread at once, never contend on the
-// system allocator's locks or its trims.
+// live ones), but a growth never returns memory mid-run, so tables that
+// grow at once never contend on the system allocator's locks or trims.
 //
 // Sized once where the program is known. A shadow whose whole program is
 // a tree::ParseTree — the serial detectors, SP-hybrid's engine and its
-// serial reference — reserve()s its table before the run from
-// estimate_footprint(t), a HyperLogLog count of the distinct locations
-// the tree touches, so the table never doubles mid-run (each doubling
-// rehashes every cell, ~1.5 moves per final cell over a run). The
-// estimate is only a starting size: a table that gets more cells still
-// grows. The raw access count is not used: on read-sharing programs
-// (stencil makes 4 accesses per location) it sizes tables ~4x too large,
-// and the extra first-touch page faults cost more than the growth saved.
-// Service streams arrive event by event with no footprint known, so
-// their tables start at kFirstCapacity and double.
+// serial reference — is sized before the run from t.footprint(), a
+// HyperLogLog count of the distinct locations the tree touches, kept by
+// the tree as its accesses are added, so a table never doubles mid-run
+// (each doubling rehashes every cell, ~1.5 moves per final cell over a
+// run) and no pass over the accesses precedes the run. The estimate is
+// only a starting size: a CellTable that gets more cells still grows.
+// The raw access count is not used: on read-sharing programs (stencil
+// makes 4 accesses per location) it sizes tables ~4x too large, and the
+// extra first-touch page faults cost more than the growth saved. Service
+// streams arrive event by event with no footprint known, so their tables
+// start at kMinCapacity and double.
 //
 // One owner, no lock. OwnedDeterminacyShadow and OwnedAllSetsShadow each
 // hold one CellTable and take no lock, because exactly one thread of
@@ -33,7 +34,7 @@
 // stream of the streaming service owns one, guarded by the stream mutex
 // its submitter already holds and freed by finish()
 // (race/stream/service.hpp). The stream is part of the key, so a table
-// can also hold several streams' cells, as a shard below does.
+// can also hold several streams' cells.
 //
 // OwnedAllSetsShadow is the lock-aware ALL-SETS protocol (Cheng et al.):
 // per (stream, location) a pruned history of (lockset, writer?) entries —
@@ -41,32 +42,48 @@
 // mirroring the determinacy protocol — with the entries drawn from a
 // free-list pool.
 //
-// Shared, sharded. DeterminacyShadow is for several threads applying
-// accesses at once — SP-hybrid's workers, which run one program and share
-// one shadow of 64 shards per worker. Locations hash-partition across a
-// power-of-two number of shards, each an OwnedDeterminacyShadow behind a
-// spr::spin_lock (util/atomics.hpp), so the per-cell rule keeps one body
-// and two workers only contend when their locations collide on a shard.
-// The lock spins rather than sleeps because a cell update holds it for
-// ~100 ns, far less than the futex sleep and wake-up a std::mutex pays on
-// each collision. It is built from spr::atomic, so the systematic
-// concurrency checker explores its handoffs (tests/mc_test.cpp).
+// Shared, lock-free. LockFreeDeterminacyShadow is the shadow of SP-hybrid's
+// workers (sphybrid/worker.hpp), which run one program and apply accesses
+// at once. It is one open-addressed table of 16-byte slots, each a key
+// word (loc + 1, claimed once by CAS from 0) and a cell word (the
+// ShadowCell packed by PackedCell), sized once to at most 3/4 load from
+// the footprint estimate and allocated already zeroed, so no serial fill
+// precedes the run. An access loads its cell, runs race::shadow_apply on
+// an unpacked copy and CASes the packed result back, retrying on failure;
+// only the attempt that lands counts its races, so the per-cell rule is
+// the one body every other shadow runs. No lock word or shared counter is
+// written per access: only the cache lines of the cells themselves move
+// between cores. A key whose kWindow-slot probe window is full of other
+// keys, and the one location whose key would be 0 (loc == ~0), go to a
+// mutex-guarded OwnedDeterminacyShadow overflow. Slots are never freed
+// during a run, so every worker routes a given key the same way, and the
+// verdicts stay exact however low the estimate was. The window is 512
+// slots because linear probing at the sizing limit pushes keys far from
+// home: inserting 0.75 x 2^k (0.78 x 2^k) keys into 2^k slots, for k =
+// 8..22 and both sequential and shuffled location orders, left some key
+// 181-190 (254-258) slots from home at k = 20..22, and up to ~1000
+// (~2500) keys beyond 64. A 64-slot window sent such keys to the
+// overflow on estimate-sized runs; 512 leaves twice the longest
+// distance seen. Only a key sent to the overflow scans the whole window.
+// The packed fields are 21 bits of thread id + 1, so the engine takes
+// detection only on trees of fewer than 2^21 - 1 threads
+// (require_thread_ids).
 //
-// Shard and slot come from disjoint bits. shard_of(loc) is bits 32 and
-// up of mix64(loc), and a cell's home slot in its table is the low bits
-// of cell_hash(stream, loc). For stream 0 (the SP-hybrid engine's only
-// stream) cell_hash is mix64(loc) itself, so if both read the low bits,
-// every key of shard k would start probing at a slot congruent to k
-// modulo the shard count S: only 1/S of each table would take probe
-// starts, and the linear-probe runs would grow with S.
+// DeterminacyShadow, the spin-locked sharded table SP-hybrid used before,
+// has no library caller. It stays only for spbench's traced replay
+// (bench/spbench/layers.hpp) and the mc_bug_shardlock_test negative
+// control. Its shard index is bits 32 and up of mix64(loc), disjoint from
+// the low bits cell_hash gives the home slot: for stream 0 cell_hash is
+// mix64(loc) itself, so if both read the low bits, every key of shard k
+// would start probing at a slot congruent to k modulo the shard count.
 
 #include <algorithm>
-#include <array>
-#include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -75,22 +92,18 @@
 #include "sptree/sp_maintenance.hpp"
 #include "util/arena.hpp"
 #include "util/atomics.hpp"
+#include "util/footprint.hpp"
 
 namespace spr::race::stream {
 
+/// Every shadow table's smallest capacity: where a CellTable starts and
+/// the floor of every up-front sizing.
+inline constexpr std::size_t kMinCapacity = 64;
+
 namespace detail {
 
-/// splitmix64 finalizer: full-avalanche location mixing, so contiguous
-/// array fills spread evenly across shards and table slots.
-inline std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 inline std::uint64_t cell_hash(StreamId s, std::uint64_t loc) {
-  return mix64(loc ^ (static_cast<std::uint64_t>(s) << 32));
+  return util::mix64(loc ^ (static_cast<std::uint64_t>(s) << 32));
 }
 
 /// The home slot of (s, loc) in a table of `cap` (a power of two) slots:
@@ -101,6 +114,15 @@ inline std::size_t home_slot(StreamId s, std::uint64_t loc, std::size_t cap) {
   return static_cast<std::size_t>(cell_hash(s, loc)) & (cap - 1);
 }
 
+/// The smallest power-of-two capacity, at least kMinCapacity, that holds
+/// `cells` at or below 3/4 load: CellTable::reserve's and
+/// LockFreeDeterminacyShadow's sizing rule.
+inline std::size_t capacity_for(std::size_t cells) {
+  std::size_t cap = kMinCapacity;
+  while (cap * 3 < cells * 4) cap *= 2;
+  return cap;
+}
+
 inline std::uint32_t round_up_pow2(std::uint32_t x) {
   std::uint32_t p = 1;
   while (p < x) p <<= 1;
@@ -108,46 +130,6 @@ inline std::uint32_t round_up_pow2(std::uint32_t x) {
 }
 
 }  // namespace detail
-
-/// Estimated count of the distinct locations `t` accesses: one pass over
-/// every thread's accesses into a HyperLogLog sketch (Flajolet et al.)
-/// of 2^12 one-byte registers over mix64(loc), standard error ~1.6%,
-/// with linear counting for small counts (0 for no accesses, ~1 for one
-/// location). Meant for CellTable::reserve.
-inline std::size_t estimate_footprint(const tree::ParseTree& t) {
-  constexpr unsigned kBits = 12;
-  constexpr std::size_t kRegs = std::size_t{1} << kBits;
-  // 2^-r in integer units of 2^-51 (ranks above 51 count as 51; a
-  // register reaches them only after ~2^51 of its own locations).
-  const auto weight = [](unsigned r) {
-    return std::uint64_t{1} << (51 - std::min(r, 51u));
-  };
-  std::array<std::uint8_t, kRegs> reg{};
-  // The sum of weight(r) and the count of zero registers, kept up to
-  // date as registers rise, so no pass over the sketch follows the loop.
-  std::uint64_t inv_sum = std::uint64_t{kRegs} << 51;
-  std::size_t zeros = kRegs;
-  for (tree::ThreadId v = 0; v < t.leaf_count(); ++v)
-    for (const tree::Access& a : t.accesses(v)) {
-      const std::uint64_t h = detail::mix64(a.loc);
-      // Rank of the first set bit below the register index; the guard
-      // bit caps it at 64 - kBits + 1.
-      const auto rank = static_cast<std::uint8_t>(
-          std::countl_zero((h << kBits) | (std::uint64_t{1} << (kBits - 1))) +
-          1);
-      std::uint8_t& r = reg[h >> (64 - kBits)];
-      if (rank <= r) continue;
-      inv_sum -= weight(r) - weight(rank);
-      if (r == 0) --zeros;
-      r = rank;
-    }
-  constexpr double m = kRegs;
-  double e = 0.7213 / (1 + 1.079 / m) * m * m /
-             std::ldexp(static_cast<double>(inv_sum), -51);
-  if (e <= 2.5 * m && zeros > 0)
-    e = m * std::log(m / static_cast<double>(zeros));
-  return static_cast<std::size_t>(std::llround(e));
-}
 
 /// Open-addressed (linear probing) table from (stream, loc) to a V, with
 /// the keys in their own columns. Grows by doubling at 3/4 load into
@@ -159,8 +141,6 @@ class CellTable {
                 "columns live in raw arena blocks");
 
  public:
-  static constexpr std::size_t kFirstCapacity = 64;
-
   /// The value stored under (s, loc), value-initialised on first use.
   /// The reference is valid until the next call.
   V& find_or_insert(StreamId s, std::uint64_t loc) {
@@ -177,13 +157,11 @@ class CellTable {
     return value_[i];
   }
 
-  /// Moves the cells into the smallest power-of-two capacity (at least
-  /// kFirstCapacity) that holds `cells` at or below 3/4 load, so inserts
+  /// Moves the cells into detail::capacity_for(cells) slots, so inserts
   /// up to that many cells never grow the table. Never shrinks it;
   /// reserve(0) does nothing.
   void reserve(std::size_t cells) {
-    std::size_t ncap = kFirstCapacity;
-    while (ncap * 3 < cells * 4) ncap *= 2;
+    const std::size_t ncap = detail::capacity_for(cells);
     if (cells > 0 && ncap > cap_) rehash(ncap);
   }
 
@@ -194,7 +172,7 @@ class CellTable {
   }
 
  private:
-  void grow() { rehash(cap_ == 0 ? kFirstCapacity : cap_ * 2); }
+  void grow() { rehash(cap_ == 0 ? kMinCapacity : cap_ * 2); }
 
   void rehash(std::size_t ncap) {
     auto* nloc = arena_.alloc_array<std::uint64_t>(ncap);
@@ -304,8 +282,187 @@ class OwnedAllSetsShadow {
   util::Pool<Entry> pool_;
 };
 
+/// One ShadowCell in one word, for LockFreeDeterminacyShadow: writer,
+/// reader1 and reader2 as three 21-bit fields of thread id + 1, so a
+/// field of 0 is "no thread" and a zeroed word is an empty cell.
+struct PackedCell {
+  static constexpr unsigned kBits = 21;
+  static constexpr std::uint64_t kFieldMask = (std::uint64_t{1} << kBits) - 1;
+  /// The largest thread id a field holds.
+  static constexpr tree::ThreadId kMaxThread =
+      static_cast<tree::ThreadId>(kFieldMask - 1);
+
+  static std::uint64_t pack(const ShadowCell& c) {
+    return field(c.writer) | (field(c.reader1) << kBits) |
+           (field(c.reader2) << (2 * kBits));
+  }
+  static ShadowCell unpack(std::uint64_t w) {
+    return {thread(w & kFieldMask), thread((w >> kBits) & kFieldMask),
+            thread((w >> (2 * kBits)) & kFieldMask)};
+  }
+
+ private:
+  // kNoThread + 1 wraps to 0 in 32 bits, and back.
+  static std::uint64_t field(tree::ThreadId t) {
+    return static_cast<tree::ThreadId>(t + 1);
+  }
+  static tree::ThreadId thread(std::uint64_t f) {
+    return static_cast<tree::ThreadId>(f) - 1;
+  }
+};
+
+/// Thrown for a program whose thread ids a PackedCell cannot hold.
+class ThreadIdLimitError : public std::length_error {
+ public:
+  using std::length_error::length_error;
+};
+
+/// Determinacy shadow of one program shared by concurrent threads: one
+/// lock-free table of CAS-updated packed cells, plus a locked overflow
+/// (see the header comment).
+class LockFreeDeterminacyShadow {
+ public:
+  /// Slots a probe may visit (see the header comment for the choice).
+  static constexpr std::size_t kWindow = 512;
+  /// Trees with this many threads or more are rejected.
+  static constexpr std::size_t kThreadLimit = PackedCell::kFieldMask;
+
+  /// One applier's tallies; the engine keeps one per worker.
+  struct Counters {
+    std::uint64_t retries = 0;    ///< cell CASes that lost to another
+    std::uint64_t overflows = 0;  ///< accesses sent to the overflow
+  };
+
+  /// Throws ThreadIdLimitError unless a program of `threads` threads
+  /// stays below kThreadLimit.
+  static void require_thread_ids(std::size_t threads) {
+    if (threads >= kThreadLimit)
+      throw ThreadIdLimitError(
+          "lock-free race detection takes fewer than 2^21 - 1 threads");
+  }
+
+  /// Sizes the table once, to detail::capacity_for(expected_cells).
+  explicit LockFreeDeterminacyShadow(std::size_t expected_cells) {
+    const std::size_t cap = detail::capacity_for(expected_cells);
+    slots_.reset(alloc_slots(cap));
+    mask_ = cap - 1;
+    window_ = std::min(kWindow, cap);
+  }
+
+  /// Applies access `a` by thread `v` (race::shadow_apply); `serial`
+  /// answers SP queries and may be asked again on a retry.
+  template <typename SerialFn>
+  void apply(const tree::Access& a, tree::ThreadId v, SerialFn&& serial,
+             std::uint64_t& race_count, Counters& counts) {
+    spr::atomic<std::uint64_t>* const cell = find(a.loc);
+    if (cell == nullptr) {
+      ++counts.overflows;
+      spr::lock_guard<spr::mutex> lock(overflow_mu_);
+      overflow_.apply(/*stream=*/0, a, v, serial, race_count);
+      return;
+    }
+    std::uint64_t old = cell->load(std::memory_order_acquire);
+    for (;;) {
+      ShadowCell c = PackedCell::unpack(old);
+      std::uint64_t races = 0;
+      shadow_apply(c, a, v, serial, races);
+      const std::uint64_t next = PackedCell::pack(c);
+#if defined(SPR_MODEL_CHECK) && defined(SPR_MC_SEED_BUG_CELL_STORE)
+      // Seeded bug (tests/mc_bug_test.cpp): a plain store in place of the
+      // CAS overwrites whatever another thread stored since the load.
+      if (next != old) cell->store(next, std::memory_order_release);
+      race_count += races;
+      return;
+#else
+      if (next == old ||
+          cell->compare_exchange_strong(old, next, std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+        race_count += races;
+        return;
+      }
+      ++counts.retries;  // `old` now holds the cell that won
+#endif
+    }
+  }
+
+  std::size_t capacity() const { return mask_ + 1; }
+
+  /// Cells in the table and the overflow. Not safe during a run.
+  std::size_t cell_count() const {
+    std::size_t n = overflow_.cell_count();
+    for (std::size_t i = 0; i <= mask_; ++i)
+      if (slots_[i].key.load(std::memory_order_relaxed) != kFree) ++n;
+    return n;
+  }
+
+ private:
+  static constexpr std::uint64_t kFree = 0;  ///< the key of an empty slot
+
+  struct Slot {
+    spr::atomic<std::uint64_t> key;   ///< loc + 1, or kFree
+    spr::atomic<std::uint64_t> cell;  ///< a PackedCell word
+  };
+
+  /// Zeroed slots: every key free, every cell empty. Normal builds take
+  /// them from calloc, whose large blocks come zeroed from the kernel
+  /// and are first touched by the workers, so nothing fills the table
+  /// serially. Slot is an aggregate with a trivial destructor, so an
+  /// implicit-lifetime type calloc creates in place, and an atomic word
+  /// of zero bytes holds 0. The checker's atomics keep a store history,
+  /// so its builds construct each one.
+  static Slot* alloc_slots(std::size_t n) {
+#if defined(SPR_MODEL_CHECK)
+    return new Slot[n];
+#else
+    static_assert(sizeof(Slot) == 16 && std::is_trivially_destructible_v<Slot>,
+                  "slots are two bare words");
+    void* p = std::calloc(n, sizeof(Slot));
+    if (p == nullptr) throw std::bad_alloc();
+    return static_cast<Slot*>(p);
+#endif
+  }
+
+  struct FreeSlots {
+    void operator()(Slot* s) const {
+#if defined(SPR_MODEL_CHECK)
+      delete[] s;
+#else
+      std::free(s);
+#endif
+    }
+  };
+
+  /// The cell of `loc`'s key, claiming a free slot of its probe window
+  /// for it; nullptr if the key belongs in the overflow.
+  spr::atomic<std::uint64_t>* find(std::uint64_t loc) {
+    const std::uint64_t key = loc + 1;
+    if (key == kFree) return nullptr;  // loc == ~0
+    std::size_t i = detail::home_slot(/*stream=*/0, loc, capacity());
+    for (std::size_t n = 0; n < window_; ++n, i = (i + 1) & mask_) {
+      Slot& s = slots_[i];
+      std::uint64_t k = s.key.load(std::memory_order_acquire);
+      if (k == kFree && s.key.compare_exchange_strong(
+                            k, key, std::memory_order_acq_rel,
+                            std::memory_order_acquire))
+        return &s.cell;
+      if (k == key) return &s.cell;  // ours, or claimed for it just now
+    }
+    return nullptr;
+  }
+
+  std::unique_ptr<Slot[], FreeSlots> slots_;
+  std::size_t mask_ = 0;
+  std::size_t window_ = 0;  ///< kWindow, or the whole table if smaller
+  spr::mutex overflow_mu_;
+  OwnedDeterminacyShadow overflow_;  ///< guarded by overflow_mu_
+};
+
 /// Determinacy shadow shared by concurrent threads: OwnedDeterminacyShadow
-/// shards, each behind its own spin lock (see the header comment).
+/// shards, each behind its own spr::spin_lock, which spins rather than
+/// sleeps because a cell update holds it for ~100 ns. No library code
+/// uses it any more; it stays for spbench's traced replay
+/// (bench/spbench/layers.hpp) and the mc_bug_shardlock_test negative
+/// control (see the header comment).
 class DeterminacyShadow {
  public:
   /// `expected_cells` (0: unknown) sizes every shard once, to its share
@@ -332,7 +489,7 @@ class DeterminacyShadow {
   }
 
   std::uint32_t shard_of(std::uint64_t loc) const {
-    return static_cast<std::uint32_t>(detail::mix64(loc) >> 32) & mask_;
+    return static_cast<std::uint32_t>(util::mix64(loc) >> 32) & mask_;
   }
   std::uint32_t shard_count() const { return mask_ + 1; }
 

@@ -42,7 +42,7 @@ class SerialDriver final
   SerialDriver(const tree::ParseTree& t, const ExecOptions& o, ExecResult& r,
                order::StreamingSpOrder& sp)
       : MaintenanceDriver(sp), tree_(t), opts_(o), result_(r) {
-    if (o.detect_races) shadow_.reserve(race::stream::estimate_footprint(t));
+    if (o.detect_races) shadow_.reserve(t.footprint());
   }
 
   void visit_leaf(const tree::Node& n) override {

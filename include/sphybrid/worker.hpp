@@ -27,8 +27,10 @@
 //
 // Counters are measured, not modeled: steals/splits come from the deques,
 // om_inserts from the structures that take locked insertions (the item
-// counts of kHybrid's global tier and of kNaive's SP-order), and
-// lock_wait_ns from time spent in locked global sections. Since a steal
+// counts of kHybrid's global tier and of kNaive's SP-order), lock_wait_ns
+// from time spent in locked global sections, and shadow_retries /
+// shadow_overflows from each worker's lost shadow-cell CASes and accesses
+// sent to the shadow's locked overflow. Since a steal
 // mints the only new trace, a run has steals + 1 traces, within Section
 // 5's 4*steals + 1.
 
@@ -76,11 +78,12 @@ struct ExecResult {
   std::uint64_t queries = 0;
   std::uint64_t fast_queries = 0;  ///< answered by SP-bags alone
   std::uint64_t om_inserts = 0;    ///< locked global-tier insertions
-  /// Time inside the thieves' split sections (and kNaive's SP lock);
-  /// shadow shard-lock waits are not counted.
+  /// Time inside the thieves' split sections and kNaive's SP lock.
   std::uint64_t lock_wait_ns = 0;
   std::uint64_t query_retries = 0;  ///< failed global-tier validations
   std::uint64_t repoint_walk = 0;   ///< S-ancestors the splits visited
+  std::uint64_t shadow_retries = 0;    ///< failed shadow cell CASes
+  std::uint64_t shadow_overflows = 0;  ///< accesses to the locked overflow
   std::uint64_t race_count = 0;
   std::uint64_t checksum = 0;
   bool has_race() const { return race_count > 0; }
@@ -124,6 +127,9 @@ class WorkStealingEngine {
  public:
   WorkStealingEngine(const tree::ParseTree& t, const ExecOptions& o)
       : tree_(t), opts_(o), nworkers_(resolve_workers(o.workers)) {
+    if (detecting())
+      race::stream::LockFreeDeterminacyShadow::require_thread_ids(
+          tree_.leaf_count());
     const std::size_t nn = tree_.node_count();
     pending_ = std::make_unique<std::atomic<std::uint8_t>[]>(nn);
     left_root_ = std::make_unique<std::atomic<std::uint32_t>[]>(nn);
@@ -154,6 +160,9 @@ class WorkStealingEngine {
     workers_.reserve(nworkers_);
     for (unsigned w = 0; w < nworkers_; ++w)
       workers_.push_back(std::make_unique<WorkerCtx>(w, opts_.seed));
+    if (detecting())
+      shadow_ = std::make_unique<race::stream::LockFreeDeterminacyShadow>(
+          tree_.footprint());
   }
 
   ExecResult run() {
@@ -186,6 +195,8 @@ class WorkStealingEngine {
       r.lock_wait_ns += w->lock_wait_ns;
       r.repoint_walk += w->repoint_walk;
       r.query_retries += w->query_retries;
+      r.shadow_retries += w->shadow.retries;
+      r.shadow_overflows += w->shadow.overflows;
       spin ^= w->spin_xor;
       digest += w->digest_sum;
     }
@@ -264,9 +275,14 @@ class WorkStealingEngine {
     std::uint64_t lock_wait_ns = 0;
     std::uint64_t repoint_walk = 0;
     std::uint64_t query_retries = 0;
+    race::stream::LockFreeDeterminacyShadow::Counters shadow;
     std::uint64_t spin_xor = 0;
     std::uint64_t digest_sum = 0;
   };
+
+  bool detecting() const {
+    return opts_.detect_races && opts_.mode != Mode::kPlain;
+  }
 
   // ---- per-node walk hooks -------------------------------------------
 
@@ -296,7 +312,7 @@ class WorkStealingEngine {
         ++w.queries;
       }
     }
-    if (opts_.detect_races && opts_.mode != Mode::kPlain) detect(w, v);
+    if (detecting()) detect(w, v);
   }
 
   /// On-the-fly query: u any other thread (completed, running, a recorded
@@ -326,20 +342,18 @@ class WorkStealingEngine {
         },
         w.queries);
     // The engine is one program == one stream, and the only shadow user
-    // with several threads: each shard is the one-owner
-    // OwnedDeterminacyShadow the serial detectors and service streams
-    // use, behind a spin lock. Every worker applies its leaves' accesses
-    // one at a time to the one shared shadow, so the shard count is 64
-    // per worker (64 at P=1, 256 at P=4): the chance that two workers'
-    // accesses collide on a shard stays flat as P grows. The constructor
-    // sizes every shard from the tree's footprint estimate, so no shard
-    // grows mid-run. Stream 0's cell hash is the shard hash, so
-    // the shard takes its high bits and the table slot its low bits;
-    // shared bits would start every probe in 1/S of each shard's table
-    // (see shadow_shards.hpp). Shard-lock waits are not in lock_wait_ns,
-    // which times only the global-tier sections.
+    // with several threads. Every worker applies its leaves' accesses one
+    // at a time to one lock-free table of packed cells
+    // (race/stream/shadow_shards.hpp): each access runs the same
+    // shadow_apply as every other detector on a copy of its cell and
+    // CASes the result back, so no lock word or shared counter is written
+    // per access. A lost CAS re-runs the rule on the cell that won: its SP
+    // queries count again in w.queries, its races do not. Keys of a full
+    // probe window, and loc == ~0, go to the table's locked overflow. The
+    // constructor sized the table from the tree's footprint estimate and
+    // rejected trees whose thread ids a packed cell cannot hold.
     for (const tree::Access& a : tree_.accesses(v))
-      shadow_.apply(/*stream=*/0, a, v, serial, local_races);
+      shadow_->apply(a, v, serial, local_races, w.shadow);
     if (local_races > 0)
       race_count_.fetch_add(local_races, std::memory_order_relaxed);
   }
@@ -481,8 +495,6 @@ class WorkStealingEngine {
     }
   }
 
-  static constexpr std::uint32_t kShardsPerWorker = 64;
-
   const tree::ParseTree& tree_;
   const ExecOptions opts_;
   const unsigned nworkers_;
@@ -502,11 +514,7 @@ class WorkStealingEngine {
   std::mutex naive_mu_;             ///< kNaive's global SP lock
   std::vector<std::unique_ptr<WorkerCtx>> workers_;
   /// Sized once, before the run, when this mode detects races.
-  race::stream::DeterminacyShadow shadow_{
-      kShardsPerWorker * nworkers_,
-      opts_.detect_races && opts_.mode != Mode::kPlain
-          ? race::stream::estimate_footprint(tree_)
-          : 0};
+  std::unique_ptr<race::stream::LockFreeDeterminacyShadow> shadow_;
   std::atomic<std::uint64_t> race_count_{0};
   std::atomic<bool> done_{false};
 };

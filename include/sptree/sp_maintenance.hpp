@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/footprint.hpp"
+
 namespace spr::tree {
 
 using ThreadId = std::uint32_t;
@@ -89,12 +91,26 @@ class ParseTree {
     return static_cast<std::uint32_t>(leaf_ids_.size());
   }
 
-  std::vector<Access>& mutable_accesses(ThreadId t) {
-    return leaf_accesses_[t];
+  /// Appends `a` to thread `t`'s accesses and counts its location in the
+  /// tree's footprint sketch.
+  void add_access(ThreadId t, const Access& a) {
+    leaf_accesses_[t].push_back(a);
+    footprint_.add(a.loc);
+  }
+  /// add_access for each of `as`, in one allocation.
+  void add_accesses(ThreadId t, const std::vector<Access>& as) {
+    std::vector<Access>& mine = leaf_accesses_[t];
+    mine.insert(mine.end(), as.begin(), as.end());
+    for (const Access& a : as) footprint_.add(a.loc);
   }
   const std::vector<Access>& accesses(ThreadId t) const {
     return leaf_accesses_[t];
   }
+
+  /// Estimated count of the distinct locations the tree accesses
+  /// (util::FootprintSketch, kept as add_access() adds them), which sizes
+  /// the tree-driven shadow tables once before a run.
+  std::size_t footprint() const { return footprint_.estimate(); }
 
   std::size_t memory_bytes() const {
     std::size_t bytes = sizeof(*this) + nodes_.capacity() * sizeof(Node) +
@@ -108,6 +124,7 @@ class ParseTree {
   std::vector<Node> nodes_;
   std::vector<NodeId> leaf_ids_;                   ///< thread -> node id
   std::vector<std::vector<Access>> leaf_accesses_;  ///< thread -> accesses
+  util::FootprintSketch footprint_;  ///< over every added access's loc
   NodeId root_ = kNoNode;
 };
 

@@ -22,12 +22,18 @@
 //    Two threads can both read the lock free before either sets it, so
 //    both enter a shadow shard's critical section; the occupancy oracle
 //    of tests/mc_shard_lock_episode.hpp trips.
+//  - mc_bug_cellcas_test (-DSPR_MC_SEED_BUG_CELL_STORE): replaces the
+//    lock-free shadow's cell CAS with a plain store. Two threads that
+//    load the same cell both store their own update, so one is lost: the
+//    final cell or race count of tests/mc_cell_cas_episode.hpp's
+//    same-slot episode matches no serial order.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "mc/checker.hpp"
+#include "mc_cell_cas_episode.hpp"
 #include "mc_seqlock_episode.hpp"
 #include "mc_shard_lock_episode.hpp"
 #include "sphybrid/deque.hpp"
@@ -124,6 +130,31 @@ TEST(McSeededBug, ShardLockSplitExchangeIsCaught) {
   const mc::Stats st = mc::explore(o, episode);
   ASSERT_TRUE(st.failed)
       << "the checker must catch the seeded split-exchange lock bug";
+  EXPECT_FALSE(st.failure_schedule.empty());
+  EXPECT_FALSE(st.failure_trace.empty());
+  std::printf("[  mc    ] caught after %llu episodes: %s\n",
+              static_cast<unsigned long long>(st.episodes),
+              st.failure_message.c_str());
+  const mc::Stats re =
+      mc::replay(o, episode, st.failure_schedule, st.failure_bound);
+  ASSERT_TRUE(re.failed) << "recorded schedule did not replay the violation";
+  EXPECT_EQ(re.failure_message, st.failure_message);
+}
+
+#elif defined(SPR_MC_SEED_BUG_CELL_STORE)
+
+TEST(McSeededBug, CellPlainStoreIsCaught) {
+  mc::Options o;
+  o.preemption_bound = 2;
+  o.max_dfs_schedules = 20000;
+  o.random_schedules = 20000;
+  o.stale_read_budget = 4;
+  const mc::Episode episode = [](mc::Run& r) {
+    spr::mc_episodes::cell_cas_same_slot(r);
+  };
+  const mc::Stats st = mc::explore(o, episode);
+  ASSERT_TRUE(st.failed)
+      << "the checker must catch the seeded plain cell store";
   EXPECT_FALSE(st.failure_schedule.empty());
   EXPECT_FALSE(st.failure_trace.empty());
   std::printf("[  mc    ] caught after %llu episodes: %s\n",

@@ -16,9 +16,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "mc/checker.hpp"
+#include "mc_cell_cas_episode.hpp"
 #include "mc_seqlock_episode.hpp"
 #include "mc_shard_lock_episode.hpp"
 #include "race/stream/service.hpp"
@@ -395,6 +397,42 @@ TEST(McSuite, ShadowApplySameCellTwoThreads) {
   report("shadow_apply_same_cell", st);
   EXPECT_GT(last1, 0) << "no schedule let thread 1 write last";
   EXPECT_GT(last2, 0) << "no schedule let thread 2 write last";
+}
+
+// ---------------------------------------------------------------------
+// Scenarios 9 and 10: SP-hybrid's lock-free shadow, whose cells are
+// updated by CAS with no lock (tests/mc_cell_cas_episode.hpp). In 9, two
+// threads claim one empty slot and update its cell at once: the final
+// cell and the race count must be those of one serial order, both orders
+// must occur, and some schedule must make a cell CAS fail and retry. In
+// 10, the last free slot of a 64-slot table, in every key's probe
+// window, goes to one of two keys, and the other key goes to the locked
+// overflow while the other thread probes it: both threads must route it
+// the same way, and each key must still count its one race.
+
+TEST(McSuite, LockFreeShadowSameSlotTwoThreads) {
+  int first1 = 0, first2 = 0, retried = 0;
+  const mc::Stats st = mc::explore(base_options(), [&](mc::Run& r) {
+    const int got = spr::mc_episodes::cell_cas_same_slot(r);
+    (got % 2 == 1 ? first1 : first2)++;
+    if (got > 2) ++retried;
+  });
+  ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
+  report("lockfree_shadow_same_slot", st);
+  EXPECT_GT(first1, 0) << "no schedule ordered thread 1's read first";
+  EXPECT_GT(first2, 0) << "no schedule ordered thread 2's write first";
+  EXPECT_GT(retried, 0) << "no schedule made a cell CAS retry";
+}
+
+TEST(McSuite, LockFreeShadowWindowOverflow) {
+  std::set<std::uint64_t> overflowed;
+  const mc::Stats st = mc::explore(base_options(), [&](mc::Run& r) {
+    overflowed.insert(spr::mc_episodes::cell_cas_window_overflow(r));
+  });
+  ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
+  report("lockfree_shadow_overflow", st);
+  EXPECT_EQ(overflowed.size(), 2u)
+      << "the same key overflowed on every schedule";
 }
 
 // ---------------------------------------------------------------------

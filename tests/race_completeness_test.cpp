@@ -97,13 +97,14 @@ bool oracle_verdict(const spr::testutil::Oracle& oracle,
   return false;
 }
 
-void set_pattern(ParseTree& t, const std::vector<Letter>& pattern) {
-  for (ThreadId i = 0; i < pattern.size(); ++i) {
-    auto& acc = t.mutable_accesses(i);
-    acc.clear();
+/// `shape` (a tree with no accesses) with thread i making pattern[i].
+ParseTree with_pattern(const ParseTree& shape,
+                       const std::vector<Letter>& pattern) {
+  ParseTree t = shape;
+  for (ThreadId i = 0; i < pattern.size(); ++i)
     if (pattern[i].present)
-      acc.push_back({pattern[i].loc, pattern[i].write, 0});
-  }
+      t.add_access(i, {pattern[i].loc, pattern[i].write, 0});
+  return t;
 }
 
 /// Full-path verdict: record, batch, validate, ingest through the native
@@ -164,11 +165,11 @@ TEST(Completeness, PhaseATwoLocationsThroughFullService) {
           pattern[i] = alphabet[c % radix];
           c /= radix;
         }
-        set_pattern(t, pattern);
+        const ParseTree tp = with_pattern(t, pattern);
         const bool expect_race = oracle_verdict(oracle, pattern);
-        ASSERT_EQ(service_verdict(t), expect_race)
+        ASSERT_EQ(service_verdict(tp), expect_race)
             << "service, L=" << leaves << " code=" << code;
-        ASSERT_EQ(detector_verdict(t), expect_race)
+        ASSERT_EQ(detector_verdict(tp), expect_race)
             << "detector, L=" << leaves << " code=" << code;
         ++cases;
         if (expect_race) ++racy;
@@ -223,8 +224,7 @@ TEST(Completeness, PhaseBOneLocationAllShapesUpTo7Leaves) {
         ASSERT_EQ(races > 0, expect_race)
             << "L=" << leaves << " mask=" << mask;
         if (cases % 997 == 0) {  // tie phase B to the full service path
-          set_pattern(t, pattern);
-          ASSERT_EQ(service_verdict(t), expect_race)
+          ASSERT_EQ(service_verdict(with_pattern(t, pattern)), expect_race)
               << "service cross-check, L=" << leaves << " mask=" << mask;
           ++cross_checked;
         }

@@ -14,6 +14,11 @@
 //    does not grow until it holds more cells than it reserved, the
 //    footprint estimate tracks exact distinct-location counts, and a
 //    sharded shadow's verdict does not depend on its sizing;
+//  - SP-hybrid's lock-free shadow: its packed cells round-trip at the
+//    largest thread id, the thread-count guard rejects the limit, it
+//    matches the one-owner shadow access by access with and without
+//    overflow, the reserved location ~0 gets exact verdicts, and 4
+//    threads on a 64-slot table count every race exactly;
 //  - bounded memory: finish() frees a stream's SP engine and shadow, so
 //    open/submit/finish churn grows the service by a fixed-size record
 //    per stream;
@@ -41,6 +46,7 @@
 #include "spbags/sp_bags.hpp"
 #include "sphybrid/executor.hpp"
 #include "sporder/sp_order.hpp"
+#include "util/footprint.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -210,7 +216,7 @@ TEST(ShadowShards, CellTableKeepsStreamsApartAcrossGrowths) {
   const std::vector<StreamId> streams = {0u, 1u, 7u, 1u << 20};
   // Past 3/4 of 8x the first capacity, so the table doubles >= 3 times.
   static_assert(4 * kLocs >
-                6 * stream::CellTable<std::uint64_t>::kFirstCapacity);
+                6 * stream::kMinCapacity);
   for (std::uint64_t loc = 0; loc < kLocs; ++loc)
     for (const StreamId s : streams) {
       std::uint64_t& v = table.find_or_insert(s, loc);
@@ -228,7 +234,7 @@ TEST(ShadowShards, CellTableKeepsStreamsApartAcrossGrowths) {
 // Keys whose home slots coincide probe past each other, including across
 // the wrap from the last slot to the first, and still get distinct cells.
 TEST(ShadowShards, CellTableSeparatesKeysSharingAHomeSlot) {
-  constexpr std::size_t kCap = stream::CellTable<int>::kFirstCapacity;
+  constexpr std::size_t kCap = stream::kMinCapacity;
   for (const std::size_t home : {std::size_t{5}, kCap - 1}) {
     std::vector<std::pair<StreamId, std::uint64_t>> keys;
     for (std::uint64_t loc = 0; keys.size() < 12; ++loc)
@@ -316,8 +322,7 @@ TEST(ShadowShards, FootprintEstimateTracksDistinctLocations) {
   spr::util::Xoshiro256 rng(17);
   for (spr::tree::ThreadId v = 0; v < random.leaf_count(); ++v)
     for (int i = 0; i < 8; ++i)
-      random.mutable_accesses(v).push_back(
-          {rng.next_below(20000), rng.next_bool(), 0});
+      random.add_access(v, {rng.next_below(20000), rng.next_bool(), 0});
   const std::vector<std::pair<const char*, ParseTree>> trees = [&] {
     std::vector<std::pair<const char*, ParseTree>> v;
     v.emplace_back("dnc_fill", spr::fj::lower_to_parse_tree(
@@ -332,16 +337,15 @@ TEST(ShadowShards, FootprintEstimateTracksDistinctLocations) {
   }();
   for (const auto& [name, t] : trees) {
     const double exact = static_cast<double>(exact_footprint(t));
-    const double est = static_cast<double>(stream::estimate_footprint(t));
+    const double est = static_cast<double>(t.footprint());
     EXPECT_NEAR(est, exact, 0.1 * exact) << name;
   }
 
   ParseTree empty = spr::fj::lower_to_parse_tree(spr::fj::make_fib(10));
-  EXPECT_EQ(stream::estimate_footprint(empty), 0u);
+  EXPECT_EQ(empty.footprint(), 0u);
   for (spr::tree::ThreadId v = 0; v < 10000; ++v)
-    empty.mutable_accesses(v % empty.leaf_count())
-        .push_back({42, v % 2 == 0, 0});
-  EXPECT_LE(stream::estimate_footprint(empty), 2u);
+    empty.add_access(v % empty.leaf_count(), {42, v % 2 == 0, 0});
+  EXPECT_LE(empty.footprint(), 2u);
 }
 
 // The expected cell count only sizes the shards: too low, too high or
@@ -381,6 +385,150 @@ TEST(ShadowShards, DeterminacyShadowVerdictIgnoresExpectedCells) {
     EXPECT_EQ(replay.report.queries, ref.queries) << expected;
     EXPECT_EQ(shadow.cell_count(), exact) << expected;
   }
+}
+
+// ---------------------------------------------------------------------
+// SP-hybrid's lock-free shadow: packed cells updated by CAS in one table,
+// with a locked overflow for full probe windows and the reserved location.
+
+using stream::LockFreeDeterminacyShadow;
+using stream::PackedCell;
+
+bool same_cell(const spr::race::ShadowCell& a,
+               const spr::race::ShadowCell& b) {
+  return a.writer == b.writer && a.reader1 == b.reader1 &&
+         a.reader2 == b.reader2;
+}
+
+TEST(LockFreeShadow, PackedCellRoundTripsEveryField) {
+  using spr::tree::kNoThread;
+  constexpr spr::tree::ThreadId kMax = PackedCell::kMaxThread;
+  static_assert(kMax == (1u << 21) - 2);
+  EXPECT_EQ(PackedCell::pack({}), 0u);
+  EXPECT_TRUE(same_cell(PackedCell::unpack(0), {}));
+  const std::vector<spr::race::ShadowCell> cells = {
+      {0, 1, 2},
+      {kMax, kMax - 1, 0},
+      {kMax, kNoThread, kMax},
+      {kNoThread, kMax, kNoThread},
+      {kNoThread, kNoThread, 12345}};
+  for (const auto& c : cells)
+    EXPECT_TRUE(same_cell(PackedCell::unpack(PackedCell::pack(c)), c))
+        << c.writer << " " << c.reader1 << " " << c.reader2;
+}
+
+// The engine calls this guard in its constructor whenever it detects
+// races (kHybrid and kNaive), so a tree at the limit never runs.
+TEST(LockFreeShadow, RejectsThreadCountsAtTheLimit) {
+  constexpr std::size_t kLimit = LockFreeDeterminacyShadow::kThreadLimit;
+  static_assert(kLimit == (std::size_t{1} << 21) - 1);
+  EXPECT_NO_THROW(LockFreeDeterminacyShadow::require_thread_ids(kLimit - 1));
+  EXPECT_THROW(LockFreeDeterminacyShadow::require_thread_ids(kLimit),
+               stream::ThreadIdLimitError);
+  EXPECT_THROW(LockFreeDeterminacyShadow::require_thread_ids(kLimit + 1),
+               stream::ThreadIdLimitError);
+}
+
+/// A fixed, arbitrary SP relation: the shadow rule does not need a real
+/// one to be compared access by access.
+bool hashed_serial(spr::tree::ThreadId u, spr::tree::ThreadId v) {
+  if (u == spr::tree::kNoThread || u == v) return true;
+  return (spr::util::mix64((std::uint64_t{u} << 32) | v) & 3) != 0;
+}
+
+// One thread, random reads and writes: the lock-free shadow reports the
+// same races as the one-owner shadow after every access, whether its
+// table holds every key or sends most of them to the overflow, and
+// including the reserved location ~0.
+TEST(LockFreeShadow, MatchesOwnedShadowAccessByAccess) {
+  constexpr std::uint64_t kLocs = 400;
+  for (const std::size_t expected : {kLocs, std::size_t{0}}) {
+    LockFreeDeterminacyShadow shadow(expected);
+    stream::OwnedDeterminacyShadow owned;
+    LockFreeDeterminacyShadow::Counters counts;
+    std::uint64_t races = 0, owned_races = 0;
+    spr::util::Xoshiro256 rng(expected + 5);
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t loc =
+          rng.next_below(50) == 0 ? ~0ULL : rng.next_below(kLocs) * 64;
+      const spr::tree::ThreadId v =
+          rng.next_below(10) == 0
+              ? PackedCell::kMaxThread
+              : static_cast<spr::tree::ThreadId>(rng.next_below(40));
+      const spr::tree::Access a{loc, rng.next_bool(), 0};
+      shadow.apply(a, v, hashed_serial, races, counts);
+      owned.apply(0, a, v, hashed_serial, owned_races);
+      ASSERT_EQ(races, owned_races) << "access " << i << ", " << expected;
+    }
+    EXPECT_GT(races, 1000u);
+    EXPECT_EQ(counts.retries, 0u);
+    EXPECT_EQ(shadow.cell_count(), owned.cell_count());
+    if (expected == 0)
+      EXPECT_GT(counts.overflows, 10000u) << "64 slots hold most keys";
+    else
+      EXPECT_LT(counts.overflows, 1000u) << "only ~0 should overflow";
+  }
+}
+
+// loc == ~0 has no key in the table; it lives in the overflow and still
+// gets the determinacy rule's verdicts.
+TEST(LockFreeShadow, ReservedLocationGetsExactVerdicts) {
+  constexpr std::uint64_t kReserved = ~0ULL;
+  LockFreeDeterminacyShadow shadow(100);
+  LockFreeDeterminacyShadow::Counters counts;
+  // 1 || 2, and both precede 3.
+  const auto serial = [](spr::tree::ThreadId u, spr::tree::ThreadId v) {
+    return u == spr::tree::kNoThread || u == v || v == 3;
+  };
+  std::uint64_t races = 0;
+  shadow.apply({kReserved, true}, 1, serial, races, counts);
+  EXPECT_EQ(races, 0u);
+  shadow.apply({kReserved, false}, 2, serial, races, counts);
+  EXPECT_EQ(races, 1u) << "a read parallel to the writer";
+  shadow.apply({kReserved, true}, 3, serial, races, counts);
+  EXPECT_EQ(races, 1u) << "a write after both accessors";
+  shadow.apply({kReserved - 1, true}, 1, serial, races, counts);
+  shadow.apply({kReserved - 1, true}, 2, serial, races, counts);
+  EXPECT_EQ(races, 2u) << "the location next to it is an ordinary key";
+  EXPECT_EQ(counts.overflows, 3u);
+  EXPECT_EQ(shadow.cell_count(), 2u);
+}
+
+// A 64-slot table and 10k locations, written by 4 threads that are all
+// mutually parallel: most keys overflow, the threads collide on the
+// cells that fit, and every location still counts exactly one race per
+// write after its first.
+TEST(LockFreeShadow, ForcedOverflowCountsEveryRaceUnderContention) {
+  constexpr std::uint64_t kLocs = 10000;
+  constexpr unsigned kWriters = 4;
+  LockFreeDeterminacyShadow shadow(0);
+  ASSERT_EQ(shadow.capacity(), stream::kMinCapacity);
+  std::vector<std::uint64_t> races(kWriters, 0);
+  std::vector<LockFreeDeterminacyShadow::Counters> counts(kWriters);
+  std::vector<std::thread> threads;
+  for (unsigned w = 0; w < kWriters; ++w)
+    threads.emplace_back([&, w] {
+      const auto parallel = [](spr::tree::ThreadId u, spr::tree::ThreadId v) {
+        return u == spr::tree::kNoThread || u == v;
+      };
+      for (std::uint64_t i = 0; i < kLocs; ++i) {
+        // Each writer starts at a different point, so all four are busy
+        // in both the table and the overflow at once.
+        const std::uint64_t loc = (i + w * kLocs / kWriters) % kLocs;
+        shadow.apply({loc, true}, w, parallel, races[w], counts[w]);
+      }
+    });
+  for (auto& t : threads) t.join();
+  std::uint64_t total = 0, overflows = 0;
+  for (unsigned w = 0; w < kWriters; ++w) {
+    total += races[w];
+    overflows += counts[w].overflows;
+  }
+  EXPECT_EQ(total, (kWriters - 1) * kLocs);
+  EXPECT_EQ(shadow.cell_count(), kLocs);
+  // Every slot is in every key's window, so a key overflows only once the
+  // table is full: exactly kLocs - 64 keys, each written kWriters times.
+  EXPECT_EQ(overflows, kWriters * (kLocs - shadow.capacity()));
 }
 
 // ---------------------------------------------------------------------

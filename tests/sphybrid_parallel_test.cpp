@@ -9,16 +9,20 @@
 // against MEASURED counts: om_inserts == 3 * splits (3 global-tier
 // inserts per steal, counted from the global tier's lists, not the deques).
 // The race-detection protocol must stay deterministic: an injected
-// write-write race is reported at every worker count, and a clean
-// program never reports one.
+// write-write race is reported at every worker count, a clean program
+// never reports one, racy stencils count exactly the serial reference's
+// races, and no estimate-sized run sends an access to the shadow's
+// overflow.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "fjprog/generators.hpp"
 #include "fjprog/lower.hpp"
+#include "race/stream/shadow_shards.hpp"
 #include "sp_test_util.hpp"
 #include "sphybrid/executor.hpp"
 #include "sphybrid/worker.hpp"
@@ -159,7 +163,66 @@ TEST(SpHybridParallel, RaceVerdictIsDeterministicAcrossWorkerCounts) {
         const ExecResult r = spr::hybrid::run_parallel(t, o);
         EXPECT_EQ(r.has_race(), inject)
             << "mode=" << static_cast<int>(mode) << " workers=" << workers;
+        EXPECT_EQ(r.shadow_overflows, 0u) << "the estimate sized the table";
       }
+    }
+  }
+}
+
+// Detection on the lock-free shadow counts exactly the serial
+// reference's races on a program whose locations are read by several
+// threads and written by two parallel ones, in both the chain shape the
+// lowering gives a parallel loop and the balanced one a cilk_for gives.
+TEST(SpHybridParallel, RaceCountMatchesSerialReferenceOnStencils) {
+  for (const bool balanced : {false, true}) {
+    spr::fj::FjProg prog = spr::fj::make_stencil(1u << 12, 8, true);
+    if (balanced) prog = spr::fj::balance_parallel(std::move(prog));
+    const auto t = spr::fj::lower_to_parse_tree(prog);
+    ExecOptions o = base_options(11);
+    o.detect_races = true;
+    o.mode = Mode::kSerialReference;
+    const ExecResult serial = spr::hybrid::run_parallel(t, o);
+    ASSERT_GT(serial.race_count, 0u);
+    for (const Mode mode : {Mode::kHybrid, Mode::kNaive}) {
+      for (const unsigned workers : kWorkerCounts) {
+        o.mode = mode;
+        o.workers = workers;
+        const ExecResult r = spr::hybrid::run_parallel(t, o);
+        const std::string where = std::string(balanced ? "balanced" : "chain") +
+                                  " mode=" +
+                                  std::to_string(static_cast<int>(mode)) +
+                                  " workers=" + std::to_string(workers);
+        EXPECT_EQ(r.race_count, serial.race_count) << where;
+        EXPECT_EQ(r.checksum, serial.checksum) << where;
+        EXPECT_EQ(r.shadow_overflows, 0u) << where;
+      }
+    }
+  }
+}
+
+// The estimate sizes the shadow to at most 3/4 load, and linear probing
+// at that load pushes some keys far from their home slots. A program
+// whose footprint lands just under the limit must still keep every key
+// in the lock-free table: no access may reach the locked overflow.
+TEST(SpHybridParallel, NoOverflowAtTheShadowSizingLimit) {
+  const auto t = spr::fj::lower_to_parse_tree(
+      spr::fj::make_dnc_fill(196000, 16, /*inject_race=*/true));
+  const std::size_t slots =
+      spr::race::stream::LockFreeDeterminacyShadow(t.footprint()).capacity();
+  const double load = 196001.0 / static_cast<double>(slots);
+  ASSERT_GE(load, 0.74) << "the program no longer loads the table near 3/4";
+  ASSERT_LE(load, 0.76);
+  for (const Mode mode : {Mode::kHybrid, Mode::kNaive}) {
+    for (const unsigned workers : kWorkerCounts) {
+      ExecOptions o = base_options(13);
+      o.detect_races = true;
+      o.mode = mode;
+      o.workers = workers;
+      const ExecResult r = spr::hybrid::run_parallel(t, o);
+      EXPECT_EQ(r.race_count, 1u)
+          << "mode=" << static_cast<int>(mode) << " workers=" << workers;
+      EXPECT_EQ(r.shadow_overflows, 0u)
+          << "mode=" << static_cast<int>(mode) << " workers=" << workers;
     }
   }
 }
