@@ -47,27 +47,45 @@
 // at once. It is one open-addressed table of 16-byte slots, each a key
 // word (loc + 1, claimed once by CAS from 0) and a cell word (the
 // ShadowCell packed by PackedCell), sized once to at most 3/4 load from
-// the footprint estimate and allocated already zeroed, so no serial fill
-// precedes the run. An access loads its cell, runs race::shadow_apply on
-// an unpacked copy and CASes the packed result back, retrying on failure;
-// only the attempt that lands counts its races, so the per-cell rule is
-// the one body every other shadow runs. No lock word or shared counter is
-// written per access: only the cache lines of the cells themselves move
-// between cores. A key whose kWindow-slot probe window is full of other
-// keys, and the one location whose key would be 0 (loc == ~0), go to a
-// mutex-guarded OwnedDeterminacyShadow overflow. Slots are never freed
-// during a run, so every worker routes a given key the same way, and the
-// verdicts stay exact however low the estimate was. The window is 512
-// slots because linear probing at the sizing limit pushes keys far from
-// home: inserting 0.75 x 2^k (0.78 x 2^k) keys into 2^k slots, for k =
-// 8..22 and both sequential and shuffled location orders, left some key
-// 181-190 (254-258) slots from home at k = 20..22, and up to ~1000
-// (~2500) keys beyond 64. A 64-slot window sent such keys to the
-// overflow on estimate-sized runs; 512 leaves twice the longest
+// the footprint estimate. An access loads its cell, runs
+// race::shadow_apply on an unpacked copy and CASes the packed result back,
+// retrying on failure; only the attempt that lands counts its races, so
+// the per-cell rule is the one body every other shadow runs. No lock word
+// or shared counter is written per access: only the cache lines of the
+// cells themselves move between cores. A key whose kWindow-slot probe
+// window is full of other keys, and the one location whose key would be 0
+// (loc == ~0), go to a mutex-guarded OwnedDeterminacyShadow overflow.
+// Slots are never freed during a run, so every worker routes a given key
+// the same way, and the verdicts stay exact however low the estimate was.
+// The window is 512 slots because linear probing at the sizing limit
+// pushes keys far from home: inserting 0.75 x 2^k (0.78 x 2^k) keys into
+// 2^k slots, for k = 8..22 and both sequential and shuffled location
+// orders, left some key 181-190 (254-258) slots from home at k = 20..22,
+// and up to ~1000 (~2500) keys beyond 64. A 64-slot window sent such keys
+// to the overflow on estimate-sized runs; 512 leaves twice the longest
 // distance seen. Only a key sent to the overflow scans the whole window.
 // The packed fields are 21 bits of thread id + 1, so the engine takes
 // detection only on trees of fewer than 2^21 - 1 threads
 // (require_thread_ids).
+//
+// Misses overlap in batches. Once the table outgrows the caches, an
+// access costs one cache miss on its slot, and a locked CAS waits for its
+// own miss, so one access at a time leaves every miss exposed. apply_all
+// takes a leaf's accesses kBatch at a time, one per L1 fill buffer: it
+// first prefetches every home slot of the batch for writing, then applies
+// the batch's accesses in order with the per-access apply, so the
+// batch's misses are in flight together. A rolling prefetch (prefetch
+// access i + k, then apply access i) lost to no prefetch at all: each CAS
+// then waits for the prefetch issued just before it.
+//
+// Cleared by the workers. A table built for several workers is allocated
+// uninitialised, and each worker clears one stripe of it in start(),
+// which returns only once every worker has arrived, so no access reads a
+// slot before it is cleared. A calloc'd table is not free of a serial
+// fill: freeing a first table this large raises glibc's mmap threshold,
+// so every later one is carved from the heap and calloc memsets all of it
+// on the constructing thread (0.7-1.5 ms per 16 MiB on a 4-vCPU Xeon
+// host). A table built for one user is cleared in its constructor.
 //
 // DeterminacyShadow, the spin-locked sharded table SP-hybrid used before,
 // has no library caller. It stays only for spbench's traced replay
@@ -81,6 +99,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -324,6 +343,10 @@ class LockFreeDeterminacyShadow {
  public:
   /// Slots a probe may visit (see the header comment for the choice).
   static constexpr std::size_t kWindow = 512;
+  /// Accesses apply_all prefetches before applying them: one per L1 fill
+  /// buffer (on a 4-vCPU Xeon host, 8 made SP-hybrid detection ~7%
+  /// slower and 32 tied).
+  static constexpr std::size_t kBatch = 16;
   /// Trees with this many threads or more are rejected.
   static constexpr std::size_t kThreadLimit = PackedCell::kFieldMask;
 
@@ -341,12 +364,42 @@ class LockFreeDeterminacyShadow {
           "lock-free race detection takes fewer than 2^21 - 1 threads");
   }
 
-  /// Sizes the table once, to detail::capacity_for(expected_cells).
-  explicit LockFreeDeterminacyShadow(std::size_t expected_cells) {
+  /// A table of detail::capacity_for(expected_cells) slots for one user,
+  /// cleared before the constructor returns.
+  explicit LockFreeDeterminacyShadow(std::size_t expected_cells)
+      : LockFreeDeterminacyShadow(expected_cells, 1) {
+    start(0);
+  }
+
+  /// A table of detail::capacity_for(expected_cells) slots for `workers`
+  /// (>= 1) threads, left uncleared: each worker w in [0, workers) calls
+  /// start(w) before its first access.
+  LockFreeDeterminacyShadow(std::size_t expected_cells, unsigned workers)
+      : workers_(workers) {
     const std::size_t cap = detail::capacity_for(expected_cells);
     slots_.reset(alloc_slots(cap));
     mask_ = cap - 1;
     window_ = std::min(kWindow, cap);
+  }
+
+  /// Clears stripe `worker` of the table, then returns once every worker
+  /// has cleared its own. The acq_rel arrival publishes this stripe to
+  /// the workers that arrive later and receives the stripes of those
+  /// that arrived earlier; the acquire wait receives the rest.
+  void start(unsigned worker) {
+    const std::size_t cap = capacity();
+    clear(cap * worker / workers_, cap * (worker + 1) / workers_);
+#if defined(SPR_MODEL_CHECK) && defined(SPR_MC_SEED_BUG_CLEAR_ARRIVE_RELAXED)
+    // Seeded bug (tests/mc_bug_test.cpp): a relaxed arrival publishes
+    // nothing, so a worker past the barrier can read another's stripe
+    // from before it was cleared.
+    arrived_.fetch_add(1, std::memory_order_relaxed);
+#else
+    arrived_.fetch_add(1, std::memory_order_acq_rel);
+#endif
+    for (unsigned tries = 0;
+         arrived_.load(std::memory_order_acquire) < workers_;)
+      spin_pause(tries++);
   }
 
   /// Applies access `a` by thread `v` (race::shadow_apply); `serial`
@@ -385,6 +438,29 @@ class LockFreeDeterminacyShadow {
     }
   }
 
+  /// Applies the `n` accesses at `accesses`, all by thread `v`, in order:
+  /// kBatch at a time, each batch's home slots prefetched for writing
+  /// before its first access is applied (see the header comment).
+  template <typename SerialFn>
+  void apply_all(const tree::Access* accesses, std::size_t n,
+                 tree::ThreadId v, SerialFn&& serial,
+                 std::uint64_t& race_count, Counters& counts) {
+    for (std::size_t b = 0; b < n; b += kBatch) {
+      const std::size_t e = std::min(n, b + kBatch);
+      // In the loop, not in a helper: GCC finds a function that only
+      // prefetches free of side effects and deletes its calls.
+#if defined(__GNUC__)
+      for (std::size_t i = b; i < e; ++i)
+        __builtin_prefetch(
+            &slots_[detail::home_slot(/*stream=*/0, accesses[i].loc,
+                                      capacity())],
+            /*rw=*/1, /*locality=*/3);
+#endif
+      for (std::size_t i = b; i < e; ++i)
+        apply(accesses[i], v, serial, race_count, counts);
+    }
+  }
+
   std::size_t capacity() const { return mask_ + 1; }
 
   /// Cells in the table and the overflow. Not safe during a run.
@@ -403,20 +479,24 @@ class LockFreeDeterminacyShadow {
     spr::atomic<std::uint64_t> cell;  ///< a PackedCell word
   };
 
-  /// Zeroed slots: every key free, every cell empty. Normal builds take
-  /// them from calloc, whose large blocks come zeroed from the kernel
-  /// and are first touched by the workers, so nothing fills the table
-  /// serially. Slot is an aggregate with a trivial destructor, so an
-  /// implicit-lifetime type calloc creates in place, and an atomic word
-  /// of zero bytes holds 0. The checker's atomics keep a store history,
-  /// so its builds construct each one.
+  /// Uncleared slots. Normal builds take them from malloc: Slot is an
+  /// aggregate with a trivial destructor, so an implicit-lifetime type
+  /// that malloc creates in place, and once clear() has zeroed its bytes
+  /// each atomic word holds 0. The checker's atomics keep a store
+  /// history, so its builds construct each slot, then fill it with
+  /// garbage that only a missed clear leaves visible.
   static Slot* alloc_slots(std::size_t n) {
 #if defined(SPR_MODEL_CHECK)
-    return new Slot[n];
+    Slot* s = new Slot[n];
+    for (std::size_t i = 0; i < n; ++i) {
+      s[i].key.store(~std::uint64_t{0}, std::memory_order_relaxed);
+      s[i].cell.store(~std::uint64_t{0}, std::memory_order_relaxed);
+    }
+    return s;
 #else
     static_assert(sizeof(Slot) == 16 && std::is_trivially_destructible_v<Slot>,
                   "slots are two bare words");
-    void* p = std::calloc(n, sizeof(Slot));
+    void* p = std::malloc(n * sizeof(Slot));
     if (p == nullptr) throw std::bad_alloc();
     return static_cast<Slot*>(p);
 #endif
@@ -431,6 +511,19 @@ class LockFreeDeterminacyShadow {
 #endif
     }
   };
+
+  /// Empties slots [begin, end): every key free, every cell empty.
+  void clear(std::size_t begin, std::size_t end) {
+#if defined(SPR_MODEL_CHECK)
+    for (std::size_t i = begin; i < end; ++i) {
+      slots_[i].key.store(kFree, std::memory_order_relaxed);
+      slots_[i].cell.store(0, std::memory_order_relaxed);
+    }
+#else
+    std::memset(static_cast<void*>(slots_.get() + begin), 0,
+                (end - begin) * sizeof(Slot));
+#endif
+  }
 
   /// The cell of `loc`'s key, claiming a free slot of its probe window
   /// for it; nullptr if the key belongs in the overflow.
@@ -450,6 +543,8 @@ class LockFreeDeterminacyShadow {
     return nullptr;
   }
 
+  const unsigned workers_;
+  spr::atomic<unsigned> arrived_{0};  ///< workers past their clear
   std::unique_ptr<Slot[], FreeSlots> slots_;
   std::size_t mask_ = 0;
   std::size_t window_ = 0;  ///< kWindow, or the whole table if smaller
@@ -465,17 +560,11 @@ class LockFreeDeterminacyShadow {
 /// control (see the header comment).
 class DeterminacyShadow {
  public:
-  /// `expected_cells` (0: unknown) sizes every shard once, to its share
-  /// plus 1/8 slack for uneven hashing; shards that get more still grow.
-  explicit DeterminacyShadow(std::uint32_t shards,
-                             std::size_t expected_cells = 0)
+  explicit DeterminacyShadow(std::uint32_t shards)
       : mask_(detail::round_up_pow2(shards == 0 ? 1 : shards) - 1) {
-    const std::size_t share = expected_cells / (mask_ + 1);
     shards_.reserve(mask_ + 1);
-    for (std::uint32_t i = 0; i <= mask_; ++i) {
+    for (std::uint32_t i = 0; i <= mask_; ++i)
       shards_.push_back(std::make_unique<Shard>());
-      shards_.back()->cells.reserve(share + share / 8);
-    }
   }
 
   /// Applies one access under the owning shard's lock; `serial` answers

@@ -162,7 +162,7 @@ class WorkStealingEngine {
       workers_.push_back(std::make_unique<WorkerCtx>(w, opts_.seed));
     if (detecting())
       shadow_ = std::make_unique<race::stream::LockFreeDeterminacyShadow>(
-          tree_.footprint());
+          tree_.footprint(), nworkers_);
   }
 
   ExecResult run() {
@@ -342,18 +342,20 @@ class WorkStealingEngine {
         },
         w.queries);
     // The engine is one program == one stream, and the only shadow user
-    // with several threads. Every worker applies its leaves' accesses one
-    // at a time to one lock-free table of packed cells
-    // (race/stream/shadow_shards.hpp): each access runs the same
-    // shadow_apply as every other detector on a copy of its cell and
-    // CASes the result back, so no lock word or shared counter is written
-    // per access. A lost CAS re-runs the rule on the cell that won: its SP
-    // queries count again in w.queries, its races do not. Keys of a full
-    // probe window, and loc == ~0, go to the table's locked overflow. The
-    // constructor sized the table from the tree's footprint estimate and
-    // rejected trees whose thread ids a packed cell cannot hold.
-    for (const tree::Access& a : tree_.accesses(v))
-      shadow_->apply(a, v, serial, local_races, w.shadow);
+    // with several threads. Every worker applies each leaf's accesses as
+    // one run to one lock-free table of packed cells
+    // (race/stream/shadow_shards.hpp), which prefetches them a batch at a
+    // time: each access runs the same shadow_apply as every other
+    // detector on a copy of its cell and CASes the result back, so no
+    // lock word or shared counter is written per access. A lost CAS
+    // re-runs the rule on the cell that won: its SP queries count again in
+    // w.queries, its races do not. Keys of a full probe window, and
+    // loc == ~0, go to the table's locked overflow. The constructor sized
+    // the table from the tree's footprint estimate and rejected trees
+    // whose thread ids a packed cell cannot hold; worker_main cleared it.
+    const std::vector<tree::Access>& as = tree_.accesses(v);
+    shadow_->apply_all(as.data(), as.size(), v, serial, local_races,
+                       w.shadow);
     if (local_races > 0)
       race_count_.fetch_add(local_races, std::memory_order_relaxed);
   }
@@ -465,6 +467,9 @@ class WorkStealingEngine {
   }
 
   void worker_main(WorkerCtx& w, tree::NodeId initial) {
+    // Each worker clears its stripe of the shadow; none runs a leaf
+    // before all have.
+    if (shadow_ != nullptr) shadow_->start(w.id);
     if (initial != tree::kNoNode) {
       w.cur_trace = static_cast<std::uint32_t>(initial);
       run_region(w, initial);
@@ -513,7 +518,8 @@ class WorkStealingEngine {
   std::unique_ptr<NaiveSp> naive_;  ///< kNaive
   std::mutex naive_mu_;             ///< kNaive's global SP lock
   std::vector<std::unique_ptr<WorkerCtx>> workers_;
-  /// Sized once, before the run, when this mode detects races.
+  /// Sized once, before the run, when this mode detects races; cleared
+  /// by the workers as the run starts.
   std::unique_ptr<race::stream::LockFreeDeterminacyShadow> shadow_;
   std::atomic<std::uint64_t> race_count_{0};
   std::atomic<bool> done_{false};

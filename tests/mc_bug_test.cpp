@@ -27,6 +27,12 @@
 //    load the same cell both store their own update, so one is lost: the
 //    final cell or race count of tests/mc_cell_cas_episode.hpp's
 //    same-slot episode matches no serial order.
+//  - mc_bug_clearbarrier_test (-DSPR_MC_SEED_BUG_CLEAR_ARRIVE_RELAXED):
+//    makes the lock-free shadow's start-barrier arrival relaxed. A worker
+//    past the barrier then has no happens-before edge to the other
+//    worker's stripe clear, can read a slot's garbage key, and claims a
+//    slot past the key's home: a cell of tests/mc_cell_cas_episode.hpp's
+//    clear-barrier episode differs from a fresh table's.
 
 #include <gtest/gtest.h>
 
@@ -155,6 +161,31 @@ TEST(McSeededBug, CellPlainStoreIsCaught) {
   const mc::Stats st = mc::explore(o, episode);
   ASSERT_TRUE(st.failed)
       << "the checker must catch the seeded plain cell store";
+  EXPECT_FALSE(st.failure_schedule.empty());
+  EXPECT_FALSE(st.failure_trace.empty());
+  std::printf("[  mc    ] caught after %llu episodes: %s\n",
+              static_cast<unsigned long long>(st.episodes),
+              st.failure_message.c_str());
+  const mc::Stats re =
+      mc::replay(o, episode, st.failure_schedule, st.failure_bound);
+  ASSERT_TRUE(re.failed) << "recorded schedule did not replay the violation";
+  EXPECT_EQ(re.failure_message, st.failure_message);
+}
+
+#elif defined(SPR_MC_SEED_BUG_CLEAR_ARRIVE_RELAXED)
+
+TEST(McSeededBug, ClearBarrierRelaxedArriveIsCaught) {
+  mc::Options o;
+  o.preemption_bound = 2;
+  o.max_dfs_schedules = 20000;
+  o.random_schedules = 20000;
+  o.stale_read_budget = 4;
+  const mc::Episode episode = [](mc::Run& r) {
+    spr::mc_episodes::clear_barrier(r);
+  };
+  const mc::Stats st = mc::explore(o, episode);
+  ASSERT_TRUE(st.failed)
+      << "the checker must catch the seeded relaxed barrier arrival";
   EXPECT_FALSE(st.failure_schedule.empty());
   EXPECT_FALSE(st.failure_trace.empty());
   std::printf("[  mc    ] caught after %llu episodes: %s\n",

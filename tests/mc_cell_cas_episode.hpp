@@ -1,7 +1,7 @@
 #pragma once
 // Model-check episodes of SP-hybrid's lock-free shadow
 // (race::stream::LockFreeDeterminacyShadow), shared by mc_test and the
-// negative control mc_bug_cellcas_test.
+// negative controls mc_bug_cellcas_test and mc_bug_clearbarrier_test.
 //
 //  - cell_cas_same_slot: two logical threads find the same location in a
 //    fresh table, so both try to claim its one empty slot, and update its
@@ -16,6 +16,12 @@
 //    must go to the overflow, for both threads, while the other thread
 //    probes it. Oracle: one race per key, exactly two overflow accesses,
 //    and final writers some serial order of the four writes can leave.
+//  - clear_barrier: a kMinCapacity-slot table built for two workers,
+//    whose slots the checker's builds fill with garbage. Each thread
+//    clears its half in start(), which returns once both have arrived,
+//    then writes a location whose home slot lies in the other thread's
+//    half. Oracle: the race count, the overflow count and both final
+//    cells equal those of the same writes on a fresh one-user table.
 //
 // The final cell is read back by a probe write from a later thread, whose
 // `serial` callback is asked about the stored writer, reader1 and reader2
@@ -153,6 +159,44 @@ inline std::uint64_t cell_cas_window_overflow(mc::Run& r) {
   std::uint64_t unused = 0;
   shadow.apply(tree::Access{a, false}, 9, one_par_two, unused, probe);
   return probe.overflows == 1 ? a : b;
+}
+
+/// Runs the start-barrier episode on `r`.
+inline void clear_barrier(mc::Run& r) {
+  using detail::one_par_two;
+  constexpr std::size_t kHalf = race::stream::kMinCapacity / 2;
+  detail::Shadow shadow(0, /*workers=*/2);
+  // Thread 1 clears slots [0, kHalf) and writes `a`, homed in thread 2's
+  // half; thread 2 clears [kHalf, 2 * kHalf) and writes `b`, homed in 1's.
+  const std::uint64_t a = detail::loc_at_home(kHalf + 3);
+  const std::uint64_t b = detail::loc_at_home(3);
+  std::uint64_t races1 = 0, races2 = 0;
+  detail::Shadow::Counters c1, c2;
+  r.spawn([&] {
+    shadow.start(0);
+    shadow.apply(tree::Access{a, true}, 1, one_par_two, races1, c1);
+  });
+  r.spawn([&] {
+    shadow.start(1);
+    shadow.apply(tree::Access{b, true}, 2, one_par_two, races2, c2);
+  });
+  r.join_all();
+
+  detail::Shadow fresh(0);
+  std::uint64_t fresh_races = 0;
+  detail::Shadow::Counters fc;
+  fresh.apply(tree::Access{a, true}, 1, one_par_two, fresh_races, fc);
+  fresh.apply(tree::Access{b, true}, 2, one_par_two, fresh_races, fc);
+  SPR_MC_ASSERT(races1 + races2 == fresh_races,
+                "the race count differs from a fresh table's");
+  SPR_MC_ASSERT(c1.overflows + c2.overflows == fc.overflows,
+                "the overflow count differs from a fresh table's");
+  SPR_MC_ASSERT(detail::same(detail::reveal(shadow, a),
+                             detail::reveal(fresh, a)) &&
+                    detail::same(detail::reveal(shadow, b),
+                                 detail::reveal(fresh, b)),
+                "a cell differs from a fresh table's: a slot was read "
+                "before its clear");
 }
 
 }  // namespace spr::mc_episodes

@@ -436,6 +436,22 @@ TEST(McSuite, LockFreeShadowWindowOverflow) {
 }
 
 // ---------------------------------------------------------------------
+// Scenario 11: the start barrier of SP-hybrid's lock-free shadow. A
+// table built for two workers is never cleared as a whole: each worker
+// clears its stripe in start() and waits there for the other. Here the
+// slots start as garbage, and each thread then writes a location homed
+// in the other thread's stripe (tests/mc_cell_cas_episode.hpp): the
+// verdict and the cells must equal a fresh table's on every schedule.
+
+TEST(McSuite, LockFreeShadowClearBarrier) {
+  const mc::Stats st = mc::explore(base_options(), [](mc::Run& r) {
+    spr::mc_episodes::clear_barrier(r);
+  });
+  ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
+  report("lockfree_shadow_clear", st);
+}
+
+// ---------------------------------------------------------------------
 // The acceptance bar: >= 10k distinct schedules across the target
 // scenarios, all violation-free (each test above already asserted
 // that). Runs last by declaration order.

@@ -12,13 +12,13 @@
 //    sharing a home slot keep distinct cells across growths, both
 //    one-owner shadows count cells and bytes exactly, a reserved table
 //    does not grow until it holds more cells than it reserved, the
-//    footprint estimate tracks exact distinct-location counts, and a
-//    sharded shadow's verdict does not depend on its sizing;
+//    footprint estimate tracks exact distinct-location counts;
 //  - SP-hybrid's lock-free shadow: its packed cells round-trip at the
 //    largest thread id, the thread-count guard rejects the limit, it
 //    matches the one-owner shadow access by access with and without
-//    overflow, the reserved location ~0 gets exact verdicts, and 4
-//    threads on a 64-slot table count every race exactly;
+//    overflow, the reserved location ~0 gets exact verdicts, the batched
+//    apply_all leaves what one apply per access leaves, and 4 threads on
+//    a 64-slot table count every race exactly;
 //  - bounded memory: finish() frees a stream's SP engine and shadow, so
 //    open/submit/finish churn grows the service by a fixed-size record
 //    per stream;
@@ -348,45 +348,6 @@ TEST(ShadowShards, FootprintEstimateTracksDistinctLocations) {
   EXPECT_LE(empty.footprint(), 2u);
 }
 
-// The expected cell count only sizes the shards: too low, too high or
-// unknown, a sharded shadow reports the same races.
-TEST(ShadowShards, DeterminacyShadowVerdictIgnoresExpectedCells) {
-  const ParseTree t = spr::fj::lower_to_parse_tree(
-      spr::fj::make_stencil(1 << 12, 8, /*inject_race=*/true));
-  spr::order::SpOrder sp(t);
-  const auto ref = spr::race::detect_races(t, sp);
-  ASSERT_GT(ref.race_count, 0u);
-  const std::size_t exact = exact_footprint(t);
-  for (const std::size_t expected : {std::size_t{0}, exact / 10, exact * 10}) {
-    // English order with an oracle for SP: the same replay as the serial
-    // detector, through the sharded shadow.
-    stream::DeterminacyShadow shadow(16, expected);
-    spr::order::SpOrder order(t);
-    struct Replay final : spr::tree::MaintenanceDriver<spr::order::SpOrder> {
-      Replay(const ParseTree& tr, spr::order::SpOrder& o,
-             stream::DeterminacyShadow& sh)
-          : MaintenanceDriver(o), tree(tr), shadow(sh) {}
-      void visit_leaf(const spr::tree::Node& n) override {
-        MaintenanceDriver::visit_leaf(n);
-        const auto serial = spr::race::counted_serial(
-            [this](spr::tree::ThreadId u, spr::tree::ThreadId v) {
-              return sp_.precedes(u, v);
-            },
-            report.queries);
-        for (const spr::tree::Access& a : tree.accesses(n.thread))
-          shadow.apply(0, a, n.thread, serial, report.race_count);
-      }
-      const ParseTree& tree;
-      stream::DeterminacyShadow& shadow;
-      spr::race::RaceReport report;
-    } replay(t, order, shadow);
-    spr::tree::serial_walk(t, replay);
-    EXPECT_EQ(replay.report.race_count, ref.race_count) << expected;
-    EXPECT_EQ(replay.report.queries, ref.queries) << expected;
-    EXPECT_EQ(shadow.cell_count(), exact) << expected;
-  }
-}
-
 // ---------------------------------------------------------------------
 // SP-hybrid's lock-free shadow: packed cells updated by CAS in one table,
 // with a locked overflow for full probe windows and the reserved location.
@@ -492,6 +453,77 @@ TEST(LockFreeShadow, ReservedLocationGetsExactVerdicts) {
   EXPECT_EQ(races, 2u) << "the location next to it is an ordinary key";
   EXPECT_EQ(counts.overflows, 3u);
   EXPECT_EQ(shadow.cell_count(), 2u);
+}
+
+/// The cell stored for `loc`, read by a probe write of thread `probe`
+/// whose `serial` records the writer, reader1 and reader2 it is asked
+/// about (call once per location: the probe leaves it written).
+spr::race::ShadowCell reveal(LockFreeDeterminacyShadow& shadow,
+                             std::uint64_t loc, spr::tree::ThreadId probe) {
+  spr::race::ShadowCell c;
+  spr::tree::ThreadId* next[] = {&c.writer, &c.reader1, &c.reader2};
+  unsigned asked = 0;
+  std::uint64_t races = 0;
+  LockFreeDeterminacyShadow::Counters counts;
+  shadow.apply(
+      {loc, true}, probe,
+      [&](spr::tree::ThreadId u, spr::tree::ThreadId) {
+        *next[asked++] = u;
+        return true;
+      },
+      races, counts);
+  return c;
+}
+
+// apply_all prefetches a batch of home slots, then applies the batch one
+// access at a time: over runs shorter than, equal to and longer than one
+// batch, it must leave the races, overflow counts and cells that one
+// apply per access leaves, including a location repeated inside one
+// batch, the reserved location ~0, and keys a full 64-slot table sends to
+// the overflow.
+TEST(LockFreeShadow, BatchedApplyMatchesOneByOne) {
+  static_assert(LockFreeDeterminacyShadow::kBatch == 16);
+  constexpr std::uint64_t kLocs = 90;  // more keys than the 64 slots hold
+  LockFreeDeterminacyShadow batched(0), single(0);
+  ASSERT_EQ(batched.capacity(), stream::kMinCapacity);
+  LockFreeDeterminacyShadow::Counters bc, sc;
+  std::uint64_t b_races = 0, s_races = 0;
+  spr::util::Xoshiro256 rng(17);
+  spr::tree::ThreadId v = 0;
+  std::uint64_t reserved = 0, repeats = 0;
+  for (const std::size_t n : {0, 1, 15, 16, 17, 40, 16, 40, 17, 1}) {
+    std::vector<spr::tree::Access> run;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t loc =
+          rng.next_below(20) == 0 ? ~0ULL : rng.next_below(kLocs) * 8;
+      reserved += loc == ~0ULL;
+      run.push_back({loc, rng.next_bool(), 0});
+      // Repeat a location inside the batch.
+      if (i + 1 < n && rng.next_below(4) == 0) {
+        reserved += loc == ~0ULL;
+        ++repeats;
+        run.push_back({loc, rng.next_bool(), 0});
+        ++i;
+      }
+    }
+    batched.apply_all(run.data(), run.size(), v, hashed_serial, b_races, bc);
+    for (const spr::tree::Access& a : run)
+      single.apply(a, v, hashed_serial, s_races, sc);
+    ASSERT_EQ(b_races, s_races) << "run of " << n;
+    ASSERT_EQ(bc.overflows, sc.overflows) << "run of " << n;
+    ++v;
+  }
+  EXPECT_GT(b_races, 0u);
+  EXPECT_GT(reserved, 0u);
+  EXPECT_GT(repeats, 0u);
+  EXPECT_GT(bc.overflows, reserved) << "no key overflowed the full table";
+  EXPECT_EQ(bc.retries, 0u);
+  EXPECT_EQ(batched.cell_count(), single.cell_count());
+  for (std::uint64_t i = 0; i <= kLocs; ++i) {
+    const std::uint64_t loc = i == kLocs ? ~0ULL : i * 8;
+    EXPECT_TRUE(same_cell(reveal(batched, loc, v), reveal(single, loc, v)))
+        << "loc " << loc;
+  }
 }
 
 // A 64-slot table and 10k locations, written by 4 threads that are all

@@ -1,11 +1,12 @@
 // Parallel-executor stress tests: randomized fork-join programs run on
-// the real work-stealing engine at 1, 2, and 4 workers. The naive locked
-// SP-order keeps every node's slot, so after its run every ordered thread
-// pair is checked against the brute-force LCA oracle. SP-hybrid answers
-// only on the fly, so its runs ask at least as many queries as there are
-// ordered pairs (4 * n per thread), and the run checksum (order-independent
-// digest of all per-leaf query answers plus the leaf work) must equal the
-// serial reference executor's. The paper's counter claim is asserted
+// the real work-stealing engine at 1, 2, and 4 workers (and 3 for race
+// detection, whose workers clear uneven stripes of the shadow). The
+// naive locked SP-order keeps every node's slot, so after its run every
+// ordered thread pair is checked against the brute-force LCA oracle.
+// SP-hybrid answers only on the fly, so its runs ask at least as many
+// queries as there are ordered pairs (4 * n per thread), and the run
+// checksum (order-independent digest of all per-leaf query answers plus
+// the leaf work) must equal the serial reference executor's. The paper's counter claim is asserted
 // against MEASURED counts: om_inserts == 3 * splits (3 global-tier
 // inserts per steal, counted from the global tier's lists, not the deques).
 // The race-detection protocol must stay deterministic: an injected
@@ -35,6 +36,9 @@ using spr::hybrid::Mode;
 using spr::hybrid::WorkStealingEngine;
 
 constexpr unsigned kWorkerCounts[] = {1, 2, 4};
+/// Detection runs add P = 3: every worker clears one stripe of the
+/// shadow's power-of-two table, and 3 does not divide it evenly.
+constexpr unsigned kDetectWorkerCounts[] = {1, 2, 3, 4};
 
 ExecOptions base_options(std::uint64_t seed) {
   ExecOptions o;
@@ -154,7 +158,7 @@ TEST(SpHybridParallel, RaceVerdictIsDeterministicAcrossWorkerCounts) {
     const auto t = spr::fj::lower_to_parse_tree(
         spr::fj::make_dnc_fill(1u << 9, 8, inject));
     for (const Mode mode : {Mode::kHybrid, Mode::kNaive}) {
-      for (const unsigned workers : kWorkerCounts) {
+      for (const unsigned workers : kDetectWorkerCounts) {
         ExecOptions o = base_options(3);
         o.mode = mode;
         o.workers = workers;
@@ -184,7 +188,7 @@ TEST(SpHybridParallel, RaceCountMatchesSerialReferenceOnStencils) {
     const ExecResult serial = spr::hybrid::run_parallel(t, o);
     ASSERT_GT(serial.race_count, 0u);
     for (const Mode mode : {Mode::kHybrid, Mode::kNaive}) {
-      for (const unsigned workers : kWorkerCounts) {
+      for (const unsigned workers : kDetectWorkerCounts) {
         o.mode = mode;
         o.workers = workers;
         const ExecResult r = spr::hybrid::run_parallel(t, o);
@@ -213,7 +217,7 @@ TEST(SpHybridParallel, NoOverflowAtTheShadowSizingLimit) {
   ASSERT_GE(load, 0.74) << "the program no longer loads the table near 3/4";
   ASSERT_LE(load, 0.76);
   for (const Mode mode : {Mode::kHybrid, Mode::kNaive}) {
-    for (const unsigned workers : kWorkerCounts) {
+    for (const unsigned workers : kDetectWorkerCounts) {
       ExecOptions o = base_options(13);
       o.detect_races = true;
       o.mode = mode;
