@@ -1,10 +1,12 @@
 #pragma once
 // Shared helpers for the benchmark harnesses: a walk driver that issues
 // race-detector-style SP queries at every thread, timed with and without
-// queries so per-operation costs can be separated.
+// queries so per-operation costs can be separated, and digested so two
+// backends' answers to the same query stream can be compared.
 
 #include <cstdint>
 
+#include "sphybrid/worker.hpp"
 #include "sptree/sp_maintenance.hpp"
 #include "sptree/walk.hpp"
 #include "util/rng.hpp"
@@ -17,7 +19,7 @@ struct WalkTimes {
   std::uint64_t threads = 0;
   double query_walk_s = 0;    ///< second walk including queries
   std::uint64_t queries = 0;
-  std::uint64_t checksum = 0;  ///< defeats dead-code elimination
+  std::uint64_t digest = 0;   ///< sum of hybrid::query_digest over answers
 
   double ns_per_thread() const {
     return threads == 0 ? 0 : walk_s * 1e9 / static_cast<double>(threads);
@@ -42,13 +44,13 @@ class DrivingVisitor final : public tree::MaintenanceDriver<> {
     const tree::ThreadId cur = n.thread;
     for (std::uint32_t q = 0; q < qpl_ && cur > 0; ++q) {
       const auto u = static_cast<tree::ThreadId>(rng_.next_below(cur));
-      checksum += sp_.precedes(u, cur) ? 1 : 0;
+      digest += hybrid::query_digest(u, cur, sp_.precedes(u, cur));
       ++queries;
     }
   }
 
   std::uint64_t queries = 0;
-  std::uint64_t checksum = 0;
+  std::uint64_t digest = 0;
 
  private:
   std::uint32_t qpl_;
@@ -76,7 +78,7 @@ inline WalkTimes time_walk_with_queries(const tree::ParseTree& t,
   wt.query_walk_s = sw.elapsed_s();
   wt.threads = t.leaf_count();
   wt.queries = v.queries;
-  wt.checksum = v.checksum;
+  wt.digest = v.digest;
   return wt;
 }
 

@@ -20,6 +20,11 @@
 // english-hebrew, d large for offset-span) while SP-bags and SP-order stay
 // flat; SP-order queries beat SP-bags queries. Emits one `#METRIC {...}`
 // JSON line per (workload, algorithm) for scripts/bench.sh.
+//
+// Every algorithm answers the same seeded query stream, so the harness
+// exits non-zero unless all of them give the same digest of
+// (u, v, answer) on every workload (hybrid::query_digest, summed, so one
+// flipped answer changes it).
 
 #include <algorithm>
 #include <iostream>
@@ -34,7 +39,6 @@
 #include "labeling/offset_span.hpp"
 #include "spbags/sp_bags.hpp"
 #include "sporder/sp_order.hpp"
-#include "sporder/sp_order_compact.hpp"
 #include "sptree/metrics.hpp"
 #include "util/table.hpp"
 
@@ -57,10 +61,8 @@ std::unique_ptr<SpMaintenance> make_algo(int which, const ParseTree& t) {
       return std::make_unique<spr::label::OffsetSpan>(t);
     case 2:
       return std::make_unique<spr::bags::SpBags>(t);
-    case 3:
-      return std::make_unique<spr::order::SpOrder>(t);
     default:
-      return std::make_unique<spr::order::SpOrderCompact>(t);
+      return std::make_unique<spr::order::SpOrder>(t);
   }
 }
 
@@ -79,7 +81,9 @@ std::uint32_t max_label(int which, const ParseTree& t, SpMaintenance& algo) {
   return mx;
 }
 
-void bench_workload(const std::string& workload, const std::string& shape,
+/// Prints the workload's table; returns false if any algorithm's answers
+/// differ from english-hebrew's.
+bool bench_workload(const std::string& workload, const std::string& shape,
                     const ParseTree& t) {
   const auto m = spr::tree::compute_metrics(t);
   std::cout << "\n== " << workload << " — " << shape << ": n=" << m.threads
@@ -90,12 +94,13 @@ void bench_workload(const std::string& workload, const std::string& shape,
       {"offset-span", "Th(d) / Th(1) / Th(d)"},
       {"sp-bags", "Th(1) / Th(a) / Th(a)"},
       {"sp-order", "Th(1) / Th(1) / Th(1)"},
-      {"sp-order-compact (fn.2)", "Th(1) / Th(1) / Th(1)"},
   };
   spr::util::Table table({"algorithm", "paper (space/create/query)",
                           "create ns/thread", "query ns", "space B/thread",
-                          "max label"});
-  for (int which = 0; which < 5; ++which) {
+                          "max label", "answers"});
+  std::uint64_t ref_digest = 0;
+  bool all_match = true;
+  for (int which = 0; which < 4; ++which) {
     auto a1 = make_algo(which, t);
     const double walk_s = spr::benchutil::time_walk(t, *a1);
     auto a2 = make_algo(which, t);
@@ -104,22 +109,28 @@ void bench_workload(const std::string& workload, const std::string& shape,
     const double space = static_cast<double>(a2->memory_bytes()) /
                          static_cast<double>(m.threads);
     const std::uint32_t label = max_label(which, t, *a2);
+    if (which == 0) ref_digest = wt.digest;
+    const bool match = wt.digest == ref_digest;
+    all_match = all_match && match;
     table.add_row({kSpecs[which].name, kSpecs[which].asymptotics,
                    spr::util::fmt_double(wt.ns_per_thread(), 1),
                    spr::util::fmt_double(wt.ns_per_query(), 1),
                    spr::util::fmt_double(space, 1),
                    which > 1 ? "-"
                              : std::to_string(label) +
-                                   (which == 0 ? " bits" : " pairs")});
+                                   (which == 0 ? " bits" : " pairs"),
+                   match ? "match" : "MISMATCH"});
     std::cout << "#METRIC {\"bench\":\"fig3\",\"workload\":\"" << workload
               << "\",\"algorithm\":\"" << kSpecs[which].name
               << "\",\"threads\":" << m.threads
               << ",\"create_ns_per_thread\":" << wt.ns_per_thread()
               << ",\"query_ns\":" << wt.ns_per_query()
               << ",\"bytes_per_thread\":" << space
-              << ",\"max_label\":" << label << "}\n";
+              << ",\"max_label\":" << label
+              << ",\"answers_match\":" << (match ? "true" : "false") << "}\n";
   }
   table.print(std::cout);
+  return all_match;
 }
 
 }  // namespace
@@ -128,14 +139,16 @@ int main() {
   std::cout << "Figure 3 — serial SP-maintenance algorithm comparison\n"
             << "(query pattern: 4 race-detector queries per thread against "
                "random prior threads)\n";
-  bench_workload("fib(20)", "balanced recursion, d = Theta(lg f)",
-                 spr::fj::lower_to_parse_tree(spr::fj::make_fib(20)));
-  bench_workload("balanced(14)", "full binary spawn tree",
-                 spr::fj::lower_to_parse_tree(spr::fj::make_balanced(14)));
-  bench_workload(
+  bool ok = true;
+  ok &= bench_workload("fib(20)", "balanced recursion, d = Theta(lg f)",
+                       spr::fj::lower_to_parse_tree(spr::fj::make_fib(20)));
+  ok &= bench_workload(
+      "balanced(14)", "full binary spawn tree",
+      spr::fj::lower_to_parse_tree(spr::fj::make_balanced(14)));
+  ok &= bench_workload(
       "loop_spawn(1024)", "one sync block, d = f (labels explode)",
       spr::fj::lower_to_parse_tree(spr::fj::make_loop_spawn(1024)));
-  bench_workload(
+  ok &= bench_workload(
       "loop_sync(20000, 8)", "spawning loop, sync every 8 (d = 8)",
       spr::fj::lower_to_parse_tree(spr::fj::make_loop_sync(20000, 8)));
   std::cout
@@ -146,5 +159,10 @@ int main() {
          "constant, exactly as Section 1 concedes — SP-order's advantages\n"
          "are the asymptotic bound and, crucially, parallelizability "
          "(Theorem 10).\n";
+  if (!ok) {
+    std::cerr << "FAIL: the algorithms' answers differ (see the answers "
+                 "column)\n";
+    return 1;
+  }
   return 0;
 }

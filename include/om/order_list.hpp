@@ -17,9 +17,9 @@
 // amortizes to O(lg n) per split, i.e. O(lg n / kBucketCap) = O(1) per
 // item insert for any practical n.
 //
-// Item pointers are stable until explicitly erased: relabeling rewrites
-// label fields and bucket links but never moves or frees nodes, and
-// erase() frees only the erased node (plus its bucket once empty).
+// The list is insert-only and item pointers stay valid for its whole
+// life: relabeling rewrites label fields and bucket links but never moves
+// a node, and items are never freed before the list.
 //
 // Concurrency: the list takes no lock and keeps no version. The three
 // fields precedes() reads (item label, bucket label, Item::bucket) are
@@ -29,11 +29,10 @@
 // orders compile to plain moves; serial callers pay only for the
 // compiler ordering around them (1-2% on spbench's service workloads).
 //
-// Items and buckets come from per-list free-list pools (util/arena.hpp):
-// inserts are pointer bumps, erase/insert churn recycles slots, and the
-// whole list frees in O(#chunks) at destruction — the fix for the
-// super-linear tail the thm5 bench showed at 640k threads when every
-// item was an individual new/delete.
+// Items and buckets come from two per-list arenas (util/arena.hpp):
+// inserts are pointer bumps and the whole list frees in O(#chunks) at
+// destruction — the fix for the super-linear tail the thm5 bench showed
+// at 640k threads when every item was an individual new/delete.
 
 #include <cstddef>
 #include <cstdint>
@@ -57,10 +56,10 @@ class OrderList {
 
   struct Stats {
     std::uint64_t inserts = 0;        ///< items inserted
-    std::uint64_t erases = 0;         ///< items reclaimed
+    std::uint64_t erases = 0;         ///< always 0: spbench's sum() names it
     std::uint64_t items_moved = 0;    ///< item+bucket label rewrites
     std::uint64_t bucket_splits = 0;  ///< bottom-level splits
-    std::uint64_t buckets_freed = 0;  ///< emptied buckets reclaimed
+    std::uint64_t buckets_freed = 0;  ///< always 0: spbench's sum() names it
     std::uint64_t top_relabels = 0;   ///< top-level range relabel events
   };
 
@@ -68,7 +67,6 @@ class OrderList {
 
   struct Item {
     spr::atomic<std::uint64_t> label{0};
-    Item* prev = nullptr;  ///< within bucket
     Item* next = nullptr;  ///< within bucket
     spr::atomic<Bucket*> bucket{nullptr};
   };
@@ -78,28 +76,26 @@ class OrderList {
     Bucket* prev = nullptr;
     Bucket* next = nullptr;
     Item* first = nullptr;
-    Item* last = nullptr;
     std::uint32_t count = 0;
   };
 
   /// Creates the list with its one root item; every other item is
   /// inserted after it, directly or transitively.
   OrderList() {
-    Bucket* b = bucket_pool_.create();
+    Bucket* b = buckets_.create<Bucket>();
     b->label.store(kTopMax / 2, std::memory_order_relaxed);
     root_ = new_item(kLocalMax / 2, b);
-    b->first = b->last = root_;
+    b->first = root_;
     b->count = 1;
-    size_ = 1;
     stats_.inserts = 1;
   }
   OrderList(const OrderList&) = delete;
   OrderList& operator=(const OrderList&) = delete;
 
-  // Pools reclaim every node in bulk; no per-node teardown needed.
+  // The arenas reclaim every node in bulk; no per-node teardown needed.
   ~OrderList() = default;
 
-  /// The first item, created with the list (dangles once erased).
+  /// The first item, created with the list.
   Item* root() const { return root_; }
 
   /// Inserts a new item immediately after `x`.
@@ -110,44 +106,12 @@ class OrderList {
       b = bucket_of(x);  // x may now live in the new right half
     }
     if (gap_after(x) < 2) rebalance(b);
-    Item* const succ = x->next;
     Item* item = new_item(label_of(x) + gap_after(x) / 2, b);
-    item->prev = x;
-    item->next = succ;
+    item->next = x->next;
     x->next = item;
-    if (succ != nullptr)
-      succ->prev = item;
-    else
-      b->last = item;
     ++b->count;
-    ++size_;
     ++stats_.inserts;
     return item;
-  }
-
-  /// Erases `x`, reclaiming its node (and its bucket, if emptied). The
-  /// caller must not dereference `x` afterward. Deletion never perturbs
-  /// labels, so every other Item pointer and all orderings survive.
-  void erase(Item* x) {
-    Bucket* b = bucket_of(x);
-    if (x->prev != nullptr)
-      x->prev->next = x->next;
-    else
-      b->first = x->next;
-    if (x->next != nullptr)
-      x->next->prev = x->prev;
-    else
-      b->last = x->prev;
-    --b->count;
-    --size_;
-    ++stats_.erases;
-    item_pool_.destroy(x);
-    if (b->count == 0) {
-      if (b->prev != nullptr) b->prev->next = b->next;
-      if (b->next != nullptr) b->next->prev = b->prev;
-      ++stats_.buckets_freed;
-      bucket_pool_.destroy(b);
-    }
   }
 
   /// True iff `a` is strictly before `b` in the maintained order.
@@ -159,12 +123,13 @@ class OrderList {
     return a->label.load(kLabelRead) < b->label.load(kLabelRead);
   }
 
-  std::size_t size() const { return size_; }
+  /// Items in the list: every item ever inserted, the list being
+  /// insert-only.
+  std::size_t size() const { return stats_.inserts; }
   const Stats& stats() const { return stats_; }
 
   std::size_t memory_bytes() const {
-    return sizeof(*this) + item_pool_.memory_bytes() +
-           bucket_pool_.memory_bytes();
+    return sizeof(*this) + items_.memory_bytes() + buckets_.memory_bytes();
   }
 
  private:
@@ -192,7 +157,7 @@ class OrderList {
   /// A fresh item: unreachable by any reader until the caller hands it
   /// out, so its fields need no release.
   Item* new_item(std::uint64_t label, Bucket* b) {
-    Item* it = item_pool_.create();
+    Item* it = items_.create<Item>();
     it->label.store(label, std::memory_order_relaxed);
     it->bucket.store(b, std::memory_order_relaxed);
     return it;
@@ -213,19 +178,16 @@ class OrderList {
   /// labels in both and inserting the new bucket's top label.
   void split(Bucket* b) {
     ++stats_.bucket_splits;
-    Bucket* nb = bucket_pool_.create();
+    Bucket* nb = buckets_.create<Bucket>();
     // Move the latter half of b's items into nb (relinking only; item
     // nodes stay put so external pointers survive).
     const std::uint32_t keep = b->count / 2;
     Item* it = b->first;
     for (std::uint32_t i = 1; i < keep; ++i) it = it->next;
     nb->first = it->next;
-    nb->last = b->last;
     nb->count = b->count - keep;
-    b->last = it;
     b->count = keep;
     it->next = nullptr;
-    nb->first->prev = nullptr;
     for (Item* m = nb->first; m != nullptr; m = m->next)
       m->bucket.store(nb, std::memory_order_release);
     // Link nb after b in the bucket list.
@@ -299,10 +261,14 @@ class OrderList {
   }
 
   Item* root_ = nullptr;
-  std::size_t size_ = 0;
   Stats stats_;
-  util::Pool<Item> item_pool_;
-  util::Pool<Bucket> bucket_pool_;
+  util::Arena items_;
+  util::Arena buckets_;
 };
+
+#if defined(__x86_64__) && !defined(SPR_MODEL_CHECK)
+static_assert(sizeof(OrderList::Item) == 24,
+              "label, next and bucket: no back-link");
+#endif
 
 }  // namespace spr::om

@@ -39,8 +39,8 @@
 // OwnedAllSetsShadow is the lock-aware ALL-SETS protocol (Cheng et al.):
 // per (stream, location) a pruned history of (lockset, writer?) entries —
 // each remembering the most recent and one sticky parallel thread,
-// mirroring the determinacy protocol — with the entries drawn from a
-// free-list pool.
+// mirroring the determinacy protocol — with the entries drawn from the
+// shadow's own arena, freed with it.
 //
 // Shared, lock-free. LockFreeDeterminacyShadow is the shadow of SP-hybrid's
 // workers (sphybrid/worker.hpp), which run one program and apply accesses
@@ -271,7 +271,7 @@ class OwnedAllSetsShadow {
       }
       return;
     }
-    Entry* fresh = pool_.create();
+    Entry* fresh = entries_.create<Entry>();
     fresh->locks = a.locks;
     fresh->write = a.write;
     fresh->t1 = v;
@@ -285,7 +285,7 @@ class OwnedAllSetsShadow {
 
   std::size_t cell_count() const { return heads_.size(); }
   std::size_t memory_bytes() const {
-    return heads_.memory_bytes() + pool_.memory_bytes();
+    return heads_.memory_bytes() + entries_.memory_bytes();
   }
 
  private:
@@ -298,7 +298,7 @@ class OwnedAllSetsShadow {
   };
 
   CellTable<Entry*> heads_;  ///< history list per (stream, loc)
-  util::Pool<Entry> pool_;
+  util::Arena entries_;  ///< history entries, freed with the shadow
 };
 
 /// One ShadowCell in one word, for LockFreeDeterminacyShadow: writer,

@@ -2,9 +2,8 @@
 // Disjoint-set structures for SP-bags and the SP-hybrid local tier.
 //
 // DisjointSets: serial union-find with union by rank and path
-// compression, the Theta(alpha) structure of Figure 3's SP-bags row. Its
-// users are serial SP-bags and compact SP-order. Instrumented with
-// find/step counters.
+// compression, the Theta(alpha) structure of Figure 3's SP-bags row,
+// used by serial SP-bags. Instrumented with find/step counters.
 //
 // AtomicDisjointSets: the SP-hybrid local tier's union-find, union by
 // rank only (Theorem 10's analysis). Unions are serialized by the owning

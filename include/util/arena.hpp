@@ -1,7 +1,7 @@
 #pragma once
-// Chunked bump-pointer arena and typed free-list pools — the allocation
-// substrate of the streaming race-detection service (race/stream/) and of
-// the order-maintenance lists (om/order_list.hpp).
+// Chunked bump-pointer arena — the allocation substrate of the streaming
+// race-detection service (race/stream/) and of the order-maintenance
+// lists (om/order_list.hpp).
 //
 // Arena: allocations are O(1) pointer bumps into geometrically growing
 // malloc'd chunks; nothing is freed until the arena dies. That is exactly
@@ -9,13 +9,8 @@
 // history entries and OM items live until the stream closes), and it
 // removes the per-item malloc/free traffic that made SP-order
 // construction super-linear at 640k threads (the thm5 bench's allocator
-// cliff — see BENCH_4.json).
-//
-// Pool<T>: a free list layered on an arena, so erase/insert churn (e.g.
-// the footnote-2 compact SP-order reclaiming completed subtrees) recycles
-// nodes instead of round-tripping through the global allocator. Restricted
-// to trivially destructible T: the pool never runs destructors on chunk
-// teardown.
+// cliff — see BENCH_4.json). create<T>() is restricted to trivially
+// destructible T: the arena never runs destructors on chunk teardown.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,6 +44,15 @@ class Arena {
     }
     cur_ = p + bytes;
     return reinterpret_cast<void*>(p);
+  }
+
+  /// Constructs one T in arena storage; it lives until the arena dies.
+  template <typename T, typename... Args>
+  T* create(Args&&... args) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "arena teardown never runs element destructors");
+    return new (allocate(sizeof(T), alignof(T)))
+        T(std::forward<Args>(args)...);
   }
 
   template <typename T>
@@ -85,51 +89,6 @@ class Arena {
   std::uintptr_t end_ = 0;
   std::size_t next_chunk_bytes_;
   std::size_t allocated_bytes_ = 0;
-};
-
-/// Typed free-list pool over an arena. create() reuses a destroyed slot
-/// when one exists and bump-allocates otherwise; destroy() pushes the slot
-/// onto the free list. Slots are never returned to the system until the
-/// pool dies.
-template <typename T>
-class Pool {
-  static_assert(std::is_trivially_destructible_v<T>,
-                "Pool teardown never runs element destructors");
-
- public:
-  Pool() = default;
-  Pool(const Pool&) = delete;
-  Pool& operator=(const Pool&) = delete;
-
-  template <typename... Args>
-  T* create(Args&&... args) {
-    void* mem;
-    if (free_ != nullptr) {
-      mem = free_;
-      free_ = free_->next;
-    } else {
-      mem = arena_.allocate(sizeof(Slot), alignof(Slot));
-    }
-    return new (mem) T(std::forward<Args>(args)...);
-  }
-
-  void destroy(T* p) {
-    p->~T();
-    auto* s = reinterpret_cast<Slot*>(p);
-    s->next = free_;
-    free_ = s;
-  }
-
-  std::size_t memory_bytes() const { return sizeof(*this) + arena_.memory_bytes(); }
-
- private:
-  union Slot {
-    Slot* next;
-    alignas(T) unsigned char storage[sizeof(T)];
-  };
-
-  Arena arena_;
-  Slot* free_ = nullptr;
 };
 
 }  // namespace spr::util

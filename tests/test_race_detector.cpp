@@ -12,7 +12,6 @@
 #include "sp_test_util.hpp"
 #include "spbags/sp_bags.hpp"
 #include "sporder/sp_order.hpp"
-#include "sporder/sp_order_compact.hpp"
 
 namespace {
 
@@ -138,14 +137,11 @@ TEST(Detector, BackendsAgreeOnVerdictAndQueriesOverCorpus) {
   // backend must return the same race count and the same query count.
   for (const auto& p : spr::testutil::corpus()) {
     spr::order::SpOrder order(p.tree);
-    spr::order::SpOrderCompact compact(p.tree);
     spr::bags::SpBags bags(p.tree);
     const auto ref = spr::race::detect_races(p.tree, order);
-    for (const auto& got : {spr::race::detect_races(p.tree, compact),
-                            spr::race::detect_races(p.tree, bags)}) {
-      EXPECT_EQ(got.race_count, ref.race_count) << p.name;
-      EXPECT_EQ(got.queries, ref.queries) << p.name;
-    }
+    const auto got = spr::race::detect_races(p.tree, bags);
+    EXPECT_EQ(got.race_count, ref.race_count) << p.name;
+    EXPECT_EQ(got.queries, ref.queries) << p.name;
   }
 }
 

@@ -1,9 +1,9 @@
-// Property test: SP-order (and its compact variant) must agree with a
-// brute-force LCA oracle on every thread pair of every corpus program —
-// random fork-join programs included, with seeded RNG so failures
-// reproduce — and every backend must answer the same when driven from a
-// recorded event trace instead of a walk. Also pins the English-order
-// walk invariant the whole library relies on.
+// Property test: SP-order must agree with a brute-force LCA oracle on
+// every thread pair of every corpus program — random fork-join programs
+// included, with seeded RNG so failures reproduce — and every backend
+// must answer the same when driven from a recorded event trace instead of
+// a walk. Also pins the English-order walk invariant the whole library
+// relies on.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "sp_test_util.hpp"
 #include "spbags/sp_bags.hpp"
 #include "sporder/sp_order.hpp"
-#include "sporder/sp_order_compact.hpp"
 
 namespace {
 
@@ -28,41 +27,6 @@ TEST(SpOrder, MatchesOracleOnCorpus) {
   for (const auto& p : corpus()) {
     spr::order::SpOrder algo(p.tree);
     expect_matches_oracle_post_walk(p.tree, algo, p.name);
-  }
-}
-
-TEST(SpOrderCompact, MatchesOracleOnTheFly) {
-  // The compact variant reclaims completed subtrees' OM items (footnote
-  // 2), so only ON-THE-FLY queries are valid: every completed thread vs
-  // the currently executing one, during the walk. Post-walk all-pairs is
-  // exactly the ability footnote 2 trades away.
-  for (const auto& p : corpus()) {
-    spr::order::SpOrderCompact algo(p.tree);
-    expect_matches_oracle_on_the_fly(p.tree, algo, p.name);
-  }
-}
-
-TEST(SpOrderCompact, ReclaimsCompletedSubtrees) {
-  // Footnote 2's point: live OM items shrink back as subtrees complete.
-  // After the whole walk only the root's base pair (one item per list)
-  // remains, no matter how large the program was.
-  for (const int depth : {8, 10, 12}) {
-    const auto t =
-        spr::fj::lower_to_parse_tree(spr::fj::make_balanced(depth));
-    spr::order::SpOrderCompact algo(t);
-    spr::tree::MaintenanceDriver d(algo);
-    serial_walk(t, d);
-    EXPECT_EQ(algo.live_om_items(), 2u) << "depth " << depth;
-    // Real deletion, not tombstones: every minted item was erased and
-    // emptied buckets were handed back too.
-    const auto& eng = algo.english_stats();
-    EXPECT_EQ(eng.erases, eng.inserts - 1) << "depth " << depth;
-    const auto& heb = algo.hebrew_stats();
-    EXPECT_EQ(heb.erases, heb.inserts - 1) << "depth " << depth;
-    // Live items track the walk's spine, never the program size, so a
-    // single bucket suffices throughout (bucket reclamation itself is
-    // exercised by the OrderList churn test).
-    EXPECT_EQ(eng.bucket_splits, 0u) << "depth " << depth;
   }
 }
 
@@ -95,9 +59,6 @@ TEST(EventSource, EveryBackendMatchesOracleFromRecordedEvents) {
   for (const auto& p : corpus()) {
     spr::order::SpOrder order(p.tree);
     expect_matches_oracle_from_events(p.tree, order, p.name + " sp-order");
-    spr::order::SpOrderCompact compact(p.tree);
-    expect_matches_oracle_from_events(p.tree, compact,
-                                      p.name + " sp-order-compact");
     spr::bags::SpBags bags(p.tree);
     expect_matches_oracle_from_events(p.tree, bags, p.name + " sp-bags");
     spr::label::EnglishHebrew eh(p.tree);
