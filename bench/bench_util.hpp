@@ -9,7 +9,6 @@
 #include "sphybrid/worker.hpp"
 #include "sptree/sp_maintenance.hpp"
 #include "sptree/walk.hpp"
-#include "util/rng.hpp"
 #include "util/timing.hpp"
 
 namespace spr::benchutil {
@@ -32,21 +31,22 @@ struct WalkTimes {
 };
 
 /// Visitor driving a maintenance algorithm and optionally issuing
-/// `queries_per_leaf` precedes() calls against random prior threads.
+/// `queries_per_leaf` precedes() calls against random prior threads (the
+/// engine's per-leaf query stream), while each thread runs: SP-bags
+/// answers only on the fly.
 class DrivingVisitor final : public tree::MaintenanceDriver<> {
  public:
   DrivingVisitor(tree::SpMaintenance& algo, std::uint32_t queries_per_leaf,
                  std::uint64_t seed)
-      : MaintenanceDriver(algo), qpl_(queries_per_leaf), rng_(seed) {}
+      : MaintenanceDriver(algo), qpl_(queries_per_leaf), seed_(seed) {}
 
   void visit_leaf(const tree::Node& n) override {
     MaintenanceDriver::visit_leaf(n);
     const tree::ThreadId cur = n.thread;
-    for (std::uint32_t q = 0; q < qpl_ && cur > 0; ++q) {
-      const auto u = static_cast<tree::ThreadId>(rng_.next_below(cur));
+    hybrid::for_each_leaf_query(seed_, qpl_, cur, [&](tree::ThreadId u) {
       digest += hybrid::query_digest(u, cur, sp_.precedes(u, cur));
       ++queries;
-    }
+    });
   }
 
   std::uint64_t queries = 0;
@@ -54,7 +54,7 @@ class DrivingVisitor final : public tree::MaintenanceDriver<> {
 
  private:
   std::uint32_t qpl_;
-  util::Xoshiro256 rng_;
+  std::uint64_t seed_;
 };
 
 /// Times one maintenance-only walk of `algo` (which must be fresh).

@@ -11,8 +11,14 @@
 // `#METRIC {...}` lines for scripts/bench.sh: one per (shape, n) with
 // ns/leaf and OM items moved per insert, one fit row per shape (slope,
 // intercept, R^2), and one per adversarial OM list.
+//
+// Exits 1 if OrderList moves more than kMaxMovedPerInsert items per
+// insert on any (shape, n) row or on the adversarial row, or if
+// LabeledList's adversarial row does not exceed OrderList's. These are
+// counts, not times, so the gate is deterministic.
 
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -27,6 +33,10 @@
 namespace {
 
 using spr::tree::ParseTree;
+
+/// Theorem 5's O(1) amortized insert, as a bound on OrderList's items
+/// moved per insert (the rows read 2.05-2.82).
+constexpr double kMaxMovedPerInsert = 4;
 
 struct Point {
   std::string shape;
@@ -56,6 +66,13 @@ double adversarial_moved_per_insert(int n) {
 
 int main() {
   std::cout << "Theorem 5 — SP-order builds in O(n) total time\n";
+  bool ok = true;
+  const auto check_moved = [&](const std::string& row, double moved) {
+    if (moved <= kMaxMovedPerInsert) return;
+    std::cerr << "thm5: " << row << ": order-list moves " << moved
+              << " items per insert, above " << kMaxMovedPerInsert << "\n";
+    ok = false;
+  };
   for (const char* shape : {"balanced", "fib", "random"}) {
     spr::util::Table table({"n (threads)", "total", "ns/leaf",
                             "OM items moved/insert"});
@@ -81,6 +98,9 @@ int main() {
                                ? 0
                                : static_cast<double>(st.items_moved) /
                                      static_cast<double>(st.inserts);
+      check_moved(std::string(shape) + " n=" +
+                      std::to_string(t.leaf_count()),
+                  moved);
       xs.push_back(n);
       ys.push_back(secs);
       std::cout << "#METRIC {\"bench\":\"thm5_sporder_scaling\",\"shape\":\""
@@ -116,14 +136,23 @@ int main() {
               << list << "\",\"pattern\":\"adversarial\",\"n\":"
               << kAdversarialN << ",\"moved_per_insert\":" << moved << "}\n";
   };
-  om_row("order-list",
-         adversarial_moved_per_insert<spr::om::OrderList>(kAdversarialN));
-  om_row("labeled-list",
-         adversarial_moved_per_insert<spr::om::LabeledList>(kAdversarialN));
+  const double order_moved =
+      adversarial_moved_per_insert<spr::om::OrderList>(kAdversarialN);
+  const double labeled_moved =
+      adversarial_moved_per_insert<spr::om::LabeledList>(kAdversarialN);
+  om_row("order-list", order_moved);
+  om_row("labeled-list", labeled_moved);
   om_table.print(std::cout);
+  check_moved("adversarial", order_moved);
+  if (labeled_moved <= order_moved) {
+    std::cerr << "thm5: adversarial labeled-list moves " << labeled_moved
+              << " items per insert, not above order-list's " << order_moved
+              << "\n";
+    ok = false;
+  }
 
   std::cout << "\nShape check (paper): ns/leaf flat across the sweep "
                "(R^2 ~ 1) on every tree shape;\nadversarial OM inserts move "
                "~3 items each in OrderList, hundreds in LabeledList.\n";
-  return 0;
+  return ok ? 0 : 1;
 }

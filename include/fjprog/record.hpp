@@ -1,10 +1,9 @@
 #pragma once
 // Trace recording: serializes a parse-tree execution into the streaming
 // service's event vocabulary (race/stream/event.hpp). The recorder is a
-// WalkVisitor, so anything that can drive a serial walk — the generators'
-// lowered programs, the SP-hybrid executor's serial-reference mode
-// (sphybrid/executor.hpp) — can be captured once and replayed through
-// the service at any batch size.
+// WalkVisitor, so any parse tree a serial walk can drive — the
+// generators' lowered programs, the trees SP-hybrid runs — can be
+// captured once and replayed through the service at any batch size.
 
 #include <cstddef>
 #include <vector>

@@ -24,7 +24,6 @@ class LabeledList {
 
   struct Item {
     std::uint64_t label = 0;
-    Item* prev = nullptr;
     Item* next = nullptr;
   };
 
@@ -51,9 +50,7 @@ class LabeledList {
     if (hi - x->label < 2) relabel_all(size_ + 1);
     const std::uint64_t hi2 = x->next != nullptr ? x->next->label : kMax;
     Item* item = new_item(x->label + (hi2 - x->label) / 2);
-    item->prev = x;
     item->next = x->next;
-    if (x->next != nullptr) x->next->prev = item;
     x->next = item;
     finish_insert();
     return item;
@@ -99,5 +96,10 @@ class LabeledList {
   std::size_t size_ = 0;
   Stats stats_;
 };
+
+#if defined(__x86_64__)
+static_assert(sizeof(LabeledList::Item) == 16,
+              "one label and one link: the list is walked forward only");
+#endif
 
 }  // namespace spr::om

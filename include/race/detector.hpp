@@ -9,6 +9,11 @@
 // which runs the same shadow tables and query accounting on event
 // streams and must report the same verdicts and query counts.
 //
+// detect_races over SP-order is also SP-hybrid's serial oracle:
+// hybrid::run_parallel(Mode::kSerialReference) runs it and takes its race
+// and query counts, so the detector cor6 times is the one every parallel
+// run is checked against.
+//
 // Two detectors share this walker and differ only in their shadow
 // (race/stream/shadow_shards.hpp), as Corollary 6 and the abstract's
 // extension say:

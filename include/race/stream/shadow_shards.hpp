@@ -29,9 +29,9 @@
 //
 // One owner, no lock. OwnedDeterminacyShadow and OwnedAllSetsShadow each
 // hold one CellTable and take no lock, because exactly one thread of
-// control ever touches them: the serial detectors (race/detector.hpp) and
-// the serial reference (sphybrid/executor.hpp) own one each, and every
-// stream of the streaming service owns one, guarded by the stream mutex
+// control ever touches them: each run of a serial detector
+// (race/detector.hpp, which SP-hybrid's serial reference also runs) owns
+// one, and every stream of the streaming service owns one, guarded by the stream mutex
 // its submitter already holds and freed by finish()
 // (race/stream/service.hpp). The stream is part of the key, so a table
 // can also hold several streams' cells.

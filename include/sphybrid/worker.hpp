@@ -100,12 +100,18 @@ inline unsigned resolve_workers(unsigned requested) {
   return requested < std::max(4u, hw) ? requested : std::max(4u, hw);
 }
 
-/// Per-leaf deterministic query stream: the same (seed, thread) pair
-/// issues the same queries in every mode and at every worker count.
-inline util::Xoshiro256 leaf_query_rng(std::uint64_t seed,
-                                       tree::ThreadId thread) {
-  return util::Xoshiro256(seed ^
-                          (0x9e3779b97f4a7c15ULL * (std::uint64_t{thread} + 1)));
+/// Per-leaf deterministic query stream: calls f(u) for each of the
+/// `queries_per_leaf` earlier threads u that thread v asks about, drawn
+/// from a generator seeded by (seed, v), so every mode, worker count and
+/// serial walk issues the same queries (thread 0 asks none).
+template <typename F>
+inline void for_each_leaf_query(std::uint64_t seed,
+                                std::uint32_t queries_per_leaf,
+                                tree::ThreadId v, F&& f) {
+  if (queries_per_leaf == 0 || v == 0) return;
+  util::Xoshiro256 rng(seed ^ (0x9e3779b97f4a7c15ULL * (std::uint64_t{v} + 1)));
+  for (std::uint32_t q = 0; q < queries_per_leaf; ++q)
+    f(static_cast<tree::ThreadId>(rng.next_below(v)));
 }
 
 /// Order-independent digest of one answered query; summed into the run
@@ -132,8 +138,7 @@ class WorkStealingEngine {
           tree_.leaf_count());
     const std::size_t nn = tree_.node_count();
     pending_ = std::make_unique<std::atomic<std::uint8_t>[]>(nn);
-    left_root_ = std::make_unique<std::atomic<std::uint32_t>[]>(nn);
-    right_root_ = std::make_unique<std::atomic<std::uint32_t>[]>(nn);
+    root_ = std::make_unique<std::atomic<std::uint32_t>[]>(nn);
     for (std::size_t i = 0; i < nn; ++i)
       pending_[i].store(2, std::memory_order_relaxed);
     if (opts_.mode == Mode::kNaive) naive_ = std::make_unique<NaiveSp>(tree_);
@@ -303,15 +308,12 @@ class WorkStealingEngine {
   void do_leaf(WorkerCtx& w, const tree::Node& n) {
     const tree::ThreadId v = n.thread;
     w.spin_xor ^= util::spin_work(n.work);
-    if (opts_.queries_per_leaf > 0) {
-      util::Xoshiro256 rng = leaf_query_rng(opts_.seed, v);
-      for (std::uint32_t q = 0; q < opts_.queries_per_leaf && v > 0; ++q) {
-        const auto u = static_cast<tree::ThreadId>(rng.next_below(v));
-        if (opts_.mode != Mode::kPlain)
-          w.digest_sum += query_digest(u, v, answer(w, u, v));
-        ++w.queries;
-      }
-    }
+    for_each_leaf_query(opts_.seed, opts_.queries_per_leaf, v,
+                        [&](tree::ThreadId u) {
+                          if (opts_.mode != Mode::kPlain)
+                            w.digest_sum += query_digest(u, v, answer(w, u, v));
+                          ++w.queries;
+                        });
     if (detecting()) detect(w, v);
   }
 
@@ -362,6 +364,10 @@ class WorkStealingEngine {
 
   // ---- completion chain ----------------------------------------------
 
+  std::uint32_t root_of(tree::NodeId n) const {
+    return root_[static_cast<std::size_t>(n)].load(std::memory_order_relaxed);
+  }
+
   /// Walks a completed subtree up; returns the next node this worker
   /// should execute, or kNoNode when it abandoned at a lost join (or
   /// finished the root). `carry` is the completed subtree's DSU root.
@@ -377,30 +383,26 @@ class WorkStealingEngine {
       const std::size_t pi = static_cast<std::size_t>(p);
       const bool from_left = pn.left == c;
       const bool series = pn.kind == tree::NodeKind::kSeries;
+      if (series && !from_left) {
+        if (bags_ != nullptr) carry = bags_->unite(root_of(pn.left), carry);
+        c = p;
+        continue;
+      }
+      root_[static_cast<std::size_t>(c)].store(carry,
+                                               std::memory_order_relaxed);
       if (from_left) {
-        left_root_[pi].store(carry, std::memory_order_relaxed);
         // between_children: the left subtree precedes the rest (S) or
         // runs beside it (P).
         if (bags_ != nullptr)
           bags_->classify(carry, series, w.cur_trace, w.cur_trace);
         if (series) return pn.right;  // continue serially, same trace
-      } else {
-        if (series) {
-          if (bags_ != nullptr)
-            carry = bags_->unite(
-                left_root_[pi].load(std::memory_order_relaxed), carry);
-          c = p;
-          continue;
-        }
-        right_root_[pi].store(carry, std::memory_order_relaxed);
       }
       // P-node join: the acq_rel RMW orders the two sides' root stores
       // for whoever continues.
       if (pending_[pi].fetch_sub(1, std::memory_order_acq_rel) == 2)
         return tree::kNoNode;  // other side still running
       if (bags_ != nullptr) {
-        carry = bags_->unite(left_root_[pi].load(std::memory_order_relaxed),
-                             right_root_[pi].load(std::memory_order_relaxed));
+        carry = bags_->unite(root_of(pn.left), root_of(pn.right));
         w.cur_trace = entry_trace_[pi].load(std::memory_order_relaxed);
       }
       c = p;
@@ -455,10 +457,7 @@ class WorkStealingEngine {
     for (tree::NodeId z = s_above_[xi]; z != tree::kNoNode;
          z = s_above_[static_cast<std::size_t>(z)]) {
       ++w.repoint_walk;
-      if (!bags_->repoint(
-              left_root_[static_cast<std::size_t>(z)].load(
-                  std::memory_order_relaxed),
-              victim, repointed))
+      if (!bags_->repoint(root_of(tree_.node(z).left), victim, repointed))
         break;
     }
     w.cur_trace = thief;
@@ -504,8 +503,9 @@ class WorkStealingEngine {
   const ExecOptions opts_;
   const unsigned nworkers_;
   std::unique_ptr<std::atomic<std::uint8_t>[]> pending_;
-  std::unique_ptr<std::atomic<std::uint32_t>[]> left_root_;
-  std::unique_ptr<std::atomic<std::uint32_t>[]> right_root_;
+  /// Per node, the DSU root of its completed subtree, stored by the
+  /// worker that completes it before the parent's join RMW.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> root_;
   // kHybrid only: per P-node, the trace that entered it; per node, its
   // nearest S-ancestor that it lies right of; pairs_[mint node] is a
   // trace's pair and pairs_[node_count + X] the pair a steal at X

@@ -22,9 +22,7 @@ namespace spr::util {
 
 class Arena {
  public:
-  explicit Arena(std::size_t first_chunk_bytes = 1024)
-      : next_chunk_bytes_(first_chunk_bytes < kMinChunk ? kMinChunk
-                                                        : first_chunk_bytes) {}
+  Arena() = default;
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
   ~Arena() {
@@ -68,7 +66,7 @@ class Arena {
     Chunk* next;
   };
 
-  static constexpr std::size_t kMinChunk = 256;
+  static constexpr std::size_t kFirstChunk = 1024;
   static constexpr std::size_t kMaxChunk = 256 * 1024;
 
   void grow(std::size_t at_least) {
@@ -87,7 +85,7 @@ class Arena {
   Chunk* chunks_ = nullptr;
   std::uintptr_t cur_ = 0;
   std::uintptr_t end_ = 0;
-  std::size_t next_chunk_bytes_;
+  std::size_t next_chunk_bytes_ = kFirstChunk;
   std::size_t allocated_bytes_ = 0;
 };
 

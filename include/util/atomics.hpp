@@ -1,11 +1,17 @@
 #pragma once
 // Atomics policy layer: the single point where the lock-free core binds
-// to a memory model. Every concurrent structure in the library
-// (sphybrid/deque.hpp, sphybrid/global_tier.hpp and the om/order_list.hpp
-// fields its readers load, spbags/dsu.hpp, race/stream/shadow_shards.hpp)
-// declares its shared state as spr::atomic<T> / spr::mutex /
-// spr::spin_lock and backs off in retry loops via spr::spin_pause(),
-// never touching <atomic> or <thread> directly.
+// to a memory model. The concurrent structures the model-check suite
+// (tests/mc_test.cpp) drives — sphybrid/deque.hpp, sphybrid/global_tier.hpp
+// and the om/order_list.hpp fields its readers load, spbags/dsu.hpp,
+// race/stream/shadow_shards.hpp and the stream service's locks —
+// declare their shared state as spr::atomic<T> / spr::mutex /
+// spr::spin_lock and back off in retry loops via spr::spin_pause(),
+// never touching <atomic> or <thread> directly. The engine's own
+// bookkeeping (sphybrid/worker.hpp: join counters, completed-subtree
+// roots, entry traces, the race count, the done flag and kNaive's mutex)
+// and spbags/trace_bags.hpp's set-root words use the std types; the
+// checker never runs the engine, and TSan covers it
+// (sphybrid_parallel_test, with the stress repeat in CI).
 //
 //  - Normal builds: zero-cost aliases of std::atomic / std::mutex.
 //    Release codegen is identical to using the std types (checked:
